@@ -119,12 +119,13 @@ def bsde_residual(p: Problem, sample: BSDESample) -> float:
     """Pathwise residual of the penalized backward identity.
 
     R = Y_t - [ g(X_T) + int f dr + K_T - sum_jumps Z(mark)
-                + int (sum_y Z(y, I) lambda(X, I, y) + sum_b Z(X, b) lambda0[b]) dr
-                - int sum_b Z(X, b) lambda0[b] dr ].
+                + int sum_y Z(y, I) lambda(X, I, y) dr ].
 
-    Zero for the exact solution; for the numerical v^n it is bounded by the
-    integrator's ODE residual (the quadrature here is exact for the
-    interpolant).
+    The lambda0 part of the pair compensator, int sum_b Z(X, b) lambda0[b] dr,
+    cancels against the -psi coupling of the penalized driver, so neither
+    appears. R is zero for the exact solution; for the numerical v^n it is
+    bounded by the integrator's ODE residual (the quadrature here is exact
+    for the interpolant).
     """
     path = sample.path
     bp = sample.breakpoints
@@ -146,25 +147,9 @@ def bsde_residual(p: Problem, sample: BSDESample) -> float:
     c1_1 = (l1 * rate_rows).sum(axis=1) - own1 * rsum
     int_c1 = float((0.5 * (c1_0 + c1_1) * h).sum())
 
-    # sum_b Z(X, b) lambda0[b].
-    lam0_tot = float(p.lambda0.sum())
-    r0 = layers[:-1][idx, seg_x, :]
-    r1 = layers[1:][idx, seg_x, :]
-    c2_0 = r0 @ p.lambda0 - own0 * lam0_tot
-    c2_1 = r1 @ p.lambda0 - own1 * lam0_tot
-    int_c2 = float((0.5 * (c2_0 + c2_1) * h).sum())
-
     g_term = float(p.terminal_cost[path.state_at(path.horizon)])
     int_f = running_cost_along_path(p, path)
-    rhs = (
-        g_term
-        + int_f
-        + float(sample.k_values[-1])
-        - float(sample.jump_z.sum())
-        + int_c1
-        + int_c2
-        - int_c2
-    )
+    rhs = g_term + int_f + float(sample.k_values[-1]) - float(sample.jump_z.sum()) + int_c1
     return float(sample.y_values[0]) - rhs
 
 
@@ -176,16 +161,23 @@ def constraint_violation(
     a: int,
     n_paths: int,
     master_seed: int = 0,
+    paths=None,
 ) -> tuple[float, float]:
     """MC estimate of E int_t^T sum_b [Z_s(X_s, b)]^+ lambda0[b] ds.
 
     Equals E[K_T] / n; Lemma-level bounds keep n times this quantity
-    bounded uniformly in n, so the estimate decays like 1/n.
+    bounded uniformly in n, so the estimate decays like 1/n. Pass `paths`
+    (simulated under the reference pair law from (t, x, a)) to reuse one
+    batch across several levels.
     """
+    if paths is None:
+        paths = (
+            simulate_pair_path(p, t, x, a, None, rng=child_rng(master_seed, i))
+            for i in range(n_paths)
+        )
     samples = np.empty(n_paths)
     level = max(vn.level, 1)
-    for i in range(n_paths):
-        path = simulate_pair_path(p, t, x, a, None, rng=child_rng(master_seed, i))
+    for i, path in enumerate(paths):
         samples[i] = build_sample(p, vn, path).k_values[-1] / level
     n = samples.size
     se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")

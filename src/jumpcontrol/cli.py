@@ -11,9 +11,7 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
-from . import bsde, hjb, linear, model, oracle, penalized, randomized, simulate
+from . import bsde, hjb, model, penalized, randomized, simulate
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -126,12 +124,15 @@ def cmd_diagnose(args):
 
     miny = bsde.minimal_y_report(p, report.solutions, 0.0, x0, v0)
     _write_csv(os.path.join(args.out_dir, "bsde.csv"), miny.to_csv)
-    violations = {}
-    for n in levels:
-        est, se = bsde.constraint_violation(
-            p, report.solutions[n], 0.0, x0, 0, min(args.paths, 2000), master_seed=args.seed
-        )
-        violations[n] = (est, se)
+    n_pair = min(args.paths, 2000)
+    pair_paths = [
+        simulate.simulate_pair_path(p, 0.0, x0, 0, None, rng=simulate.child_rng(args.seed, i))
+        for i in range(n_pair)
+    ]
+    violations = {
+        n: bsde.constraint_violation(p, report.solutions[n], 0.0, x0, 0, n_pair, paths=pair_paths)
+        for n in levels
+    }
 
     checks = {
         "penalized_monotone": all(r.monotonicity_violations == 0 for r in report.rows),
@@ -191,10 +192,6 @@ def cmd_simulate(args):
     return 0
 
 
-class _TrackingNamespace(argparse.Namespace):
-    pass
-
-
 def _build_parser():
     ap = argparse.ArgumentParser(prog="jumpcontrol")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -234,15 +231,17 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     ap = _build_parser()
     args = ap.parse_args(argv)
-    args._explicit = {
-        a.dest for a in ap._actions if any(opt in argv for opt in a.option_strings)
-    }
+    # argparse accepts "--opt=value" and unambiguous prefixes of "--opt".
+    given = {arg.split("=", 1)[0] for arg in argv if arg.startswith("--") and arg != "--"}
+
+    def named(action):
+        return any(opt.startswith(g) for opt in action.option_strings for g in given)
+
+    args._explicit = {a.dest for a in ap._actions if named(a)}
     for sp_action in ap._subparsers._group_actions:
         for name, sp in sp_action.choices.items():
             if name == args.command:
-                args._explicit |= {
-                    a.dest for a in sp._actions if any(opt in argv for opt in a.option_strings)
-                }
+                args._explicit |= {a.dest for a in sp._actions if named(a)}
     _merge_config(args)
     return args.func(args)
 

@@ -130,7 +130,7 @@ def solve_hjb_marching(p: Problem, n_steps: int = 10_000) -> HJBSolution:
     v = np.empty((n_steps + 1, p.n_states))
     argmax = np.empty((n_steps + 1, p.n_states), dtype=np.int64)
     v[n_steps] = p.terminal_cost
-    h, argmax[n_steps] = hamiltonian(p, T, v[n_steps])
+    _, argmax[n_steps] = hamiltonian(p, T, v[n_steps])
     for k in range(n_steps - 1, -1, -1):
         h, argmax[k] = hamiltonian(p, ts[k], v[k + 1])
         v[k] = v[k + 1] + dt * h

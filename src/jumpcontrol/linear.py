@@ -90,6 +90,21 @@ def _rk4_march(v_terminal, n_steps, T, deriv, n_sub):
     return out
 
 
+def pair_x_generator(p: Problem):
+    """The X part of the pair generator, with the action argument frozen.
+
+    Returns v -> sum_y (v(y, a) - v(x, a)) lambda(x, a, y) for v of shape
+    (..., n_states, n_actions); lambda(x, a, E) is summed once here, not
+    once per call.
+    """
+    rates, rows = p.rates, p.row_sums
+
+    def apply(v):
+        return np.einsum("xay,...ya->...xa", rates, v) - rows * v
+
+    return apply
+
+
 def policy_running_cost(p: Problem, alpha: FeedbackPolicy):
     """Running-cost field s -> f(s, x, alpha(s, x)) as a per-state vector."""
     idx = np.arange(p.n_states)
@@ -156,10 +171,10 @@ def solve_kolmogorov_pair(
     lam0_tot = float(lam0.sum())
     dt = p.horizon / n_steps
     n_sub = max(1, math.ceil(dt * pair_rate_bound(p) / _STABILITY))
+    x_gen = pair_x_generator(p)
 
     def deriv(s, v):
-        drift = np.einsum("xay,ya->xa", p.rates, v) - p.row_sums * v
-        drift = drift + (v @ lam0)[:, None] - lam0_tot * v
+        drift = x_gen(v) + (v @ lam0)[:, None] - lam0_tot * v
         if f_pair is not None:
             drift = drift + f_pair(s)
         return -drift

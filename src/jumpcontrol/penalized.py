@@ -7,15 +7,24 @@ For each penalization level n the equation
     v(T, x, a) = g(x),
 
 is marched backward on the uniform grid (L is the pair generator). The
-solutions increase in n, stay below the primal HJB solution, and lose their
+-psi coupling cancels the lambda0 part of L exactly, so the derivative is
+computed in the cancelled form
+
+    dv/dt + L_X^a v + f + n sum_b [v(t,x,b) - v(t,x,a)]^+ lambda0[b] = 0,
+
+with L_X^a the generator of X under the frozen action a. The solutions
+increase in n, stay below the primal HJB solution, and lose their
 dependence on the a argument as n grows; convergence_report measures all
 three effects against the primal solver.
 
-The penalty's Lipschitz constant grows like (n + 1) * lambda0(A), so the
-integrator sub-steps to keep dt_eff * (Lambda_pair + (n + 1) * lambda0(A))
-below 0.5. Steps use classical RK4: the monotonicity and domination checks
-compare solutions to within 1e-9, which a first-order scheme cannot reach
-at practical grid sizes.
+All requested levels are marched together along a leading level axis, so
+the family costs about as much as a single level. The penalty's Lipschitz
+constant grows like (n + 1) * lambda0(A), so every level takes the common
+sub-step count set by the largest level n_max, which keeps
+dt_eff * (Lambda_pair + (n_max + 1) * lambda0(A)) below 0.5. Steps use
+classical RK4: the monotonicity and domination checks compare solutions to
+within 1e-9, which a first-order scheme cannot reach at practical grid
+sizes.
 """
 from __future__ import annotations
 
@@ -25,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linear import ValueGrid, _rk4_march
+from .linear import ValueGrid, _rk4_march, pair_x_generator
 from .model import Problem, cost_layer, pair_rate_bound
 from .hjb import HJBSolution, solve_hjb_picard
 
@@ -40,7 +49,11 @@ class PenalizedSolution:
 
 
 def penalty_layer(v_layer: np.ndarray, lam0: np.ndarray, n: int) -> np.ndarray:
-    """Penalty term for a whole layer v[x, a]; returns an (x, a) array."""
+    """Penalty term for a whole layer v[x, a]; returns an (x, a) array.
+
+    This is the full coupling of the uncancelled equation, kept as the
+    tested reference for the cancelled form that the solver marches.
+    """
     v = np.asarray(v_layer, dtype=float)
     psi = v[:, None, :] - v[:, :, None]  # psi[x, a, b] = v[x, b] - v[x, a]
     return np.einsum("xab,b->xa", n * np.maximum(psi, 0.0) - psi, lam0)
@@ -53,30 +66,38 @@ def penalty_term(v_layer, x: int, a: int, lam0, n: int) -> float:
     return float(np.dot(n * np.maximum(psi, 0.0) - psi, np.asarray(lam0, dtype=float)))
 
 
+def _march_levels(p: Problem, levels, n_steps: int) -> list:
+    """Solve every level in one backward march; the values are views into
+    one (N+1, levels, n_states, n_actions) array."""
+    if any(n < 0 for n in levels):
+        raise ValueError("penalization level must be nonnegative")
+    lam0 = p.lambda0
+    dt = p.horizon / n_steps
+    lipschitz = pair_rate_bound(p) + (max(levels, default=0) + 1) * float(lam0.sum())
+    n_sub = max(1, math.ceil(dt * lipschitz / _STABILITY))
+    n_col = np.asarray(levels, dtype=float)[:, None, None]
+    x_gen = pair_x_generator(p)
+    g = np.broadcast_to(p.terminal_cost[:, None], (len(levels), p.n_states, p.n_actions))
+
+    def deriv(s, v):
+        psi = v[..., None, :] - v[..., :, None]  # psi[l, x, a, b] = v[l, x, b] - v[l, x, a]
+        return -(x_gen(v) + cost_layer(p, s) + n_col * (np.maximum(psi, 0.0) @ lam0))
+
+    vals = _rk4_march(g, n_steps, p.horizon, deriv, n_sub)
+    return [
+        PenalizedSolution(int(n), ValueGrid(vals[:, i], p.horizon), n_sub)
+        for i, n in enumerate(levels)
+    ]
+
+
 def solve_penalized(p: Problem, n: int, n_steps: int = 2000) -> PenalizedSolution:
     """Solve the level-n penalized equation backward on the grid.
 
-    n = 0 is allowed and reduces to a plain linear pair equation (the
-    positive-part term drops, the -psi coupling stays), which is the
-    cross-check case against the linear solver.
+    n = 0 is allowed: the penalty drops and each action column solves the
+    linear equation of X under that frozen action, which is the cross-check
+    case against the linear solver.
     """
-    if n < 0:
-        raise ValueError("penalization level must be nonnegative")
-    lam0 = p.lambda0
-    lam0_tot = float(lam0.sum())
-    dt = p.horizon / n_steps
-    lipschitz = pair_rate_bound(p) + (n + 1) * lam0_tot
-    n_sub = max(1, math.ceil(dt * lipschitz / _STABILITY))
-    g = np.repeat(p.terminal_cost[:, None], p.n_actions, axis=1)
-
-    def deriv(s, v):
-        drift = np.einsum("xay,ya->xa", p.rates, v) - p.row_sums * v
-        drift = drift + (v @ lam0)[:, None] - lam0_tot * v
-        drift = drift + cost_layer(p, s) + penalty_layer(v, lam0, n)
-        return -drift
-
-    vals = _rk4_march(g, n_steps, p.horizon, deriv, n_sub)
-    return PenalizedSolution(int(n), ValueGrid(vals, p.horizon), n_sub)
+    return _march_levels(p, [n], n_steps)[0]
 
 
 @dataclass
@@ -123,8 +144,7 @@ def convergence_report(
     rows = []
     solutions = {}
     prev = None
-    for n in levels:
-        sol = solve_penalized(p, n, n_steps=n_steps)
+    for n, sol in zip(levels, _march_levels(p, levels, n_steps)):
         solutions[n] = sol
         vn = sol.values.values  # (N+1, nS, nA)
         sigma = float((vn.max(axis=2) - vn.min(axis=2)).max())

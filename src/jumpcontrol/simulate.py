@@ -143,9 +143,6 @@ class IntensityControl:
         k = int(t / self.horizon * self.n_layers + 1e-12)
         return min(max(k, 0), self.n_layers - 1)
 
-    def layer_times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.n_layers + 1)
-
     def value(self, t: float, x: int, a: int, b: int) -> float:
         return float(self.field[self.layer_index(t), x, a, b])
 

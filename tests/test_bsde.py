@@ -116,6 +116,16 @@ class TestConstraintViolation:
         # decay between roughly constant and roughly 1/n over a 16x level bump
         assert lo / 64.0 <= hi <= lo / 4.0
 
+    def test_reused_paths_give_the_same_estimate(self, threestate):
+        vn = jc.solve_penalized(threestate, 8, n_steps=300)
+        paths = [
+            jc.simulate_pair_path(threestate, 0.0, 0, 1, None, rng=jc.child_rng(12, i))
+            for i in range(150)
+        ]
+        fresh = constraint_violation(threestate, vn, 0.0, 0, 1, 150, 12)
+        reused = constraint_violation(threestate, vn, 0.0, 0, 1, 150, paths=paths)
+        assert reused == fresh
+
     def test_zero_on_action_independent_model(self, aflat):
         # v^n is flat in a, so [Z(X, b)]^+ vanishes identically
         vn = jc.solve_penalized(aflat, 16, n_steps=300)

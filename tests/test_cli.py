@@ -49,14 +49,12 @@ class TestSolve:
     def test_config_file_flags_win(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_steps": 50, "seed": 7}))
-        out = str(tmp_path / "out")
-        code = run_cli(
-            ["solve", "--model", M2, "--out-dir", out, "--config", str(cfg),
-             "--n-steps", "80"]
-        )
-        assert code == 0
-        summary = json.load(open(os.path.join(out, "summary.json")))
-        assert summary["n_steps"] == 80  # explicit flag beats the config value
+        for i, flag in enumerate((["--n-steps", "80"], ["--n-steps=80"], ["--n-st", "80"])):
+            out = str(tmp_path / f"out{i}")
+            code = run_cli(["solve", "--model", M2, "--out-dir", out, "--config", str(cfg), *flag])
+            assert code == 0
+            summary = json.load(open(os.path.join(out, "summary.json")))
+            assert summary["n_steps"] == 80  # explicit flag beats the config value
 
 
 class TestDiagnose:

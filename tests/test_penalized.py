@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import jumpcontrol as jc
+from jumpcontrol.linear import pair_x_generator
 from jumpcontrol.penalized import penalty_layer, penalty_term
+
+ALL_LEVELS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
 class TestPenaltyTerm:
@@ -37,6 +40,20 @@ class TestPenaltyTerm:
         v = rng.normal(size=(5, 4))
         lam0 = rng.uniform(0.1, 1.0, size=4)
         assert np.all(penalty_layer(v, lam0, 1) >= -1e-15)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_coupling_cancels_lambda0_part_of_pair_generator(self, threestate, seed):
+        # L_pair v + penalty_layer(v) == L_X v + n sum_b [psi]^+ lambda0[b]:
+        # the cancelled form the penalized march uses.
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(3, 2))
+        lam0 = threestate.lambda0
+        n = int(rng.integers(0, 300))
+        x_part = pair_x_generator(threestate)(v)
+        pair = x_part + (v @ lam0)[:, None] - lam0.sum() * v
+        psi = v[:, None, :] - v[:, :, None]
+        cancelled = x_part + n * (np.maximum(psi, 0.0) @ lam0)
+        assert np.abs(pair + penalty_layer(v, lam0, n) - cancelled).max() <= 1e-13
 
 
 class TestSolvePenalized:
@@ -103,6 +120,28 @@ class TestConvergenceReport:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "n,sigma_n,delta_n,monotonicity_violations,cap_violations"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("name", ["m2", "threestate"])
+    def test_family_matches_single_level_solves(self, name, request):
+        p = request.getfixturevalue(name)
+        report = jc.convergence_report(p, ALL_LEVELS, n_steps=2000)
+        for n in ALL_LEVELS:
+            single = jc.solve_penalized(p, n, n_steps=2000)
+            assert single.n_substeps == report.solutions[n].n_substeps
+            assert np.abs(report.solutions[n].values.values - single.values.values).max() <= 1e-12
+
+    def test_family_shares_largest_level_substeps(self, m2):
+        # at N = 100 the single-level substep counts differ across levels,
+        # so the family marches every level at the count of level 256
+        singles = {n: jc.solve_penalized(m2, n, n_steps=100) for n in ALL_LEVELS}
+        assert singles[1].n_substeps < singles[256].n_substeps
+        report = jc.convergence_report(m2, ALL_LEVELS, n_steps=100)
+        # monotone in n within ORDER_TOL, the report's default tolerance
+        assert all(r.monotonicity_violations == 0 for r in report.rows)
+        for n in ALL_LEVELS:
+            sol = report.solutions[n]
+            assert sol.n_substeps == singles[256].n_substeps
+            assert np.abs(sol.values.values - singles[n].values.values).max() <= 1e-6
 
     def test_reuses_supplied_primal(self, m2):
         primal = jc.solve_hjb_picard(m2, n_steps=300)
