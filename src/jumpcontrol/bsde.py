@@ -8,9 +8,13 @@ Along a simulated pair path, the triple
 
 solves the penalized backward equation, and the sign constraint on
 Z_s(X_s, b) is recovered in the limit of large n. build_sample evaluates
-(Y, Z, K) with piecewise-linear time interpolation of v^n; all time
-integrals are computed exactly for that interpolant (the positive part is
-integrated segment by segment with its kink located analytically), so the
+(Y, Z, K) with piecewise-linear time interpolation of v^n. Its breakpoints
+are t0, the jump times and T, because the pair state is constant in
+between. A time integral over such a segment is a difference of the
+cumulative tables that PenalizedSolution builds once per v^n, plus the two
+partial grid cells at the segment's ends, so a path costs O(jumps), not
+O(grid). All integrals are exact for the interpolant (the positive part is
+integrated cell by cell with its kink located analytically), so the
 pathwise residual isolates the solver's ODE error rather than quadrature
 noise.
 """
@@ -22,14 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Problem
-from .penalized import PenalizedSolution
+from .model import Problem, grid_cell
+from .penalized import PenalizedSolution, penalty_integral
 from .simulate import Path, child_rng, running_cost_along_path, simulate_pair_path
 
 
 @dataclass(frozen=True)
 class BSDESample:
-    """(Y, Z, K) along one pair path, on the union of grid and jump times.
+    """(Y, Z, K) along one pair path, at t0, the jump times and T.
 
     breakpoints[0] = t0 and breakpoints[-1] = T; segment i spans
     (breakpoints[i], breakpoints[i+1]) with constant pair state
@@ -46,73 +50,113 @@ class BSDESample:
     y_values: np.ndarray
     k_values: np.ndarray
     jump_z: np.ndarray
-    layers: np.ndarray = field(repr=False)  # v^n interpolated at breakpoints
+    solution: PenalizedSolution = field(repr=False)
 
 
-def _positive_part_integral(p0, p1, h):
-    """Exact integral of [linear]^+ over segments; all arguments broadcast."""
-    both_pos = np.minimum(p0, p1) >= 0.0
-    both_neg = np.maximum(p0, p1) <= 0.0
-    denom = np.where(p0 == p1, 1.0, p0 - p1)
-    tau = np.clip(p0 / denom, 0.0, 1.0) * h
-    crossing = np.where(p0 > 0.0, 0.5 * p0 * tau, 0.5 * p1 * (h - tau))
-    out = np.where(both_pos, 0.5 * (p0 + p1) * h, crossing)
-    return np.where(both_neg, 0.0, out)
+def _segments(paths, horizon):
+    """Constant-state segments of pair paths, flattened in path order.
+
+    Returns (lo, hi, x, a, owner): segment i spans [lo[i], hi[i]] in the
+    pair state (x[i], a[i]) of path owner[i]. A path with j jumps before
+    the horizon has j + 1 segments; a jump at the horizon opens none.
+    """
+    for q in paths:
+        if q.a_marks is None:
+            raise ValueError("BSDE path functionals need pair paths")
+        if abs(q.horizon - horizon) > 1e-12:
+            raise ValueError("value grid and path horizons differ")
+    n = len(paths)
+
+    def flat(arrays, dtype):
+        return np.concatenate([np.empty(0, dtype), *arrays])
+
+    times = flat((q.times for q in paths), float)
+    inner = times < horizon
+    jumps = np.bincount(np.repeat(np.arange(n), [q.n_jumps for q in paths])[inner], minlength=n)
+    after = np.cumsum(jumps)  # index just past each path's inner jumps
+    before = after - jumps
+    lo = np.insert(times[inner], before, [q.t0 for q in paths])
+    hi = np.insert(times[inner], after, horizon)
+    x = np.insert(flat((q.x_marks for q in paths), np.int64)[inner], before, [q.x0 for q in paths])
+    a = np.insert(flat((q.a_marks for q in paths), np.int64)[inner], before, [q.a0 for q in paths])
+    owner = np.repeat(np.arange(n), jumps + 1)
+    return lo, hi, x, a, owner
+
+
+def _segment_integrals(grid, cum, cell, lo, hi, x, a):
+    """Integral over each segment [lo, hi] of a rate depending on the pair
+    state (x, a) and on time through v^n.
+
+    cum[k, x, a] is the integral of the rate from 0 to the grid node t_k,
+    and cell(s0, s1, x, a) integrates it exactly over sub-intervals of single
+    grid cells. A segment costs its two end cells plus one difference of cum.
+    """
+    N, T = grid.n_steps, grid.horizon
+    k_lo, _ = grid_cell(lo, T, N)
+    k_hi, _ = grid_cell(hi, T, N)
+    split = k_hi > k_lo
+    dt = T / N
+    # End cells [lo, t_{k_lo + 1}] and [t_{k_hi}, hi]; unsplit, [lo, hi] and [hi, hi].
+    ends = cell(
+        np.concatenate((lo, np.where(split, k_hi * dt, hi))),
+        np.concatenate((np.where(split, (k_lo + 1) * dt, hi), hi)),
+        np.concatenate((x, x)),
+        np.concatenate((a, a)),
+    )
+    m = lo.size
+    inner = np.where(split, cum[k_hi, x, a] - cum[k_lo + 1, x, a], 0.0)
+    return ends[:m] + inner + ends[m:]
+
+
+def _k_increments(vn: PenalizedSolution, lo, hi, x, a) -> np.ndarray:
+    """K^n accumulated over each constant-state segment."""
+    grid, lam0 = vn.values, vn.problem.lambda0
+
+    def cell(s0, s1, x, a):
+        s = np.stack((s0, s1))
+        psi = grid.layer_at(s, x) - grid.layer_at(s, x, a)[..., None]  # (2, m, nA)
+        return penalty_integral(psi[0], psi[1], (s1 - s0)[:, None], lam0, vn.level)
+
+    return _segment_integrals(grid, vn.k_table, cell, lo, hi, x, a)
+
+
+def _compensator_increments(vn: PenalizedSolution, lo, hi, x, a) -> np.ndarray:
+    """int sum_y Z(y, I) lambda(X, I, y) dr over each constant-state segment;
+    the integrand is linear on each grid cell, so the trapezoid is exact."""
+    rate = vn.compensator_rate
+
+    def cell(s0, s1, x, a):
+        c = rate.layer_at(np.stack((s0, s1)), x, a)
+        return 0.5 * (c[0] + c[1]) * (s1 - s0)
+
+    return _segment_integrals(vn.values, vn.compensator_table, cell, lo, hi, x, a)
 
 
 def build_sample(p: Problem, vn: PenalizedSolution, path: Path) -> BSDESample:
-    """Evaluate (Y, Z, K) from v^n along a pair path."""
-    if path.a_marks is None:
-        raise ValueError("build_sample needs a pair path")
-    grid = vn.values
-    if abs(grid.horizon - path.horizon) > 1e-12:
-        raise ValueError("value grid and path horizons differ")
-    T = path.horizon
-    N = grid.n_steps
-    nodes = np.linspace(0.0, T, N + 1)
-    bp = np.unique(np.concatenate(([path.t0], nodes[(nodes > path.t0) & (nodes < T)], path.times, [T])))
-    m = bp.size - 1
+    """Evaluate (Y, Z, K) from v^n along a pair path.
 
-    # Interpolate v^n at every breakpoint: (m+1, nS, nA).
-    u = np.clip(bp / T, 0.0, 1.0) * N
-    k = np.minimum(u.astype(np.int64), N - 1)
-    w = (u - k)[:, None, None]
-    layers = (1.0 - w) * grid.values[k] + w * grid.values[k + 1]
+    p is the problem vn solves; the tables and rates are read from vn.
+    """
+    T = vn.values.horizon
+    lo, hi, seg_x, seg_a, _ = _segments([path], T)
+    bp = np.append(lo, T)
+    layers = vn.values.layer_at(bp)  # v^n at the breakpoints: (m+1, nS, nA)
+    m = seg_x.size
 
-    mids = 0.5 * (bp[:-1] + bp[1:])
-    pos = np.searchsorted(path.times, mids, side="right") - 1
-    seg_x = np.where(pos >= 0, path.x_marks[np.maximum(pos, 0)] if path.n_jumps else 0, path.x0)
-    seg_a = np.where(pos >= 0, path.a_marks[np.maximum(pos, 0)] if path.n_jumps else 0, path.a0)
-    seg_x = seg_x.astype(np.int64)
-    seg_a = seg_a.astype(np.int64)
-
-    idx = np.arange(m)
     # Y at breakpoints, cadlag (state after the breakpoint; at T the final state).
-    state_x = np.concatenate((seg_x, [path.state_at(T)]))
-    state_a = np.concatenate((seg_a, [path.action_at(T)]))
+    state_x = np.append(seg_x, path.state_at(T))
+    state_a = np.append(seg_a, path.action_at(T))
     y_values = layers[np.arange(m + 1), state_x, state_a]
+    k_values = np.concatenate(([0.0], np.cumsum(_k_increments(vn, lo, hi, seg_x, seg_a))))
 
-    # K increments: psi_b linear on each segment in the segment's state.
-    own0 = layers[idx, seg_x, seg_a]  # v^n at left endpoint, segment state
-    own1 = layers[idx + 1, seg_x, seg_a]
-    row0 = layers[:-1][idx, seg_x, :]  # v^n(., seg_x, b) at left endpoints: (m, nA)
-    row1 = layers[1:][idx, seg_x, :]
-    psi0 = row0 - own0[:, None]
-    psi1 = row1 - own1[:, None]
-    h = (bp[1:] - bp[:-1])[:, None]
-    incr = vn.level * (_positive_part_integral(psi0, psi1, h) @ p.lambda0)
-    k_values = np.concatenate(([0.0], np.cumsum(incr)))
-
-    # Z at the realized jump marks.
+    # Z at the realized jump marks; a jump at T reads the layer at T.
     jump_z = np.empty(path.n_jumps)
     if path.n_jumps:
         jpos = np.searchsorted(bp, path.times)
-        pre_x = np.concatenate(([path.x0], path.x_marks[:-1])).astype(np.int64)
-        pre_a = np.concatenate(([path.a0], path.a_marks[:-1])).astype(np.int64)
-        jump_z = (
-            layers[jpos, path.x_marks, path.a_marks] - layers[jpos, pre_x, pre_a]
-        )
-    return BSDESample(path, vn.level, bp, seg_x, seg_a, y_values, k_values, jump_z, layers)
+        pre_x = np.concatenate(([path.x0], path.x_marks[:-1]))
+        pre_a = np.concatenate(([path.a0], path.a_marks[:-1]))
+        jump_z = layers[jpos, path.x_marks, path.a_marks] - layers[jpos, pre_x, pre_a]
+    return BSDESample(path, vn.level, bp, seg_x, seg_a, y_values, k_values, jump_z, vn)
 
 
 def bsde_residual(p: Problem, sample: BSDESample) -> float:
@@ -127,30 +171,27 @@ def bsde_residual(p: Problem, sample: BSDESample) -> float:
     bounded by the integrator's ODE residual (the quadrature here is exact
     for the interpolant).
     """
-    path = sample.path
-    bp = sample.breakpoints
-    layers = sample.layers
-    seg_x, seg_a = sample.seg_x, sample.seg_a
-    m = seg_x.size
-    idx = np.arange(m)
-
-    own0 = layers[idx, seg_x, seg_a]
-    own1 = layers[idx + 1, seg_x, seg_a]
-    h = bp[1:] - bp[:-1]
-
-    # sum_y Z(y, I) lambda(X, I, y): linear on each segment, trapezoid exact.
-    rate_rows = p.rates[seg_x, seg_a, :]  # (m, nS)
-    rsum = rate_rows.sum(axis=1)
-    l0 = layers[:-1][idx, :, :][idx, :, seg_a]  # v^n(., y, seg_a) left: (m, nS)
-    l1 = layers[1:][idx, :, :][idx, :, seg_a]
-    c1_0 = (l0 * rate_rows).sum(axis=1) - own0 * rsum
-    c1_1 = (l1 * rate_rows).sum(axis=1) - own1 * rsum
-    int_c1 = float((0.5 * (c1_0 + c1_1) * h).sum())
-
+    path, bp = sample.path, sample.breakpoints
+    int_c1 = float(
+        _compensator_increments(sample.solution, bp[:-1], bp[1:], sample.seg_x, sample.seg_a).sum()
+    )
     g_term = float(p.terminal_cost[path.state_at(path.horizon)])
     int_f = running_cost_along_path(p, path)
     rhs = g_term + int_f + float(sample.k_values[-1]) - float(sample.jump_z.sum()) + int_c1
     return float(sample.y_values[0]) - rhs
+
+
+_CHUNK = 1024  # segments per vectorised pass; bounds the temporaries for any batch size
+
+
+def terminal_k(vn: PenalizedSolution, paths) -> np.ndarray:
+    """K_T^n of every pair path, from one pass over their flattened segments."""
+    lo, hi, seg_x, seg_a, owner = _segments(paths, vn.values.horizon)
+    incr = [
+        _k_increments(vn, *(v[i : i + _CHUNK] for v in (lo, hi, seg_x, seg_a)))
+        for i in range(0, lo.size, _CHUNK)
+    ]
+    return np.bincount(owner, weights=np.concatenate([np.empty(0), *incr]), minlength=len(paths))
 
 
 def constraint_violation(
@@ -167,18 +208,17 @@ def constraint_violation(
 
     Equals E[K_T] / n; Lemma-level bounds keep n times this quantity
     bounded uniformly in n, so the estimate decays like 1/n. Pass `paths`
-    (simulated under the reference pair law from (t, x, a)) to reuse one
-    batch across several levels.
+    (n_paths paths simulated under the reference pair law from (t, x, a))
+    to reuse one batch across several levels.
     """
     if paths is None:
-        paths = (
+        paths = [
             simulate_pair_path(p, t, x, a, None, rng=child_rng(master_seed, i))
             for i in range(n_paths)
-        )
-    samples = np.empty(n_paths)
-    level = max(vn.level, 1)
-    for i, path in enumerate(paths):
-        samples[i] = build_sample(p, vn, path).k_values[-1] / level
+        ]
+    elif len(paths) != n_paths:
+        raise ValueError(f"expected {n_paths} paths, got {len(paths)}")
+    samples = terminal_k(vn, paths) / max(vn.level, 1)
     n = samples.size
     se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
     return float(samples.mean()), se

@@ -1,12 +1,14 @@
 """Command-line front end: solve, diagnose, simulate.
 
-Exit codes: 0 success, 2 model parse error, 3 validation failure,
-4 solver nonconvergence, 5 diagnostic suite failure.
+Exit codes: 0 success, 2 model parse error, 3 validation failure (of the
+model or of an argument: a state index, penalization levels), 4 solver
+nonconvergence, 5 diagnostic suite failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -101,9 +103,21 @@ def cmd_solve(args):
     return 0
 
 
+def _invalid(message):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_VALIDATION)
+
+
 def cmd_diagnose(args):
     p = _load(args)
-    levels = args.levels
+    try:
+        cfg = model.SolverConfig(
+            n_steps=args.n_steps, picard_tol=args.tol, mc_paths=args.paths,
+            penalization_levels=args.levels,
+        )
+    except (TypeError, ValueError) as exc:
+        _invalid(exc)
+    levels = cfg.penalization_levels
     try:
         primal = hjb.solve_hjb_picard(p, n_steps=args.n_steps, tol=args.tol)
     except hjb.NonconvergenceError as exc:
@@ -150,13 +164,16 @@ def cmd_diagnose(args):
         "v0": {p.states[x]: float(primal.values.values[0, x]) for x in range(p.n_states)},
         "sigma": {str(r.level): r.sigma for r in report.rows},
         "delta": {str(r.level): r.delta for r in report.rows},
-        "constraint_violation": {str(n): list(violations[n]) for n in levels},
+        # An undefined (NaN) standard error is written as null.
+        "constraint_violation": {
+            str(n): [mean, None if math.isnan(se) else se] for n, (mean, se) in violations.items()
+        },
         "paths": args.paths,
         "seed": args.seed,
     }
     _atomic_write(
         os.path.join(args.out_dir, "summary.json"),
-        json.dumps(summary, indent=2, sort_keys=True) + "\n",
+        json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n",
     )
     if not summary["passed"]:
         print("diagnostic suite failed:", checks, file=sys.stderr)
@@ -166,10 +183,11 @@ def cmd_diagnose(args):
 
 def cmd_simulate(args):
     p = _load(args)
+    if not 0 <= args.start_state < p.n_states:
+        _invalid(f"start state {args.start_state} outside 0..{p.n_states - 1}")
     if args.action is not None:
         if args.action not in p.actions:
-            print(f"error: unknown action label {args.action!r}", file=sys.stderr)
-            raise SystemExit(EXIT_VALIDATION)
+            _invalid(f"unknown action label {args.action!r}")
         policy = simulate.constant_policy(p, p.actions.index(args.action))
     else:
         try:

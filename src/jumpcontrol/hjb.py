@@ -50,22 +50,26 @@ class HJBSolution:
     residual: float
 
 
+def _action_values(p: Problem, v, cost) -> np.ndarray:
+    """Generator plus running cost, q[..., x, a], for layers v[..., x].
+
+    Built in place, so that all nodes at once cost one extra (k, x, a) array.
+    """
+    q = np.einsum("xay,...y->...xa", p.rates, v)
+    q -= p.row_sums * v[..., None]
+    q += cost
+    return q
+
+
 def hamiltonian(p: Problem, t: float, v_layer) -> tuple[np.ndarray, np.ndarray]:
     """Per-state max over actions of (generator + running cost) at time t.
 
     Returns (values, argmax); ties break to the lowest action index, which
     is what np.argmax delivers on exact ties.
     """
-    v = np.asarray(v_layer, dtype=float)
-    drift = np.einsum("xay,y->xa", p.rates, v) - p.row_sums * v[:, None]
-    q = drift + cost_layer(p, t)
+    q = _action_values(p, np.asarray(v_layer, dtype=float), cost_layer(p, t))
     am = q.argmax(axis=1)
     return q[np.arange(p.n_states), am], am
-
-
-def _cost_nodes(p: Problem, n_steps: int) -> np.ndarray:
-    ts = np.linspace(0.0, p.horizon, n_steps + 1)
-    return np.stack([cost_layer(p, t) for t in ts])
 
 
 def solve_hjb_picard(
@@ -78,16 +82,17 @@ def solve_hjb_picard(
 
     Convergence is declared when the sup-norm update of the rescaled
     iterate drops below tol; the reported residual is scaled back to the
-    original unknown. Raises NonconvergenceError past max_iter.
+    original unknown. Raises NonconvergenceError past max_iter, and when the
+    solution is not finite because L T is too large for the rescaling.
     """
-    nS = p.n_states
     T = p.horizon
     lam = rate_bound(p)
     dt = T / n_steps
     ts = np.linspace(0.0, T, n_steps + 1)
     scale_down = np.exp(-lam * ts)[:, None]
+    cost = cost_layer(p, ts)  # (k, x, a)
     # gamma's cost term carries the same exp(-L s) factor as the unknown.
-    f_scaled = _cost_nodes(p, n_steps) * np.exp(-lam * ts)[:, None, None]
+    f_scaled = cost * np.exp(-lam * ts)[:, None, None]
     slack = lam - p.row_sums  # (x, a), nonnegative by definition of lam
     g_term = math.exp(-lam * T) * p.terminal_cost
 
@@ -95,11 +100,10 @@ def solve_hjb_picard(
     residual = math.inf
     converged = False
     for iterations in range(1, max_iter + 1):
-        gamma = (
-            np.einsum("ky,xay->kxa", vt, p.rates)
-            + slack[None, :, :] * vt[:, :, None]
-            + f_scaled
-        )
+        # Built in place: cost is held next to f_scaled for the argmax pass.
+        gamma = np.einsum("ky,xay->kxa", vt, p.rates)
+        gamma += slack[None, :, :] * vt[:, :, None]
+        gamma += f_scaled
         m = gamma.max(axis=2)  # (k, x)
         # Composite trapezoid of m over [t_k, T], accumulated from the end.
         incr = 0.5 * dt * (m[1:] + m[:-1])
@@ -115,10 +119,12 @@ def solve_hjb_picard(
     if not converged:
         raise NonconvergenceError(residual, iterations)
 
+    del gamma, f_scaled  # the argmax pass needs neither; this keeps the peak down
     v = vt / scale_down
-    argmax = np.empty((n_steps + 1, nS), dtype=np.int64)
-    for k, t in enumerate(ts):
-        _, argmax[k] = hamiltonian(p, t, v[k])
+    if not np.all(np.isfinite(v)):
+        # exp(-L t) underflows once L t passes about 745: no finite solution to return.
+        raise NonconvergenceError(residual, iterations)
+    argmax = _action_values(p, v, cost).argmax(axis=2)
     return HJBSolution(ValueGrid(v, T), argmax, iterations, residual)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Problem, cost_layer, pair_rate_bound, rate_bound
+from .model import Problem, cost_layer, grid_cell, pair_rate_bound, rate_bound
 from .simulate import FeedbackPolicy, child_rng, simulate_controlled_path
 
 _STABILITY = 0.5
@@ -38,15 +38,16 @@ class ValueGrid:
     def times(self):
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
-    def _interp_weights(self, s: float):
-        u = min(max(s / self.horizon, 0.0), 1.0) * self.n_steps
-        k = min(int(u), self.n_steps - 1)
-        return k, u - k
+    def layer_at(self, s, *index) -> np.ndarray:
+        """Piecewise-linear time interpolation of the whole layer, or only of
+        its entries at the leading indices `index`.
 
-    def layer_at(self, s: float) -> np.ndarray:
-        """Piecewise-linear time interpolation of the whole layer."""
-        k, w = self._interp_weights(s)
-        return (1.0 - w) * self.values[k] + w * self.values[k + 1]
+        s and the indices may be arrays; they broadcast, and their shape
+        leads the result.
+        """
+        k, w = grid_cell(s, self.horizon, self.n_steps)
+        w = w[(...,) + (None,) * (self.values.ndim - 1 - len(index))]
+        return (1.0 - w) * self.values[(k, *index)] + w * self.values[(k + 1, *index)]
 
     def value_at(self, s: float, x: int, a: int | None = None) -> float:
         layer = self.layer_at(s)

@@ -163,21 +163,32 @@ def pair_rate_bound(p: Problem) -> float:
     return rate_bound(p) + float(p.lambda0.sum())
 
 
-def cost_layer(p: Problem, t: float) -> np.ndarray:
+def grid_cell(t, T: float, n: int):
+    """Cell index and weight of t on the uniform grid of n cells over [0, T].
+
+    Returns (k, w) with t = (k + w) T / n, 0 <= k < n and 0 <= w <= 1,
+    after clamping t to [0, T]; t may be a scalar or an array.
+    """
+    u = np.minimum(np.maximum(np.divide(t, T), 0.0), 1.0) * n
+    k = np.minimum(u.astype(np.int64), n - 1)
+    return k, u - k
+
+
+def cost_layer(p: Problem, t) -> np.ndarray:
     """Running cost at time t as an (n_states, n_actions) array.
 
-    Piecewise-linear in t between the sampled nodes; exact at nodes.
+    Piecewise-linear in t between the sampled nodes; exact at nodes. For an
+    array of times the result gets their shape as leading axes.
     """
     T = p.horizon
-    if t < -1e-12 or t > T + 1e-12:
-        raise ValueError(f"time {t} outside [0, {T}]")
+    t_lo, t_hi = (t, t) if np.ndim(t) == 0 else (np.min(t), np.max(t))
+    if t_lo < -1e-12 or t_hi > T + 1e-12:
+        raise ValueError(f"time {t_lo if t_lo < 0 else t_hi} outside [0, {T}]")
     f = p.running_cost
     if f.ndim == 2:
-        return f
-    K = f.shape[0] - 1
-    u = min(max(t / T, 0.0), 1.0) * K
-    k = min(int(u), K - 1)
-    w = u - k
+        return f if np.ndim(t) == 0 else np.broadcast_to(f, (*np.shape(t), *f.shape))
+    k, w = grid_cell(t, T, f.shape[0] - 1)
+    w = w[..., None, None]
     return (1.0 - w) * f[k] + w * f[k + 1]
 
 

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,11 +42,65 @@ from .hjb import HJBSolution, solve_hjb_picard
 _STABILITY = 0.5
 
 
+def _positive_part_integral(p0, p1, h):
+    """Exact integral of [linear]^+ over segments; all arguments broadcast."""
+    both_pos = np.minimum(p0, p1) >= 0.0
+    both_neg = np.maximum(p0, p1) <= 0.0
+    denom = np.where(p0 == p1, 1.0, p0 - p1)
+    tau = np.clip(p0 / denom, 0.0, 1.0) * h
+    crossing = np.where(p0 > 0.0, 0.5 * p0 * tau, 0.5 * p1 * (h - tau))
+    out = np.where(both_pos, 0.5 * (p0 + p1) * h, crossing)
+    return np.where(both_neg, 0.0, out)
+
+
+def penalty_integral(psi0, psi1, h, lam0, n):
+    """n * int sum_b [psi_b]^+ lambda0[b] ds over segments of length h on which
+    psi runs linearly from psi0 to psi1 (the last axis is b)."""
+    return n * (_positive_part_integral(psi0, psi1, h) * lam0).sum(axis=-1)
+
+
+def _prefix(cells):
+    """Cumulative sums of per-cell integrals, from 0 at the first node."""
+    out = np.zeros((cells.shape[0] + 1, *cells.shape[1:]))
+    np.cumsum(cells, axis=0, out=out[1:])
+    return out
+
+
 @dataclass(frozen=True)
 class PenalizedSolution:
+    """v^n on the grid, with path-functional tables built on first use.
+
+    The tables hold, for every constant pair state (x, a), the exact
+    integrals from 0 to each grid node of the integrands of K and of the
+    X-compensator along the piecewise-linear interpolant of v^n.
+    """
+
     level: int
     values: ValueGrid
     n_substeps: int
+    problem: Problem = field(repr=False, compare=False)
+
+    @cached_property
+    def k_table(self) -> np.ndarray:
+        """n * int_0^{t_k} sum_b [v^n(s, x, b) - v^n(s, x, a)]^+ lambda0[b] ds,
+        shape (N+1, n_states, n_actions)."""
+        v = self.values.values
+        psi = v[..., None, :] - v[..., :, None]  # psi[k, x, a, b]
+        dt = self.values.horizon / self.values.n_steps
+        return _prefix(penalty_integral(psi[:-1], psi[1:], dt, self.problem.lambda0, self.level))
+
+    @cached_property
+    def compensator_rate(self) -> ValueGrid:
+        """sum_y lambda(x, a, y) v^n(t, y, a) - lambda(x, a, E) v^n(t, x, a) on the grid."""
+        return ValueGrid(pair_x_generator(self.problem)(self.values.values), self.values.horizon)
+
+    @cached_property
+    def compensator_table(self) -> np.ndarray:
+        """Integral of compensator_rate from 0 to each grid node (trapezoid,
+        exact for the interpolant), shape (N+1, n_states, n_actions)."""
+        c = self.compensator_rate.values
+        dt = self.values.horizon / self.values.n_steps
+        return _prefix(0.5 * dt * (c[:-1] + c[1:]))
 
 
 def penalty_layer(v_layer: np.ndarray, lam0: np.ndarray, n: int) -> np.ndarray:
@@ -85,7 +140,7 @@ def _march_levels(p: Problem, levels, n_steps: int) -> list:
 
     vals = _rk4_march(g, n_steps, p.horizon, deriv, n_sub)
     return [
-        PenalizedSolution(int(n), ValueGrid(vals[:, i], p.horizon), n_sub)
+        PenalizedSolution(int(n), ValueGrid(vals[:, i], p.horizon), n_sub, p)
         for i, n in enumerate(levels)
     ]
 

@@ -263,7 +263,7 @@ def dual_value_check(
     Every candidate gain must stay below the primal value (up to 3 SE plus
     the scheme tolerance); the greedy control synthesized from v^n must
     reach v^n(t, x, a) from every start action (down to 3 SE plus the
-    tolerance).
+    tolerance). A NaN estimate or standard error fails its check.
     """
     if controls is None:
         controls = []
@@ -282,8 +282,9 @@ def dual_value_check(
         for a in start_actions:
             est, se = dual_gain_direct(p, nu, t, x, int(a), n_paths, master_seed)
             rows.append(DualCheckRow(cid, int(a), "direct", est, se, n_paths))
-            if est > primal_value + 3.0 * se + tolerance:
+            # Written as "passes iff inside the band", so a NaN fails.
+            if not est <= primal_value + 3.0 * se + tolerance:
                 all_below = False
-            if cid == "greedy" and est < greedy_targets[int(a)] - 3.0 * se - tolerance:
+            if cid == "greedy" and not est >= greedy_targets[int(a)] - 3.0 * se - tolerance:
                 greedy_ok = False
     return DualCheckReport(rows, primal_value, greedy_targets, all_below, greedy_ok)

@@ -227,14 +227,22 @@ def test_criterion_7_bsde_layer(m2, report_m2):
     order_violations = 0
     residuals = np.empty(n_paths)
     res_sol = report_m2.solutions[8]
+    grid_t = res_sol.values.times
+    nodes = np.arange(grid_t.size)
     for i in range(n_paths):
         path = jc.simulate_pair_path(m2, 0.0, 0, 1, None, rng=jc.child_rng(400, i))
         samples = {k: build_sample(m2, sols[k], path) for k in y_levels}
         g_t = float(m2.terminal_cost[path.state_at(m2.horizon)])
         exact_terminal += int(all(s.y_values[-1] == g_t for s in samples.values()))
+        # Y_k = v^n(t_k, X_{t_k}, I_{t_k}) at every grid node (cadlag state).
+        last = np.searchsorted(path.times, grid_t, side="right")
+        x_k = np.concatenate(([path.x0], path.x_marks))[last]
+        a_k = np.concatenate(([path.a0], path.a_marks))[last]
+        node_y = {k: sols[k].values.values[nodes, x_k, a_k] for k in y_levels}
         for lo, hi in zip(y_levels, y_levels[1:]):
             order_violations += int(
                 np.any(samples[lo].y_values > samples[hi].y_values + 1e-9)
+                or np.any(node_y[lo] > node_y[hi] + 1e-9)
             )
         residuals[i] = bsde_residual(m2, build_sample(m2, res_sol, path))
     res_mean = residuals.mean()

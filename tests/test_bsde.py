@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_bsde
 import jumpcontrol as jc
 from jumpcontrol.bsde import (
-    _positive_part_integral,
     bsde_residual,
     build_sample,
     constraint_violation,
     minimal_y_report,
+    terminal_k,
 )
+from jumpcontrol.penalized import _march_levels, _positive_part_integral
 
 
 class TestPositivePartIntegral:
@@ -40,6 +42,66 @@ class TestPositivePartIntegral:
         vals = np.maximum(p0 + (p1 - p0) * ts, 0.0)
         ref = np.trapezoid(vals, dx=h / 20_000)
         assert _positive_part_integral(p0, p1, h) == pytest.approx(ref, abs=1e-3)
+
+
+EQUIV_LEVELS = (0, 1, 16, 256)
+
+
+@pytest.fixture(scope="module")
+def equiv_cases(request):
+    """(problem, N) -> (solutions by level, test paths), built once per module."""
+    cache = {}
+
+    def get(name, n_steps):
+        if (name, n_steps) not in cache:
+            p = request.getfixturevalue(name)
+            sols = dict(zip(EQUIV_LEVELS, _march_levels(p, EQUIV_LEVELS, n_steps)))
+            T = p.horizon
+            node = T * 37 / 100  # a grid node for both N = 100 and N = 2000
+            node = sols[0].values.times[round(node / T * n_steps)]
+            paths = [
+                jc.simulate_pair_path(p, 0.0, i % p.n_states, i % p.n_actions, None,
+                                      rng=jc.child_rng(60, i))
+                for i in range(24)
+            ]
+            paths += [
+                jc.Path(0.0, 0, 1, [], [], [], T, ("no jumps",)),
+                jc.simulate_pair_path(p, 0.3, 1, 0, 61),
+                jc.Path(0.0, 0, 0, [node, 0.8 * T], [1, 1], [1, 0], T, ("jump on a node",)),
+                jc.Path(0.1, 1, 1, [0.4 * T, T], [0, 1], [0, 0], T, ("last jump at T",)),
+            ]
+            cache[name, n_steps] = sols, paths
+        return cache[name, n_steps]
+
+    return get
+
+
+@pytest.mark.parametrize("name", ["m2", "threestate", "aflat", "zero_rate"])
+@pytest.mark.parametrize("n_steps", [100, 2000])
+class TestDenseEquivalence:
+    """The O(jumps) functionals match the grid-dense reference."""
+
+    def test_y_k_z_and_residual(self, equiv_cases, name, n_steps):
+        sols, paths = equiv_cases(name, n_steps)
+        p = sols[0].problem
+        for n, vn in sols.items():
+            for path in paths:
+                s = build_sample(p, vn, path)
+                d = dense_bsde.build_sample(p, vn, path)
+                shared = np.searchsorted(d.breakpoints, s.breakpoints)
+                assert np.array_equal(d.breakpoints[shared], s.breakpoints)
+                assert s.breakpoints.size == np.unique(np.r_[path.t0, path.times, p.horizon]).size
+                np.testing.assert_allclose(s.y_values, d.y_values[shared], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(s.k_values, d.k_values[shared], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(s.jump_z, d.jump_z, rtol=0, atol=1e-12)
+                assert abs(bsde_residual(p, s) - dense_bsde.bsde_residual(p, d)) <= 1e-12
+
+    def test_batched_k_terminal_equals_build_sample(self, equiv_cases, name, n_steps):
+        sols, paths = equiv_cases(name, n_steps)
+        p = sols[0].problem
+        for vn in sols.values():
+            expect = [build_sample(p, vn, path).k_values[-1] for path in paths]
+            assert terminal_k(vn, paths).tolist() == expect
 
 
 class TestBuildSample:
@@ -125,6 +187,12 @@ class TestConstraintViolation:
         fresh = constraint_violation(threestate, vn, 0.0, 0, 1, 150, 12)
         reused = constraint_violation(threestate, vn, 0.0, 0, 1, 150, paths=paths)
         assert reused == fresh
+
+    def test_rejects_a_batch_of_the_wrong_size(self, m2):
+        vn = jc.solve_penalized(m2, 2, n_steps=100)
+        paths = [jc.simulate_pair_path(m2, 0.0, 0, 1, i) for i in range(3)]
+        with pytest.raises(ValueError):
+            constraint_violation(m2, vn, 0.0, 0, 1, 4, paths=paths)
 
     def test_zero_on_action_independent_model(self, aflat):
         # v^n is flat in a, so [Z(X, b)]^+ vanishes identically

@@ -84,6 +84,32 @@ class TestDiagnose:
         assert code == 0
 
 
+    def test_single_path_fails_with_null_standard_errors(self, tmp_path):
+        # every standard error is NaN at one path: no check may pass on it
+        out = str(tmp_path / "out")
+        code = run_cli(
+            ["diagnose", "--model", M2, "--out-dir", out,
+             "--n-steps", "100", "--paths", "1", "--levels", "1,8"]
+        )
+        assert code == cli.EXIT_SUITE
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        text = open(os.path.join(out, "summary.json")).read()
+        summary = json.loads(text, parse_constant=reject)
+        assert not summary["checks"]["dual_below_primal"]
+        assert not summary["checks"]["greedy_reaches_vn"]
+        assert not summary["checks"]["constraint_decay"]
+        assert all(se is None for _, se in summary["constraint_violation"].values())
+
+    @pytest.mark.parametrize("levels", ["--levels=8,4", "--levels=4,4", "--levels=-4,8", "--levels=0,8"])
+    def test_bad_levels_exit_3(self, tmp_path, capsys, levels):
+        code = run_cli(["diagnose", "--model", M2, "--out-dir", str(tmp_path / "o"), levels])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.count("\n") == 1
+
+
 class TestSimulate:
     def test_count_zero_header_only(self, tmp_path):
         out = str(tmp_path / "out")
@@ -117,6 +143,15 @@ class TestSimulate:
         target = 1.0 - math.exp(-2.0)
         se = math.sqrt(target * (1.0 - target) / 20000)
         assert abs(freq - target) <= 3.0 * se
+
+    @pytest.mark.parametrize("state", ["7", "-1"])
+    def test_bad_start_state_exit_3(self, tmp_path, capsys, state):
+        code = run_cli(
+            ["simulate", "--model", M2, "--out-dir", str(tmp_path / "o"), "--action", "2",
+             f"--start-state={state}"]
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_unknown_action_label(self, tmp_path):
         code = run_cli(

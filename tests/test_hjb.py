@@ -22,6 +22,25 @@ class TestHamiltonian:
 
 
 class TestPicard:
+    @pytest.mark.parametrize("name", ["m2", "threestate", "aflat"])
+    def test_argmax_table_is_per_node_hamiltonian(self, request, name):
+        p = request.getfixturevalue(name)
+        sol = jc.solve_hjb_picard(p, n_steps=2000)
+        ts, v = sol.values.times, sol.values.values
+        expect = np.stack([hamiltonian(p, t, v[k])[1] for k, t in enumerate(ts)])
+        assert np.array_equal(sol.argmax, expect)
+
+    def test_non_finite_solution_raises(self):
+        # L T = 800: exp(-L t) underflows, so v = vt exp(L t) cannot be finite
+        L = 800.0
+        p = jc.Problem(
+            ("0", "1"), ("0", "1"),
+            np.array([[[0.0, L], [0.0, L / 2]], [[L / 3, 0.0], [L, 0.0]]]),
+            np.array([1.0, 1.0]), np.array([[0.1, 0.3], [0.0, 0.2]]), np.array([0.0, 1.0]), 1.0,
+        )
+        with np.errstate(all="ignore"), pytest.raises(NonconvergenceError):
+            jc.solve_hjb_picard(p, n_steps=200)
+
     def test_m2_closed_form(self, m2):
         sol = jc.solve_hjb_picard(m2, n_steps=2000)
         assert abs(sol.values.values[0, 0] - (1.0 - math.exp(-2.0))) <= 1e-4

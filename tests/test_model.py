@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import jumpcontrol as jc
+from jumpcontrol.model import cost_layer, grid_cell
 
 
 def small_problem(rates=None, lambda0=(1.0, 1.0)):
@@ -101,6 +102,30 @@ class TestCostAt:
         p = jc.Problem(p.states, p.actions, p.rates, p.lambda0, f, p.terminal_cost, 1.0)
         val = jc.cost_at(p, t, 0, 1)
         assert min(f[:, 0, 1]) - 1e-12 <= val <= max(f[:, 0, 1]) + 1e-12
+
+
+    def test_array_of_times_matches_scalars(self):
+        f = np.array([[[0.1, 0.9], [0.4, 0.2]], [[0.8, 0.3], [0.0, 1.0]], [[0.5, 0.5], [0.2, 0.7]]])
+        p = small_problem()
+        for cost in (f, f[0]):
+            q = jc.Problem(p.states, p.actions, p.rates, p.lambda0, cost, p.terminal_cost, 1.0)
+            ts = np.linspace(0.0, 1.0, 13)
+            layers = cost_layer(q, ts)
+            assert layers.shape == (13, 2, 2)
+            for t, layer in zip(ts, layers):
+                assert np.array_equal(layer, cost_layer(q, t))
+            with pytest.raises(ValueError):
+                cost_layer(q, np.array([0.5, 1.5]))
+
+
+class TestGridCell:
+    def test_scalar_and_array_agree_and_clamp(self):
+        ts = np.array([-0.5, 0.0, 0.3, 0.5, 0.99, 1.0, 2.0])
+        k, w = grid_cell(ts, 1.0, 4)
+        assert k.tolist() == [0, 0, 1, 2, 3, 3, 3]
+        assert np.allclose(w, [0.0, 0.0, 0.2, 0.0, 0.96, 1.0, 1.0])
+        for t, kk, ww in zip(ts, k, w):
+            assert grid_cell(t, 1.0, 4) == (kk, ww)
 
 
 class TestSolverConfig:
