@@ -13,7 +13,7 @@ import os
 import sys
 import tempfile
 
-from . import bsde, hjb, model, penalized, randomized, simulate
+from . import bsde, hjb, linear, model, penalized, randomized, simulate
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -21,12 +21,14 @@ EXIT_NONCONVERGENCE = 4
 EXIT_SUITE = 5
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, emit):
+    """Stream emit(fh) into a temporary file beside path, then rename it
+    over path, so that a failed write leaves the old file intact."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            emit(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -34,12 +36,10 @@ def _atomic_write(path, text):
         raise
 
 
-def _write_csv(path, emit):
-    import io
-
-    buf = io.StringIO()
-    emit(buf)
-    _atomic_write(path, buf.getvalue())
+def _write_json(path, doc):
+    # An undefined (NaN) number must be written as null before it gets here.
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _atomic_write(path, lambda fh: fh.write(text))
 
 
 def _load(args):
@@ -74,32 +74,30 @@ def cmd_solve(args):
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_NONCONVERGENCE)
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_csv(
+    _atomic_write(
         os.path.join(args.out_dir, "values.csv"),
         lambda fh: sol.values.to_csv(fh, p.states),
     )
 
     def emit_policy(fh):
-        import csv
+        ts = [repr(t) for t in sol.values.times.tolist()]
+        fields = [linear.csv_field(s) for s in p.states]
+        labels = [linear.csv_field(a) for a in p.actions]
+        rows = (
+            f"{k},{t},{sx},{labels[a]}\r\n"
+            for k, (t, acts) in enumerate(zip(ts, sol.argmax))
+            for sx, a in zip(fields, acts.tolist())
+        )
+        linear.write_csv_rows(fh, "k,t,state,action_label\r\n", rows)
 
-        w = csv.writer(fh)
-        w.writerow(["k", "t", "state", "action_label"])
-        ts = sol.values.times
-        for k in range(sol.values.n_steps + 1):
-            for x, sx in enumerate(p.states):
-                w.writerow([k, repr(float(ts[k])), sx, p.actions[sol.argmax[k, x]]])
-
-    _write_csv(os.path.join(args.out_dir, "policy.csv"), emit_policy)
+    _atomic_write(os.path.join(args.out_dir, "policy.csv"), emit_policy)
     summary = {
         "v0": {p.states[x]: float(sol.values.values[0, x]) for x in range(p.n_states)},
         "iterations": sol.iterations,
         "residual": sol.residual,
         "n_steps": args.n_steps,
     }
-    _atomic_write(
-        os.path.join(args.out_dir, "summary.json"),
-        json.dumps(summary, indent=2, sort_keys=True) + "\n",
-    )
+    _write_json(os.path.join(args.out_dir, "summary.json"), summary)
     return 0
 
 
@@ -125,7 +123,7 @@ def cmd_diagnose(args):
         raise SystemExit(EXIT_NONCONVERGENCE)
     os.makedirs(args.out_dir, exist_ok=True)
     report = penalized.convergence_report(p, levels, n_steps=args.n_steps, primal=primal)
-    _write_csv(os.path.join(args.out_dir, "penalized.csv"), report.to_csv)
+    _atomic_write(os.path.join(args.out_dir, "penalized.csv"), report.to_csv)
 
     x0 = 0
     v0 = float(primal.values.values[0, x0])
@@ -134,10 +132,10 @@ def cmd_diagnose(args):
         p, 0.0, x0, v0, report.solutions[greedy_level],
         n_paths=args.paths, master_seed=args.seed,
     )
-    _write_csv(os.path.join(args.out_dir, "dual.csv"), dual.to_csv)
+    _atomic_write(os.path.join(args.out_dir, "dual.csv"), dual.to_csv)
 
     miny = bsde.minimal_y_report(p, report.solutions, 0.0, x0, v0)
-    _write_csv(os.path.join(args.out_dir, "bsde.csv"), miny.to_csv)
+    _atomic_write(os.path.join(args.out_dir, "bsde.csv"), miny.to_csv)
     n_pair = min(args.paths, 2000)
     pair_paths = [
         simulate.simulate_pair_path(p, 0.0, x0, 0, None, rng=simulate.child_rng(args.seed, i))
@@ -171,10 +169,7 @@ def cmd_diagnose(args):
         "paths": args.paths,
         "seed": args.seed,
     }
-    _atomic_write(
-        os.path.join(args.out_dir, "summary.json"),
-        json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n",
-    )
+    _write_json(os.path.join(args.out_dir, "summary.json"), summary)
     if not summary["passed"]:
         print("diagnostic suite failed:", checks, file=sys.stderr)
         return EXIT_SUITE
@@ -203,7 +198,7 @@ def cmd_simulate(args):
         for i in range(args.count)
     ]
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_csv(
+    _atomic_write(
         os.path.join(args.out_dir, "paths.csv"),
         lambda fh: simulate.paths_to_csv(paths, fh),
     )

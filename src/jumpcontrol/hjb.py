@@ -10,13 +10,16 @@ with L the uniform rate bound,
 
     vt <- exp(-L T) g + Gamma[vt],
     Gamma[vt](t, x) = int_t^T max_a gamma[vt](s, x, a) ds,
-    gamma[vt](s, x, a) = sum_y vt(s, y) lambda(x, a, y)
-                       + (L - lambda(x, a, E)) vt(s, x) + exp(-L s) f(s, x, a).
+    gamma[vt](s, x, a) = sum_y vt(s, y) B(y, a, x) + exp(-L s) f(s, x, a),
+    B(y, a, x) = lambda(x, a, y) + [y = x] (L - lambda(x, a, E)).
 
-The rescaling makes the vt(s, x) coefficient nonnegative and the map a
-contraction in sup norm, so the iteration converges from any start. The
-time integral is composite trapezoid on the solver grid. A first-order
-explicit marching solver provides an independent cross-check.
+The rescaling makes every entry of B nonnegative and the map a contraction
+in sup norm, so the iteration converges from any start. With the slack
+folded into B, one sweep over all grid nodes is a single matrix product of
+the (nodes, states) iterate with B as a (states, actions x states) matrix,
+then a max over actions and a composite trapezoid cumsum on the solver grid,
+all in preallocated buffers. A first-order explicit marching solver provides
+an independent cross-check.
 """
 from __future__ import annotations
 
@@ -86,41 +89,58 @@ def solve_hjb_picard(
     solution is not finite because L T is too large for the rescaling.
     """
     T = p.horizon
+    nS, nA, nK = p.n_states, p.n_actions, n_steps + 1
     lam = rate_bound(p)
     dt = T / n_steps
-    ts = np.linspace(0.0, T, n_steps + 1)
+    ts = np.linspace(0.0, T, nK)
     scale_down = np.exp(-lam * ts)[:, None]
     cost = cost_layer(p, ts)  # (k, x, a)
-    # gamma's cost term carries the same exp(-L s) factor as the unknown.
-    f_scaled = cost * np.exp(-lam * ts)[:, None, None]
-    slack = lam - p.row_sums  # (x, a), nonnegative by definition of lam
+    # The rate matrix with the slack folded in, rows y and columns (a, x):
+    # B[y, a, x] = lambda(x, a, y) + [y = x] (L - lambda(x, a, E)).
+    rates_slack = p.rates.transpose(2, 1, 0).copy()
+    diag = np.arange(nS)
+    rates_slack[diag, :, diag] += lam - p.row_sums
+    rates_slack = rates_slack.reshape(nS, nA * nS)
+    # gamma's cost term carries the same exp(-L s) factor as the unknown;
+    # stored in gamma's (k, a, x) layout.
+    f_scaled = np.empty((nK, nA, nS))
+    np.multiply(cost.transpose(0, 2, 1), scale_down[:, :, None], out=f_scaled)
+    f_scaled = f_scaled.reshape(nK, nA * nS)
     g_term = math.exp(-lam * T) * p.terminal_cost
 
-    vt = np.repeat(g_term[None, :], n_steps + 1, axis=0)
-    residual = math.inf
+    gamma = np.empty((nK, nA * nS))
+    gamma3 = gamma.reshape(nK, nA, nS)
+    m = np.empty((nK, nS))
+    vt = np.repeat(g_term[None, :], nK, axis=0)
+    vt_new = vt.copy()  # the terminal layer g_term is never overwritten
     converged = False
     for iterations in range(1, max_iter + 1):
-        # Built in place: cost is held next to f_scaled for the argmax pass.
-        gamma = np.einsum("ky,xay->kxa", vt, p.rates)
-        gamma += slack[None, :, :] * vt[:, :, None]
+        np.matmul(vt, rates_slack, out=gamma)
         gamma += f_scaled
-        m = gamma.max(axis=2)  # (k, x)
+        # Max over actions, one action slice at a time: np.max over the
+        # short middle axis costs several times more.
+        m[...] = gamma3[:, 0]
+        for a in range(1, nA):
+            np.maximum(m, gamma3[:, a], out=m)
         # Composite trapezoid of m over [t_k, T], accumulated from the end.
-        incr = 0.5 * dt * (m[1:] + m[:-1])
-        big_gamma = np.zeros_like(m)
-        big_gamma[:-1] = incr[::-1].cumsum(axis=0)[::-1]
-        vt_new = g_term[None, :] + big_gamma
-        update = np.abs(vt_new - vt).max()
-        residual = float(np.abs((vt_new - vt) / scale_down).max())
-        vt = vt_new
-        if update < tol:
+        head = vt_new[:-1]
+        np.add(m[1:], m[:-1], out=head)
+        head *= 0.5 * dt
+        np.cumsum(head[::-1], axis=0, out=head[::-1])
+        head += g_term
+        np.subtract(vt_new, vt, out=m)
+        np.abs(m, out=m)  # m now holds the update
+        vt, vt_new = vt_new, vt
+        if m.max() < tol:
             converged = True
             break
+    residual = float((m / scale_down).max())
     if not converged:
         raise NonconvergenceError(residual, iterations)
 
-    del gamma, f_scaled  # the argmax pass needs neither; this keeps the peak down
-    v = vt / scale_down
+    del gamma, gamma3, f_scaled, m, vt_new  # the argmax pass needs none of them
+    v = vt
+    v /= scale_down
     if not np.all(np.isfinite(v)):
         # exp(-L t) underflows once L t passes about 745: no finite solution to return.
         raise NonconvergenceError(residual, iterations)
@@ -143,11 +163,6 @@ def solve_hjb_marching(p: Problem, n_steps: int = 10_000) -> HJBSolution:
     return HJBSolution(ValueGrid(v, T), argmax, n_steps, 0.0)
 
 
-def extract_feedback(sol: HJBSolution, epsilon: float = 0.0) -> FeedbackPolicy:
-    """Per-node maximizing actions as a feedback law.
-
-    On a finite action set the exact maximizer exists, so epsilon only
-    labels the discretization-induced suboptimality budget epsilon*(T - t)
-    carried by the grid policy; it does not affect the selection.
-    """
+def extract_feedback(sol: HJBSolution) -> FeedbackPolicy:
+    """Per-node maximizing actions as a feedback law."""
     return FeedbackPolicy(sol.argmax, sol.values.horizon)

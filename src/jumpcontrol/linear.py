@@ -7,15 +7,18 @@ dt times the relevant rate bound exceeds 0.5.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Problem, cost_layer, grid_cell, pair_rate_bound, rate_bound
+from .model import Problem, check_times, cost_layer, grid_cell, pair_rate_bound, rate_bound
 from .simulate import FeedbackPolicy, child_rng, simulate_controlled_path
 
 _STABILITY = 0.5
+_CSV_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -43,8 +46,9 @@ class ValueGrid:
         its entries at the leading indices `index`.
 
         s and the indices may be arrays; they broadcast, and their shape
-        leads the result.
+        leads the result. Raises ValueError for a time outside [0, T].
         """
+        check_times(s, self.horizon)
         k, w = grid_cell(s, self.horizon, self.n_steps)
         w = w[(...,) + (None,) * (self.values.ndim - 1 - len(index))]
         return (1.0 - w) * self.values[(k, *index)] + w * self.values[(k + 1, *index)]
@@ -54,21 +58,44 @@ class ValueGrid:
         return float(layer[x] if a is None else layer[x, a])
 
     def to_csv(self, fileobj, states, actions=None):
-        w = csv.writer(fileobj)
-        ts = self.times
+        """Rows (k, t, state[, action], value) with repr floats, byte for
+        byte what csv.writer writes."""
+        ts = [repr(t) for t in self.times.tolist()]
+        fields = [csv_field(s) for s in states]
+        layers = zip(ts, self.values)
         if actions is None:
-            w.writerow(["k", "t", "state", "value"])
-            for k in range(self.n_steps + 1):
-                for x, sx in enumerate(states):
-                    w.writerow([k, repr(float(ts[k])), sx, repr(float(self.values[k, x]))])
+            header = "k,t,state,value\r\n"
+            rows = (
+                f"{k},{t},{sx},{v!r}\r\n"
+                for k, (t, layer) in enumerate(layers)
+                for sx, v in zip(fields, layer.tolist())
+            )
         else:
-            w.writerow(["k", "t", "state", "action", "value"])
-            for k in range(self.n_steps + 1):
-                for x, sx in enumerate(states):
-                    for a, sa in enumerate(actions):
-                        w.writerow(
-                            [k, repr(float(ts[k])), sx, sa, repr(float(self.values[k, x, a]))]
-                        )
+            header = "k,t,state,action,value\r\n"
+            afields = [csv_field(a) for a in actions]
+            rows = (
+                f"{k},{t},{sx},{sa},{v!r}\r\n"
+                for k, (t, layer) in enumerate(layers)
+                for sx, row in zip(fields, layer.tolist())
+                for sa, v in zip(afields, row)
+            )
+        write_csv_rows(fileobj, header, rows)
+
+
+def csv_field(label) -> str:
+    """label as csv.writer writes it inside a row: quoted only where needed."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((label, ""))
+    return buf.getvalue()[: -len(",\r\n")]
+
+
+def write_csv_rows(fileobj, header, rows):
+    """Write the header line, then the finished row lines a chunk at a time,
+    so that neither the whole text nor one write call per row is needed."""
+    fileobj.write(header)
+    rows = iter(rows)
+    while text := "".join(itertools.islice(rows, _CSV_CHUNK_ROWS)):
+        fileobj.write(text)
 
 
 def _rk4_march(v_terminal, n_steps, T, deriv, n_sub):

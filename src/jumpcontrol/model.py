@@ -174,6 +174,13 @@ def grid_cell(t, T: float, n: int):
     return k, u - k
 
 
+def check_times(t, T: float) -> None:
+    """Raise ValueError unless every time in t lies in [0, T], up to 1e-12."""
+    t_lo, t_hi = (t, t) if np.ndim(t) == 0 else (np.min(t), np.max(t))
+    if t_lo < -1e-12 or t_hi > T + 1e-12:
+        raise ValueError(f"time {t_lo if t_lo < -1e-12 else t_hi} outside [0, {T}]")
+
+
 def cost_layer(p: Problem, t) -> np.ndarray:
     """Running cost at time t as an (n_states, n_actions) array.
 
@@ -181,9 +188,7 @@ def cost_layer(p: Problem, t) -> np.ndarray:
     array of times the result gets their shape as leading axes.
     """
     T = p.horizon
-    t_lo, t_hi = (t, t) if np.ndim(t) == 0 else (np.min(t), np.max(t))
-    if t_lo < -1e-12 or t_hi > T + 1e-12:
-        raise ValueError(f"time {t_lo if t_lo < 0 else t_hi} outside [0, {T}]")
+    check_times(t, T)
     f = p.running_cost
     if f.ndim == 2:
         return f if np.ndim(t) == 0 else np.broadcast_to(f, (*np.shape(t), *f.shape))

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import jumpcontrol as jc
 from jumpcontrol import cli
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -55,6 +58,56 @@ class TestSolve:
             assert code == 0
             summary = json.load(open(os.path.join(out, "summary.json")))
             assert summary["n_steps"] == 80  # explicit flag beats the config value
+
+
+class TestSolveOutputBytes:
+    def test_csv_files_match_csv_writer(self, tmp_path):
+        # labels that csv must quote; rates that make both actions optimal somewhere
+        doc = {
+            "states": ["a,b", 'say "hi"', "c"],
+            "actions": ["x,y", 'z "q"'],
+            "rates": [[[0.0, 1.0, 0.5], [0.0, 0.2, 2.0]], [[1.0, 0.0, 0.0], [0.3, 0.0, 0.3]],
+                      [[0.0, 0.0, 0.0], [0.5, 0.5, 0.0]]],
+            "lambda0": [1.0, 1.0],
+            "f": [[0.1, 0.3], [0.2, 0.0], [0.0, 0.1]],
+            "g": [0.0, 1.0, 0.5],
+            "T": 1.0,
+        }
+        model_path = tmp_path / "quoted.json"
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli(["solve", "--model", str(model_path), "--out-dir", str(out), "--n-steps", "2000"]) == 0
+
+        p = jc.problem_from_dict(doc)
+        sol = jc.solve_hjb_picard(p, n_steps=2000)
+        assert set(sol.argmax.ravel().tolist()) == {0, 1}
+        values, policy = io.StringIO(newline=""), io.StringIO(newline="")
+        w = csv.writer(values)
+        w.writerow(["k", "t", "state", "value"])
+        w2 = csv.writer(policy)
+        w2.writerow(["k", "t", "state", "action_label"])
+        for k, t in enumerate(sol.values.times):
+            for x, sx in enumerate(p.states):
+                w.writerow([k, repr(float(t)), sx, repr(float(sol.values.values[k, x]))])
+                w2.writerow([k, repr(float(t)), sx, p.actions[sol.argmax[k, x]]])
+        assert (out / "values.csv").read_bytes() == values.getvalue().encode()
+        assert (out / "policy.csv").read_bytes() == policy.getvalue().encode()
+
+
+class TestAtomicWrite:
+    def test_failed_emitter_keeps_old_file(self, tmp_path):
+        target = tmp_path / "values.csv"
+        target.write_text("old contents\n")
+
+        def emit(fh):
+            fh.write("partial row\r\n" * 10_000)
+            fh.flush()
+            raise RuntimeError("emitter failed midway")
+
+        with pytest.raises(RuntimeError):
+            cli._atomic_write(str(target), emit)
+        assert target.read_text() == "old contents\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["values.csv"]
 
 
 class TestDiagnose:

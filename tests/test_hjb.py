@@ -3,8 +3,26 @@ import math
 import numpy as np
 import pytest
 
+import einsum_picard
 import jumpcontrol as jc
 from jumpcontrol.hjb import NonconvergenceError, hamiltonian
+
+
+def random_problem(seed, n_states, n_actions, bound, f_nodes):
+    """Random admissible problem with about half the transitions present and
+    largest total jump rate `bound`; f has f_nodes time nodes."""
+    rng = np.random.default_rng(seed)
+    rates = rng.random((n_states, n_actions, n_states))
+    rates *= rng.random(rates.shape) < 0.5
+    rates[:, :, 0] += 1e-3
+    totals = bound * rng.uniform(0.3, 1.0, (n_states, n_actions))
+    totals[0, 0] = bound
+    rates *= (totals / rates.sum(axis=2))[:, :, None]
+    return jc.Problem(
+        tuple(f"x{i}" for i in range(n_states)), tuple(f"a{i}" for i in range(n_actions)),
+        rates, rng.uniform(0.5, 1.5, n_actions), rng.random((f_nodes, n_states, n_actions)),
+        rng.random(n_states), 1.0,
+    )
 
 
 class TestHamiltonian:
@@ -82,6 +100,35 @@ class TestPicard:
         sol = jc.solve_hjb_picard(m2, n_steps=500)
         assert 1 <= sol.iterations < 100
         assert sol.residual < 1e-9
+
+
+class TestPicardKernel:
+    """The one-matrix-product sweep against the einsum reference sweep."""
+
+    @pytest.mark.parametrize(
+        "name", ["m2", "threestate", "aflat", "single_action", "zero_rate", "random16x2", "random64x4"]
+    )
+    def test_matches_einsum_reference(self, request, name):
+        random_shapes = {"random16x2": (16, 16, 2, 10.0, 9), "random64x4": (64, 64, 4, 6.0, 5)}
+        if name in random_shapes:
+            p = random_problem(*random_shapes[name])
+        else:
+            p = request.getfixturevalue(name)
+        sol = jc.solve_hjb_picard(p, n_steps=2000)
+        ref = einsum_picard.solve_hjb_picard(p, n_steps=2000)
+        v, v_ref = sol.values.values, ref.values.values
+        assert np.all(np.abs(v - v_ref) <= 1e-13 * (1.0 + np.abs(v_ref)))
+        assert sol.iterations == ref.iterations
+        assert np.array_equal(sol.argmax, ref.argmax)
+        assert sol.residual == pytest.approx(ref.residual, rel=1e-6)
+
+    def test_nonconvergence_residual_matches_reference(self, threestate):
+        with pytest.raises(NonconvergenceError) as exc:
+            jc.solve_hjb_picard(threestate, n_steps=100, tol=1e-16, max_iter=3)
+        with pytest.raises(NonconvergenceError) as ref:
+            einsum_picard.solve_hjb_picard(threestate, n_steps=100, tol=1e-16, max_iter=3)
+        assert exc.value.iterations == ref.value.iterations == 3
+        assert exc.value.residual == pytest.approx(ref.value.residual, rel=1e-9)
 
 
 class TestMonotonicity:

@@ -1,9 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
 import jumpcontrol as jc
+from jumpcontrol.model import cost_layer
 
 
 class TestValueGrid:
@@ -14,11 +16,27 @@ class TestValueGrid:
         assert grid.value_at(1.0, 1) == pytest.approx(0.0)
         assert grid.value_at(0.0, 1) == pytest.approx(2.0)
 
-    def test_clamps_outside_grid(self):
+    def test_rejects_times_outside_grid(self):
         vals = np.array([[0.0], [1.0]])
         grid = jc.ValueGrid(vals, 1.0)
-        assert grid.value_at(-0.5, 0) == 0.0
-        assert grid.value_at(1.5, 0) == 1.0
+        for t in (-0.1, 1.1):
+            with pytest.raises(ValueError):
+                grid.value_at(t, 0)
+            with pytest.raises(ValueError):
+                grid.layer_at(np.array([0.5, t]))
+        assert grid.value_at(1.0 + 1e-13, 0) == 1.0
+        assert grid.value_at(-1e-13, 0) == 0.0
+
+    def test_same_time_bound_as_cost_layer(self, threestate):
+        grid = jc.ValueGrid(np.zeros((3, threestate.n_states)), threestate.horizon)
+        for t in (-0.1, threestate.horizon + 0.1):
+            with pytest.raises(ValueError):
+                grid.layer_at(t)
+            with pytest.raises(ValueError):
+                cost_layer(threestate, t)
+        t = threestate.horizon + 1e-13
+        grid.layer_at(t)
+        cost_layer(threestate, t)
 
 
 class TestKolmogorov:
@@ -131,7 +149,43 @@ class TestPairKolmogorov:
         assert report["difference"] == 0.0
 
 
+def csv_writer_values(fh, grid, states, actions=None):
+    """Row-by-row csv.writer reference for ValueGrid.to_csv."""
+    w = csv.writer(fh)
+    ts = grid.times
+    if actions is None:
+        w.writerow(["k", "t", "state", "value"])
+        for k in range(grid.n_steps + 1):
+            for x, sx in enumerate(states):
+                w.writerow([k, repr(float(ts[k])), sx, repr(float(grid.values[k, x]))])
+    else:
+        w.writerow(["k", "t", "state", "action", "value"])
+        for k in range(grid.n_steps + 1):
+            for x, sx in enumerate(states):
+                for a, sa in enumerate(actions):
+                    w.writerow([k, repr(float(ts[k])), sx, sa, repr(float(grid.values[k, x, a]))])
+
+
+QUOTED_LABELS = ("a,b", 'say "hi"', "", "two\nlines", "plain")
+
+
 class TestValueGridCSV:
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_bytes_match_csv_writer(self, tmp_path, pair):
+        # 5000 nodes x 5 states passes the row chunk size of the writer
+        rng = np.random.default_rng(4)
+        states, actions = QUOTED_LABELS, (("u,v", 'q"', "w") if pair else None)
+        shape = (5001, len(states)) + ((len(actions),) if pair else ())
+        vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+        vals.flat[:3] = (0.0, -0.0, 1.0)
+        grid = jc.ValueGrid(vals, 0.7)
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        with open(ours, "w", newline="") as fh:
+            grid.to_csv(fh, states, actions)
+        with open(ref, "w", newline="") as fh:
+            csv_writer_values(fh, grid, states, actions)
+        assert ours.read_bytes() == ref.read_bytes()
+
     def test_round_trip_layout(self, m2, tmp_path):
         grid = jc.solve_kolmogorov(m2, jc.constant_policy(m2, 1), n_steps=10)
         out = tmp_path / "values.csv"
