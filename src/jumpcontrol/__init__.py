@@ -33,7 +33,6 @@ from .linear import ValueGrid, evaluate_policy, mc_check_markov, solve_kolmogoro
 from .hjb import HJBSolution, NonconvergenceError, extract_feedback, hamiltonian, solve_hjb_marching, solve_hjb_picard
 from .penalized import PenalizedSolution, convergence_report, penalty_term, solve_penalized
 from .randomized import (
-    GirsanovWeight,
     d_split,
     dual_gain_direct,
     dual_gain_importance,

@@ -12,8 +12,9 @@ Z_s(X_s, b) is recovered in the limit of large n. build_sample evaluates
 are t0, the jump times and T, because the pair state is constant in
 between. A time integral over such a segment is a difference of the
 cumulative tables that PenalizedSolution builds once per v^n, plus the two
-partial grid cells at the segment's ends, so a path costs O(jumps), not
-O(grid). All integrals are exact for the interpolant (the positive part is
+partial grid cells at the segment's ends (the integrator of simulate, which
+the running cost and the Girsanov drift share), so a path costs O(jumps),
+not O(grid). All integrals are exact for the interpolant (the positive part is
 integrated cell by cell with its kink located analytically), so the
 pathwise residual isolates the solver's ODE error rather than quadrature
 noise.
@@ -21,14 +22,15 @@ noise.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Problem, grid_cell
+from .model import Problem
 from .penalized import PenalizedSolution, penalty_integral
-from .simulate import Path, child_rng, running_cost_along_path, simulate_pair_path
+from .simulate import (
+    Path, _cost_integrals, _mean_se, _per_path, _segment_integrals, _segments, child_rng, simulate_pair_path,
+)
 
 
 @dataclass(frozen=True)
@@ -53,61 +55,6 @@ class BSDESample:
     solution: PenalizedSolution = field(repr=False)
 
 
-def _segments(paths, horizon):
-    """Constant-state segments of pair paths, flattened in path order.
-
-    Returns (lo, hi, x, a, owner): segment i spans [lo[i], hi[i]] in the
-    pair state (x[i], a[i]) of path owner[i]. A path with j jumps before
-    the horizon has j + 1 segments; a jump at the horizon opens none.
-    """
-    for q in paths:
-        if q.a_marks is None:
-            raise ValueError("BSDE path functionals need pair paths")
-        if abs(q.horizon - horizon) > 1e-12:
-            raise ValueError("value grid and path horizons differ")
-    n = len(paths)
-
-    def flat(arrays, dtype):
-        return np.concatenate([np.empty(0, dtype), *arrays])
-
-    times = flat((q.times for q in paths), float)
-    inner = times < horizon
-    jumps = np.bincount(np.repeat(np.arange(n), [q.n_jumps for q in paths])[inner], minlength=n)
-    after = np.cumsum(jumps)  # index just past each path's inner jumps
-    before = after - jumps
-    lo = np.insert(times[inner], before, [q.t0 for q in paths])
-    hi = np.insert(times[inner], after, horizon)
-    x = np.insert(flat((q.x_marks for q in paths), np.int64)[inner], before, [q.x0 for q in paths])
-    a = np.insert(flat((q.a_marks for q in paths), np.int64)[inner], before, [q.a0 for q in paths])
-    owner = np.repeat(np.arange(n), jumps + 1)
-    return lo, hi, x, a, owner
-
-
-def _segment_integrals(grid, cum, cell, lo, hi, x, a):
-    """Integral over each segment [lo, hi] of a rate depending on the pair
-    state (x, a) and on time through v^n.
-
-    cum[k, x, a] is the integral of the rate from 0 to the grid node t_k,
-    and cell(s0, s1, x, a) integrates it exactly over sub-intervals of single
-    grid cells. A segment costs its two end cells plus one difference of cum.
-    """
-    N, T = grid.n_steps, grid.horizon
-    k_lo, _ = grid_cell(lo, T, N)
-    k_hi, _ = grid_cell(hi, T, N)
-    split = k_hi > k_lo
-    dt = T / N
-    # End cells [lo, t_{k_lo + 1}] and [t_{k_hi}, hi]; unsplit, [lo, hi] and [hi, hi].
-    ends = cell(
-        np.concatenate((lo, np.where(split, k_hi * dt, hi))),
-        np.concatenate((np.where(split, (k_lo + 1) * dt, hi), hi)),
-        np.concatenate((x, x)),
-        np.concatenate((a, a)),
-    )
-    m = lo.size
-    inner = np.where(split, cum[k_hi, x, a] - cum[k_lo + 1, x, a], 0.0)
-    return ends[:m] + inner + ends[m:]
-
-
 def _k_increments(vn: PenalizedSolution, lo, hi, x, a) -> np.ndarray:
     """K^n accumulated over each constant-state segment."""
     grid, lam0 = vn.values, vn.problem.lambda0
@@ -117,7 +64,7 @@ def _k_increments(vn: PenalizedSolution, lo, hi, x, a) -> np.ndarray:
         psi = grid.layer_at(s, x) - grid.layer_at(s, x, a)[..., None]  # (2, m, nA)
         return penalty_integral(psi[0], psi[1], (s1 - s0)[:, None], lam0, vn.level)
 
-    return _segment_integrals(grid, vn.k_table, cell, lo, hi, x, a)
+    return _segment_integrals(grid.horizon, vn.k_table, cell, lo, hi, x, a)
 
 
 def _compensator_increments(vn: PenalizedSolution, lo, hi, x, a) -> np.ndarray:
@@ -129,7 +76,7 @@ def _compensator_increments(vn: PenalizedSolution, lo, hi, x, a) -> np.ndarray:
         c = rate.layer_at(np.stack((s0, s1)), x, a)
         return 0.5 * (c[0] + c[1]) * (s1 - s0)
 
-    return _segment_integrals(vn.values, vn.compensator_table, cell, lo, hi, x, a)
+    return _segment_integrals(vn.values.horizon, vn.compensator_table, cell, lo, hi, x, a)
 
 
 def build_sample(p: Problem, vn: PenalizedSolution, path: Path) -> BSDESample:
@@ -172,26 +119,17 @@ def bsde_residual(p: Problem, sample: BSDESample) -> float:
     for the interpolant).
     """
     path, bp = sample.path, sample.breakpoints
-    int_c1 = float(
-        _compensator_increments(sample.solution, bp[:-1], bp[1:], sample.seg_x, sample.seg_a).sum()
-    )
+    segments = (bp[:-1], bp[1:], sample.seg_x, sample.seg_a)
+    int_c1 = float(_compensator_increments(sample.solution, *segments).sum())
+    int_f = float(_cost_integrals(p, *segments).sum())
     g_term = float(p.terminal_cost[path.state_at(path.horizon)])
-    int_f = running_cost_along_path(p, path)
     rhs = g_term + int_f + float(sample.k_values[-1]) - float(sample.jump_z.sum()) + int_c1
     return float(sample.y_values[0]) - rhs
 
 
-_CHUNK = 1024  # segments per vectorised pass; bounds the temporaries for any batch size
-
-
 def terminal_k(vn: PenalizedSolution, paths) -> np.ndarray:
     """K_T^n of every pair path, from one pass over their flattened segments."""
-    lo, hi, seg_x, seg_a, owner = _segments(paths, vn.values.horizon)
-    incr = [
-        _k_increments(vn, *(v[i : i + _CHUNK] for v in (lo, hi, seg_x, seg_a)))
-        for i in range(0, lo.size, _CHUNK)
-    ]
-    return np.bincount(owner, weights=np.concatenate([np.empty(0), *incr]), minlength=len(paths))
+    return _per_path(paths, vn.values.horizon, lambda *seg: _k_increments(vn, *seg))
 
 
 def constraint_violation(
@@ -218,10 +156,7 @@ def constraint_violation(
         ]
     elif len(paths) != n_paths:
         raise ValueError(f"expected {n_paths} paths, got {len(paths)}")
-    samples = terminal_k(vn, paths) / max(vn.level, 1)
-    n = samples.size
-    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
-    return float(samples.mean()), se
+    return _mean_se(terminal_k(vn, paths) / max(vn.level, 1))
 
 
 @dataclass

@@ -66,13 +66,18 @@ def _merge_config(args):
             setattr(args, key, cfg[key])
 
 
-def cmd_solve(args):
-    p = _load(args)
+def _solve_primal(p, args):
+    """The Picard solve of every command; nonconvergence exits 4."""
     try:
-        sol = hjb.solve_hjb_picard(p, n_steps=args.n_steps, tol=args.tol)
+        return hjb.solve_hjb_picard(p, n_steps=args.n_steps, tol=args.tol)
     except hjb.NonconvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_NONCONVERGENCE)
+
+
+def cmd_solve(args):
+    p = _load(args)
+    sol = _solve_primal(p, args)
     os.makedirs(args.out_dir, exist_ok=True)
     _atomic_write(
         os.path.join(args.out_dir, "values.csv"),
@@ -116,11 +121,7 @@ def cmd_diagnose(args):
     except (TypeError, ValueError) as exc:
         _invalid(exc)
     levels = cfg.penalization_levels
-    try:
-        primal = hjb.solve_hjb_picard(p, n_steps=args.n_steps, tol=args.tol)
-    except hjb.NonconvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_NONCONVERGENCE)
+    primal = _solve_primal(p, args)
     os.makedirs(args.out_dir, exist_ok=True)
     report = penalized.convergence_report(p, levels, n_steps=args.n_steps, primal=primal)
     _atomic_write(os.path.join(args.out_dir, "penalized.csv"), report.to_csv)
@@ -185,12 +186,7 @@ def cmd_simulate(args):
             _invalid(f"unknown action label {args.action!r}")
         policy = simulate.constant_policy(p, p.actions.index(args.action))
     else:
-        try:
-            sol = hjb.solve_hjb_picard(p, n_steps=args.n_steps, tol=args.tol)
-        except hjb.NonconvergenceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            raise SystemExit(EXIT_NONCONVERGENCE)
-        policy = hjb.extract_feedback(sol)
+        policy = hjb.extract_feedback(_solve_primal(p, args))
     paths = [
         simulate.simulate_controlled_path(
             p, policy, 0.0, args.start_state, None, rng=simulate.child_rng(args.seed, i)

@@ -17,9 +17,11 @@ The rescaling makes every entry of B nonnegative and the map a contraction
 in sup norm, so the iteration converges from any start. With the slack
 folded into B, one sweep over all grid nodes is a single matrix product of
 the (nodes, states) iterate with B as a (states, actions x states) matrix,
-then a max over actions and a composite trapezoid cumsum on the solver grid,
-all in preallocated buffers. A first-order explicit marching solver provides
-an independent cross-check.
+then a max over actions and a cumulative sum of cell integrals, all in
+preallocated buffers. Each cell integrates the linear interpolant of the
+unscaled maximum exactly against exp(-L s); the trapezoid rule would treat
+exp(-L s) as linear, an error like L^3 T dt^2. A first-order explicit
+marching solver provides an independent cross-check.
 """
 from __future__ import annotations
 
@@ -107,6 +109,13 @@ def solve_hjb_picard(
     np.multiply(cost.transpose(0, 2, 1), scale_down[:, :, None], out=f_scaled)
     f_scaled = f_scaled.reshape(nK, nA * nS)
     g_term = math.exp(-lam * T) * p.terminal_cost
+    # Over a cell, int exp(-L s) h(s) ds = w0 m_k + w1 m_{k+1} for h linear
+    # and m = exp(-L t) h at the nodes; Taylor forms where the closed forms cancel.
+    x = lam * dt
+    if x < 1e-4:
+        w0, w1 = dt * (0.5 - x / 6 + x * x / 24), dt * (0.5 + x / 6 + x * x / 24)
+    else:
+        w0, w1 = (x + math.expm1(-x)) / (lam * x), (math.expm1(x) - x) / (lam * x)
 
     gamma = np.empty((nK, nA * nS))
     gamma3 = gamma.reshape(nK, nA, nS)
@@ -122,10 +131,12 @@ def solve_hjb_picard(
         m[...] = gamma3[:, 0]
         for a in range(1, nA):
             np.maximum(m, gamma3[:, a], out=m)
-        # Composite trapezoid of m over [t_k, T], accumulated from the end.
+        # Integral of the maximum over [t_k, T], accumulated from the end;
+        # m is free to scale, as it is overwritten by the update below.
         head = vt_new[:-1]
-        np.add(m[1:], m[:-1], out=head)
-        head *= 0.5 * dt
+        np.multiply(m[1:], w1, out=head)
+        m[:-1] *= w0
+        head += m[:-1]
         np.cumsum(head[::-1], axis=0, out=head[::-1])
         head += g_term
         np.subtract(vt_new, vt, out=m)

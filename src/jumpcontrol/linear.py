@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Problem, check_times, cost_layer, grid_cell, pair_rate_bound, rate_bound
-from .simulate import FeedbackPolicy, child_rng, simulate_controlled_path
+from .model import Problem, _interp, cost_layer, pair_rate_bound, rate_bound
+from .simulate import FeedbackPolicy, _mean_se, child_rng, simulate_controlled_path
 
 _STABILITY = 0.5
 _CSV_CHUNK_ROWS = 4096
@@ -43,15 +43,8 @@ class ValueGrid:
 
     def layer_at(self, s, *index) -> np.ndarray:
         """Piecewise-linear time interpolation of the whole layer, or only of
-        its entries at the leading indices `index`.
-
-        s and the indices may be arrays; they broadcast, and their shape
-        leads the result. Raises ValueError for a time outside [0, T].
-        """
-        check_times(s, self.horizon)
-        k, w = grid_cell(s, self.horizon, self.n_steps)
-        w = w[(...,) + (None,) * (self.values.ndim - 1 - len(index))]
-        return (1.0 - w) * self.values[(k, *index)] + w * self.values[(k + 1, *index)]
+        its entries at the leading indices `index`; see model._interp."""
+        return _interp(self.values, s, self.horizon, *index)
 
     def value_at(self, s: float, x: int, a: int | None = None) -> float:
         layer = self.layer_at(s)
@@ -234,10 +227,10 @@ def mc_check_markov(
     for i in range(n_paths):
         path = simulate_controlled_path(p, alpha, t, x, None, rng=child_rng(master_seed, i))
         diffs[i] = grid.value_at(s, path.state_at(s)) - g[path.state_at(p.horizon)]
-    se = diffs.std(ddof=1) / math.sqrt(n_paths) if n_paths > 1 else float("nan")
+    mean, se = _mean_se(diffs)
     return {
-        "difference": float(diffs.mean()),
-        "std_error": float(se),
+        "difference": mean,
+        "std_error": se,
         "n_paths": n_paths,
-        "within_3se": bool(abs(diffs.mean()) <= 3.0 * se + 1e-12),
+        "within_3se": bool(abs(mean) <= 3.0 * se + 1e-12),
     }

@@ -68,9 +68,7 @@ class SolverConfig:
 
     n_steps: int = 2000
     picard_tol: float = 1e-10
-    picard_max_iter: int = 1000
     mc_paths: int = 100_000
-    master_seed: int = 0
     penalization_levels: tuple = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
     def __post_init__(self):
@@ -78,8 +76,6 @@ class SolverConfig:
             raise ValueError("n_steps must be at least 2")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
-        if self.picard_max_iter < 1:
-            raise ValueError("picard_max_iter must be at least 1")
         if self.mc_paths < 1:
             raise ValueError("mc_paths must be at least 1")
         levels = tuple(int(n) for n in self.penalization_levels)
@@ -181,20 +177,33 @@ def check_times(t, T: float) -> None:
         raise ValueError(f"time {t_lo if t_lo < -1e-12 else t_hi} outside [0, {T}]")
 
 
-def cost_layer(p: Problem, t) -> np.ndarray:
-    """Running cost at time t as an (n_states, n_actions) array.
+def _interp(table, t, T: float, *index) -> np.ndarray:
+    """Piecewise-linear time interpolation of a node table table[k, ...] on
+    the uniform grid over [0, T], whole or at the leading indices `index`.
 
-    Piecewise-linear in t between the sampled nodes; exact at nodes. For an
-    array of times the result gets their shape as leading axes.
+    t and the indices may be arrays; they broadcast, and their shape leads
+    the result. Raises ValueError for a time outside [0, T].
     """
-    T = p.horizon
     check_times(t, T)
+    k, w = grid_cell(t, T, table.shape[0] - 1)
+    w = w[(...,) + (None,) * (table.ndim - 1 - len(index))]
+    return (1.0 - w) * table[(k, *index)] + w * table[(k + 1, *index)]
+
+
+def cost_layer(p: Problem, t, *index) -> np.ndarray:
+    """Running cost at time t as an (n_states, n_actions) array, or only its
+    entries at the leading indices `index`, as in ValueGrid.layer_at.
+
+    Piecewise-linear in t between the sampled nodes; exact at nodes. Array
+    times and indices broadcast, and their shape leads the result.
+    """
     f = p.running_cost
-    if f.ndim == 2:
-        return f if np.ndim(t) == 0 else np.broadcast_to(f, (*np.shape(t), *f.shape))
-    k, w = grid_cell(t, T, f.shape[0] - 1)
-    w = w[..., None, None]
-    return (1.0 - w) * f[k] + w * f[k + 1]
+    if f.ndim == 3:
+        return _interp(f, t, p.horizon, *index)
+    check_times(t, p.horizon)
+    if not index and np.ndim(t) == 0:
+        return f  # the per-stage call of the penalized march: keep it cheap
+    return np.broadcast_to(f[index], np.broadcast(t, *index).shape + f.shape[len(index):])
 
 
 def cost_at(p: Problem, t: float, x: int, a: int) -> float:

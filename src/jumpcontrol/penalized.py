@@ -38,6 +38,7 @@ import numpy as np
 from .linear import ValueGrid, _rk4_march, pair_x_generator
 from .model import Problem, cost_layer, pair_rate_bound
 from .hjb import HJBSolution, solve_hjb_picard
+from .simulate import _prefix
 
 _STABILITY = 0.5
 
@@ -57,13 +58,6 @@ def penalty_integral(psi0, psi1, h, lam0, n):
     """n * int sum_b [psi_b]^+ lambda0[b] ds over segments of length h on which
     psi runs linearly from psi0 to psi1 (the last axis is b)."""
     return n * (_positive_part_integral(psi0, psi1, h) * lam0).sum(axis=-1)
-
-
-def _prefix(cells):
-    """Cumulative sums of per-cell integrals, from 0 at the first node."""
-    out = np.zeros((cells.shape[0] + 1, *cells.shape[1:]))
-    np.cumsum(cells, axis=0, out=out[1:])
-    return out
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,16 @@ the Doleans-Dade exponential
           * prod_{jumps} ( nu(T_j, X-, I-, A_j) d1 + d2 ),
 
 where (d1, d2) splits the compensator mass at the realized mark between
-the I-channel and the X-channel. The dual gain J(t, x, a, nu) is estimated
-two independent ways: importance sampling under the reference dynamics
-(weight L_T) and direct simulation under the tilted dynamics.
+the I-channel and the X-channel. log L_T is computed for a batch of paths:
+the drift through the segment integrator of simulate, the marks over the
+flat array of jumps. The dual gain J(t, x, a, nu) is estimated two
+independent ways, both in batches of at most 256 paths: importance
+sampling under the reference dynamics (weight L_T) and direct simulation
+under the tilted dynamics.
 """
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,14 +25,8 @@ import numpy as np
 from .model import Problem
 from .penalized import PenalizedSolution
 from .simulate import (
-    NU_MIN,
-    IntensityControl,
-    Path,
-    child_rng,
-    constant_control,
-    running_cost_along_path,
-    simulate_pair_path,
-    simulate_tilted_path,
+    NU_MIN, IntensityControl, Path, _mean_se, _per_path, _prefix, _running_costs, _segment_integrals,
+    child_rng, constant_control, simulate_pair_path, simulate_tilted_path,
 )
 
 
@@ -38,100 +34,81 @@ class ImpossibleMarkError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GirsanovWeight:
-    log_weight: float
-
-    @property
-    def weight(self) -> float:
-        return math.exp(self.log_weight)
-
-
-def d_split(p: Problem, x_pre: int, i_pre: int, y: int, b: int) -> tuple[float, float]:
+def d_split(p: Problem, x_pre, i_pre, y, b):
     """Compensator mass split (d1, d2) at the mark (y, b) from (x_pre, i_pre).
 
     d1 is the I-channel share lambda0[b] 1{y = x_pre}, d2 the X-channel
-    share lambda(x_pre, i_pre, y) 1{b = i_pre}, normalized to sum to 1. A
-    mark carrying no mass in either channel cannot occur on a simulated
-    path and raises ImpossibleMarkError.
+    share lambda(x_pre, i_pre, y) 1{b = i_pre}, normalized to sum to 1. The
+    arguments may be arrays of jumps; they broadcast. A mark carrying no
+    mass in either channel cannot occur on a simulated path and raises
+    ImpossibleMarkError.
     """
-    m1 = float(p.lambda0[b]) if y == x_pre else 0.0
-    m2 = float(p.rates[x_pre, i_pre, y]) if b == i_pre else 0.0
+    x_pre, i_pre, y, b = np.broadcast_arrays(x_pre, i_pre, y, b)
+    m1 = np.where(y == x_pre, p.lambda0[b], 0.0)
+    m2 = np.where(b == i_pre, p.rates[x_pre, i_pre, y], 0.0)
     tot = m1 + m2
-    if tot <= 0.0:
+    if not np.all(tot > 0.0):
+        j = np.argmin(tot > 0.0)
         raise ImpossibleMarkError(
-            f"mark (y={y}, b={b}) from (x={x_pre}, i={i_pre}) has zero compensator mass"
+            f"mark (y={y.flat[j]}, b={b.flat[j]}) from (x={x_pre.flat[j]}, i={i_pre.flat[j]}) "
+            "has zero compensator mass"
         )
     return m1 / tot, m2 / tot
 
 
-def girsanov_weight(p: Problem, nu: IntensityControl, path: Path) -> GirsanovWeight:
-    """Density L_T of the nu-tilted law along a reference pair path.
-
-    The time integral is exact: nu is piecewise-constant in time and the
-    path state is piecewise-constant, so the integrand is a step function
-    whose breakpoints are the control layer edges and the jump times.
-    Accumulation is in log domain.
-    """
-    if path.a_marks is None:
-        raise ValueError("girsanov_weight needs a pair path")
-    if abs(nu.horizon - path.horizon) > 1e-12:
+def _log_weights(p: Problem, nu: IntensityControl, paths) -> np.ndarray:
+    """log L_T of the nu-tilted law along each reference pair path, exactly:
+    the drift is constant on each segment within a layer of nu, and a jump
+    at T still carries its mark term."""
+    T = p.horizon
+    if abs(nu.horizon - T) > 1e-12:
         raise ValueError("control and path horizons differ")
-    T = path.horizon
-    lam0 = p.lambda0.tolist()
-    lam0_tot = float(p.lambda0.sum())
-    rates = p.rates
+    drift = float(p.lambda0.sum()) - nu.field @ p.lambda0  # [j, x, a]
+    cum = _prefix(drift * (T / nu.n_layers))
 
-    # drift[j][x][a] = sum_b (1 - nu_j(x, a, b)) lambda0[b], cached on the control.
-    cache = nu.__dict__.get("_weight_cache")
-    if cache is None:
-        drift = (lam0_tot - nu.field @ p.lambda0).tolist()
-        cache = {"drift": drift, "field": nu.field.tolist()}
-        object.__setattr__(nu, "_weight_cache", cache)
-    drift, field = cache["drift"], cache["field"]
-    n_layers = nu.n_layers
-    layer_len = T / n_layers
-    last_layer = n_layers - 1
-    scale = n_layers / T
+    def cell(s0, s1, x, a):
+        return drift[nu.layer_index(0.5 * (s0 + s1)), x, a] * (s1 - s0)
 
-    log_w = 0.0
-    times = path.times.tolist()
-    xm = path.x_marks.tolist()
-    am = path.a_marks.tolist()
-    lo, x_pre, a_pre = path.t0, path.x0, path.a0
-    for j in range(path.n_jumps + 1):
-        hi = times[j] if j < path.n_jumps else T
-        if hi > lo:
-            # Integrate the piecewise-constant drift over [lo, hi).
-            j0 = min(int(lo * scale + 1e-12), last_layer)
-            j1 = min(int(hi * scale - 1e-12), last_layer)
-            row = drift[j0][x_pre][a_pre]
-            if j1 == j0:
-                log_w += row * (hi - lo)
-            else:
-                log_w += row * ((j0 + 1) * layer_len - lo)
-                for jj in range(j0 + 1, j1):
-                    log_w += drift[jj][x_pre][a_pre] * layer_len
-                log_w += drift[j1][x_pre][a_pre] * (hi - j1 * layer_len)
-        if j < path.n_jumps:
-            y, b = xm[j], am[j]
-            m1 = lam0[b] if y == x_pre else 0.0
-            m2 = float(rates[x_pre, a_pre, y]) if b == a_pre else 0.0
-            tot = m1 + m2
-            if tot <= 0.0:
-                raise ImpossibleMarkError(
-                    f"mark (y={y}, b={b}) from (x={x_pre}, i={a_pre}) has zero compensator mass"
-                )
-            jl = min(int(hi * scale + 1e-12), last_layer)
-            log_w += math.log((field[jl][x_pre][a_pre][b] * m1 + m2) / tot)
-            lo, x_pre, a_pre = hi, y, b
-    return GirsanovWeight(log_w)
+    log_w = _per_path(paths, T, lambda *seg: _segment_integrals(T, cum, cell, *seg))
+    counts = np.array([q.n_jumps for q in paths], dtype=np.int64)
+    times = np.concatenate([np.empty(0), *(q.times for q in paths)])
+    y = np.concatenate([np.empty(0, np.int64), *(q.x_marks for q in paths)])
+    b = np.concatenate([np.empty(0, np.int64), *(q.a_marks for q in paths)])
+    # The state before each jump: the previous mark, or the start for a path's first jump.
+    first = (np.cumsum(counts) - counts)[counts > 0]
+    x_pre, a_pre = np.roll(y, 1), np.roll(b, 1)
+    x_pre[first] = [q.x0 for q in paths if q.n_jumps]
+    a_pre[first] = [q.a0 for q in paths if q.n_jumps]
+    d1, d2 = d_split(p, x_pre, a_pre, y, b)
+    marks = np.log(nu.field[nu.layer_index(times), x_pre, a_pre, b] * d1 + d2)
+    owner = np.repeat(np.arange(len(paths)), counts)
+    return log_w + np.bincount(owner, weights=marks, minlength=len(paths))
 
 
-def _mean_se(samples: np.ndarray) -> tuple[float, float]:
-    n = samples.size
-    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
-    return float(samples.mean()), se
+def girsanov_weight(p: Problem, nu: IntensityControl, path: Path) -> float:
+    """log L_T, the log density of the nu-tilted law along a reference pair path."""
+    return float(_log_weights(p, nu, [path])[0])
+
+
+_BATCH = 256  # paths per pass of the estimators; bounds their memory for any path count
+
+
+def _estimate(n_paths, paths, draw, sample) -> tuple[float, float]:
+    """Mean and standard error of sample(batch) over n_paths paths, taken
+    at most _BATCH at a time; path i is paths[i], or draw(i) without paths."""
+    if paths is not None and len(paths) != n_paths:
+        raise ValueError(f"expected {n_paths} paths, got {len(paths)}")
+    samples = np.empty(n_paths)
+    for i in range(0, n_paths, _BATCH):
+        j = min(i + _BATCH, n_paths)
+        batch = paths[i:j] if paths is not None else [draw(k) for k in range(i, j)]
+        samples[i:j] = sample(batch)
+    return _mean_se(samples)
+
+
+def _payoffs(p: Problem, batch) -> np.ndarray:
+    """g(X_T) plus the running cost along each path of a batch."""
+    return p.terminal_cost[[q.state_at(p.horizon) for q in batch]] + _running_costs(p, batch)
 
 
 def dual_gain_importance(
@@ -146,20 +123,14 @@ def dual_gain_importance(
 ) -> tuple[float, float]:
     """J(t, x, a, nu) by importance sampling under the reference dynamics.
 
-    Pass `paths` (simulated under the reference pair law from (t, x, a)) to
-    reuse one batch across several controls.
+    Pass `paths` (n_paths paths simulated under the reference pair law from
+    (t, x, a)) to reuse one batch across several controls.
     """
-    g = p.terminal_cost
-    if paths is None:
-        paths = (
-            simulate_pair_path(p, t, x, a, None, rng=child_rng(master_seed, i))
-            for i in range(n_paths)
-        )
-    samples = np.empty(n_paths)
-    for i, path in enumerate(paths):
-        payoff = float(g[path.state_at(p.horizon)]) + running_cost_along_path(p, path)
-        samples[i] = math.exp(girsanov_weight(p, nu, path).log_weight) * payoff
-    return _mean_se(samples)
+    return _estimate(
+        n_paths, paths,
+        lambda i: simulate_pair_path(p, t, x, a, None, rng=child_rng(master_seed, i)),
+        lambda batch: np.exp(_log_weights(p, nu, batch)) * _payoffs(p, batch),
+    )
 
 
 def dual_gain_direct(
@@ -172,12 +143,11 @@ def dual_gain_direct(
     master_seed: int = 0,
 ) -> tuple[float, float]:
     """J(t, x, a, nu) by direct simulation under the tilted dynamics."""
-    g = p.terminal_cost
-    samples = np.empty(n_paths)
-    for i in range(n_paths):
-        path = simulate_tilted_path(p, nu, t, x, a, None, rng=child_rng(master_seed, i))
-        samples[i] = float(g[path.state_at(p.horizon)]) + running_cost_along_path(p, path)
-    return _mean_se(samples)
+    return _estimate(
+        n_paths, None,
+        lambda i: simulate_tilted_path(p, nu, t, x, a, None, rng=child_rng(master_seed, i)),
+        lambda batch: _payoffs(p, batch),
+    )
 
 
 def girsanov_mean_weight(
@@ -190,16 +160,13 @@ def girsanov_mean_weight(
     master_seed: int = 0,
     paths=None,
 ) -> tuple[float, float]:
-    """MC mean of L_T; the martingale property makes the target exactly 1."""
-    if paths is None:
-        paths = (
-            simulate_pair_path(p, t, x, a, None, rng=child_rng(master_seed, i))
-            for i in range(n_paths)
-        )
-    samples = np.empty(n_paths)
-    for i, path in enumerate(paths):
-        samples[i] = math.exp(girsanov_weight(p, nu, path).log_weight)
-    return _mean_se(samples)
+    """MC mean of L_T, exactly 1 by the martingale property; `paths` as for
+    dual_gain_importance."""
+    return _estimate(
+        n_paths, paths,
+        lambda i: simulate_pair_path(p, t, x, a, None, rng=child_rng(master_seed, i)),
+        lambda batch: np.exp(_log_weights(p, nu, batch)),
+    )
 
 
 def greedy_control_from_vn(

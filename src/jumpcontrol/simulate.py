@@ -1,4 +1,5 @@
-"""Exact simulation of the controlled jump process and of the pair (X, I).
+"""Exact simulation of the controlled jump process and of the pair (X, I),
+and the one integrator for functionals along pair paths.
 
 Three samplers: the feedback-controlled chain X (thinning against the
 uniform rate bound), the uncontrolled pair (X, I) with the autonomous
@@ -9,15 +10,21 @@ I-component against the declared bound).
 Every path is a pure function of (problem, inputs, seed); path i of a batch
 uses the child stream SeedSequence(entropy=master_seed, spawn_key=(i,)), so
 batch statistics are independent of worker count and scheduling.
+
+Every time integral along pair paths (the running cost here, the Girsanov
+drift in randomized, K and the compensator in bsde) runs over the flattened
+constant-state segments of a batch (_segments): one difference of a
+cumulative table on the rate's time nodes plus two partial end cells per
+segment (_segment_integrals), summed per path in bounded chunks (_per_path).
 """
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Problem, pair_rate_bound, rate_bound
+from .model import Problem, cost_layer, grid_cell, pair_rate_bound, rate_bound
 
 NU_MIN = 1e-6
 
@@ -80,6 +87,16 @@ class Path:
         return self.a0 if i < 0 else int(self.a_marks[i])
 
 
+def _layer(t, horizon: float, n: int):
+    """Index k of the layer [k T / n, (k + 1) T / n) that holds t (scalar or
+    array), clamped to 0..n-1. The 1e-12 nudge puts t = k T / n in layer k
+    even when rounding lands it just below the edge, unlike model.grid_cell."""
+    u = t / horizon * n + 1e-12
+    if isinstance(u, float):  # numpy float64 scalars too
+        return min(max(int(u), 0), n - 1)
+    return np.minimum(np.maximum(u.astype(np.int64), 0), n - 1)
+
+
 @dataclass(frozen=True)
 class FeedbackPolicy:
     """Action table alpha[k][x], piecewise-constant on [t_k, t_{k+1})."""
@@ -96,10 +113,8 @@ class FeedbackPolicy:
     def n_layers(self):
         return self.table.shape[0] - 1
 
-    def layer_index(self, t: float) -> int:
-        n = max(self.n_layers, 1)
-        k = int(t / self.horizon * n + 1e-12)
-        return min(max(k, 0), n - 1)
+    def layer_index(self, t):
+        return _layer(t, self.horizon, max(self.n_layers, 1))
 
     def action_at(self, t: float, x: int) -> int:
         return int(self.table[self.layer_index(t), x])
@@ -139,9 +154,8 @@ class IntensityControl:
     def n_layers(self):
         return self.field.shape[0]
 
-    def layer_index(self, t: float) -> int:
-        k = int(t / self.horizon * self.n_layers + 1e-12)
-        return min(max(k, 0), self.n_layers - 1)
+    def layer_index(self, t):
+        return _layer(t, self.horizon, self.n_layers)
 
     def value(self, t: float, x: int, a: int, b: int) -> float:
         return float(self.field[self.layer_index(t), x, a, b])
@@ -168,13 +182,17 @@ def _draw_index(cum, total, u):
 
 
 def _sim_tables(p: Problem) -> dict:
-    """Per-problem scalar lookup tables for the samplers (cached lazily).
+    """Per-problem lookup tables (cached lazily).
 
     Plain nested lists: scalar indexing in the tight simulation loops is
-    several times faster on lists than on numpy arrays.
+    several times faster on lists than on numpy arrays. "cost_cum" is the
+    integral of f up to each cost node; a constant f has the nodes 0 and T.
     """
     tables = p.__dict__.get("_sim_tables")
     if tables is None:
+        f = p.running_cost
+        nodes = f if f.ndim == 3 else np.stack((f, f))
+        dt = p.horizon / (nodes.shape[0] - 1)
         tables = {
             "rows": p.row_sums.tolist(),
             "cums": p.rates.cumsum(axis=2).tolist(),
@@ -182,6 +200,7 @@ def _sim_tables(p: Problem) -> dict:
             "lam0_tot": float(p.lambda0.sum()),
             "lam": rate_bound(p),
             "pair_lam": pair_rate_bound(p),
+            "cost_cum": _prefix(0.5 * dt * (nodes[:-1] + nodes[1:])),
         }
         object.__setattr__(p, "_sim_tables", tables)
     return tables
@@ -325,45 +344,118 @@ def simulate_tilted_path(
     return Path(t, int(x), int(a), np.array(times), np.array(xm), np.array(am), T, ("tilt", seed))
 
 
-def running_cost_along_path(p: Problem, path: Path) -> float:
-    """Exact integral of f(s, X_s, I_s) ds over [t0, T] along a pair path.
+def _mean_se(samples: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error; the error of one sample is NaN."""
+    n = samples.size
+    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
+    return float(samples.mean()), se
 
-    Breakpoints are the jump times plus (for time-dependent f) the cost
-    grid nodes; on each piece the state is constant and f is linear, so the
-    trapezoid rule is exact.
+
+def _prefix(cells):
+    """Cumulative sums of per-cell integrals, from 0 at the first node."""
+    out = np.zeros((cells.shape[0] + 1, *cells.shape[1:]))
+    np.cumsum(cells, axis=0, out=out[1:])
+    return out
+
+
+def _segments(paths, horizon):
+    """Constant-state segments of pair paths, flattened in path order.
+
+    Returns (lo, hi, x, a, owner): segment i spans [lo[i], hi[i]] in the
+    pair state (x[i], a[i]) of path owner[i]. A path with j jumps before
+    the horizon has j + 1 segments; a jump at the horizon opens none.
     """
-    from .model import cost_at
+    for q in paths:
+        if q.a_marks is None:
+            raise ValueError("pair path functionals need pair paths")
+        if abs(q.horizon - horizon) > 1e-12:
+            raise ValueError("path horizon differs from the problem's")
+    n = len(paths)
 
-    f = p.running_cost
-    T = p.horizon
-    total = 0.0
-    if f.ndim == 2:
-        ftab = _sim_tables(p).setdefault("f_const", f.tolist())
-        lo, x, a = path.t0, path.x0, path.a0
-        for j in range(path.n_jumps):
-            hi = path.times[j]
-            total += ftab[x][a] * (hi - lo)
-            lo, x, a = hi, int(path.x_marks[j]), int(path.a_marks[j])
-        return total + ftab[x][a] * (T - lo)
-    nodes = np.linspace(0.0, T, f.shape[0])
-    cuts = np.union1d(
-        np.asarray([path.t0, *path.times.tolist(), T]),
-        nodes[(nodes > path.t0) & (nodes < T)],
+    def flat(arrays, dtype):
+        return np.concatenate([np.empty(0, dtype), *arrays])
+
+    times = flat((q.times for q in paths), float)
+    inner = times < horizon
+    jumps = np.bincount(np.repeat(np.arange(n), [q.n_jumps for q in paths])[inner], minlength=n)
+    after = np.cumsum(jumps)  # index just past each path's inner jumps
+    before = after - jumps
+    lo = np.insert(times[inner], before, [q.t0 for q in paths])
+    hi = np.insert(times[inner], after, horizon)
+    x = np.insert(flat((q.x_marks for q in paths), np.int64)[inner], before, [q.x0 for q in paths])
+    a = np.insert(flat((q.a_marks for q in paths), np.int64)[inner], before, [q.a0 for q in paths])
+    owner = np.repeat(np.arange(n), jumps + 1)
+    return lo, hi, x, a, owner
+
+
+def _segment_integrals(T, cum, cell, lo, hi, x, a):
+    """Integral over each segment [lo, hi] of a rate that depends on the
+    pair state (x, a) and on time through a table on the uniform nodes
+    t_k = k T / n, n = len(cum) - 1.
+
+    cum[k, x, a] is the integral of the rate from 0 to t_k, and
+    cell(s0, s1, x, a) integrates it exactly over sub-intervals of single
+    cells. A segment costs its two end cells plus one difference of cum.
+    """
+    n, m = cum.shape[0] - 1, lo.size
+    k, _ = grid_cell(np.concatenate((lo, hi)), T, n)
+    k_lo, k_hi = k[:m], k[m:]
+    split = k_hi > k_lo
+    dt = T / n
+    # End cells [lo, t_{k_lo + 1}] and [t_{k_hi}, hi]; unsplit, [lo, hi] and [hi, hi].
+    ends = cell(
+        np.concatenate((lo, np.where(split, k_hi * dt, hi))),
+        np.concatenate((np.where(split, (k_lo + 1) * dt, hi), hi)),
+        np.concatenate((x, x)),
+        np.concatenate((a, a)),
     )
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi <= lo:
-            continue
-        mid = 0.5 * (lo + hi)
-        x, a = path.state_at(mid), path.action_at(mid)
-        total += 0.5 * (cost_at(p, lo, x, a) + cost_at(p, hi, x, a)) * (hi - lo)
-    return total
+    inner = np.where(split, cum[k_hi, x, a] - cum[k_lo + 1, x, a], 0.0)
+    return ends[:m] + inner + ends[m:]
+
+
+_CHUNK = 1024  # segments per vectorised pass; bounds the temporaries for any batch size
+
+
+def _per_path(paths, horizon, integrals) -> np.ndarray:
+    """Per path, the sum of integrals(lo, hi, x, a) over its segments."""
+    lo, hi, x, a, owner = _segments(paths, horizon)
+    incr = [
+        integrals(*(v[i : i + _CHUNK] for v in (lo, hi, x, a)))
+        for i in range(0, lo.size, _CHUNK)
+    ]
+    return np.bincount(owner, weights=np.concatenate([np.empty(0), *incr]), minlength=len(paths))
+
+
+def _cost_integrals(p: Problem, lo, hi, x, a) -> np.ndarray:
+    """int f(s, x, a) ds over each segment; f is linear on each cost cell,
+    so the trapezoid is exact."""
+
+    def cell(s0, s1, x, a):
+        c = cost_layer(p, np.stack((s0, s1)), x, a)
+        return 0.5 * (c[0] + c[1]) * (s1 - s0)
+
+    return _segment_integrals(p.horizon, _sim_tables(p)["cost_cum"], cell, lo, hi, x, a)
+
+
+def _running_costs(p: Problem, paths) -> np.ndarray:
+    """Exact integral of f(s, X_s, I_s) ds over [t0, T] along each pair path."""
+    return _per_path(paths, p.horizon, lambda *seg: _cost_integrals(p, *seg))
+
+
+def running_cost_along_path(p: Problem, path: Path) -> float:
+    """Exact integral of f(s, X_s, I_s) ds over [t0, T] along a pair path."""
+    return float(_running_costs(p, [path])[0])
 
 
 def paths_to_csv(paths, fileobj):
-    """Dump paths as rows (path_id, jump_index, time, X_mark, I_mark)."""
-    w = csv.writer(fileobj)
-    w.writerow(["path_id", "jump_index", "time", "X_mark", "I_mark"])
-    for pid, path in enumerate(paths):
-        for j in range(path.n_jumps):
-            imark = "" if path.a_marks is None else int(path.a_marks[j])
-            w.writerow([pid, j, repr(float(path.times[j])), int(path.x_marks[j]), imark])
+    """Dump paths as rows (path_id, jump_index, time, X_mark, I_mark), byte
+    for byte what csv.writer writes."""
+    from .linear import write_csv_rows  # linear imports this module
+
+    def rows():
+        for pid, path in enumerate(paths):
+            am = [""] * path.n_jumps if path.a_marks is None else path.a_marks.tolist()
+            for j, (t, x, a) in enumerate(zip(path.times.tolist(), path.x_marks.tolist(), am)):
+                yield f"{pid},{j},{t!r},{x},{a}\r\n"
+
+    write_csv_rows(fileobj, "path_id,jump_index,time,X_mark,I_mark\r\n", rows())

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from jumpcontrol.penalized import _positive_part_integral
-from jumpcontrol.simulate import running_cost_along_path
+from path_loops import running_cost_along_path
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,13 @@ def solve_hjb_picard(
     f_scaled = cost * np.exp(-lam * ts)[:, None, None]
     slack = lam - p.row_sums  # (x, a)
     g_term = math.exp(-lam * T) * p.terminal_cost
+    # Exact integral of exp(-lam s) times the linear interpolant of the
+    # unscaled maximum over each cell, in terms of the scaled nodes m.
+    x = lam * dt
+    if x < 1e-4:
+        w0, w1 = dt * (0.5 - x / 6 + x * x / 24), dt * (0.5 + x / 6 + x * x / 24)
+    else:
+        w0, w1 = (x + math.expm1(-x)) / (lam * x), (math.expm1(x) - x) / (lam * x)
 
     vt = np.repeat(g_term[None, :], n_steps + 1, axis=0)
     residual = math.inf
@@ -42,8 +49,8 @@ def solve_hjb_picard(
         gamma += slack[None, :, :] * vt[:, :, None]
         gamma += f_scaled
         m = gamma.max(axis=2)  # (k, x)
-        # Composite trapezoid of m over [t_k, T], accumulated from the end.
-        incr = 0.5 * dt * (m[1:] + m[:-1])
+        # Integral of m over [t_k, T], accumulated from the end.
+        incr = w0 * m[:-1] + w1 * m[1:]
         big_gamma = np.zeros_like(m)
         big_gamma[:-1] = incr[::-1].cumsum(axis=0)[::-1]
         vt_new = g_term[None, :] + big_gamma

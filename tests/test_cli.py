@@ -163,6 +163,20 @@ class TestDiagnose:
         assert capsys.readouterr().err.count("\n") == 1
 
 
+class TestNonconvergence:
+    @pytest.mark.parametrize("command", [["solve"], ["diagnose"], ["simulate"]])
+    def test_exit_4(self, tmp_path, capsys, command):
+        # L T = 800: exp(-L t) underflows, so Picard has no finite solution
+        L = 800.0
+        spec = dict(json.load(open(M2)), rates=[[[0.0, L], [0.0, L / 2]], [[L / 3, 0.0], [L, 0.0]]])
+        model = tmp_path / "l800.json"
+        model.write_text(json.dumps(spec))
+        with np.errstate(all="ignore"):
+            code = run_cli([*command, "--model", str(model), "--out-dir", str(tmp_path / "o"), "--n-steps", "200"])
+        assert code == cli.EXIT_NONCONVERGENCE
+        assert capsys.readouterr().err.count("\n") == 1
+
+
 class TestSimulate:
     def test_count_zero_header_only(self, tmp_path):
         out = str(tmp_path / "out")

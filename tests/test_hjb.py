@@ -6,6 +6,7 @@ import pytest
 import einsum_picard
 import jumpcontrol as jc
 from jumpcontrol.hjb import NonconvergenceError, hamiltonian
+from jumpcontrol.oracle import oracle_value
 
 
 def random_problem(seed, n_states, n_actions, bound, f_nodes):
@@ -58,6 +59,21 @@ class TestPicard:
         )
         with np.errstate(all="ignore"), pytest.raises(NonconvergenceError):
             jc.solve_hjb_picard(p, n_steps=200)
+
+    def test_stiff_model(self):
+        # L = 200, L dt = 0.1: the trapezoid rule on the rescaled unknown
+        # gave v(0, 0) = 1.1698; exact exponential cell weights fix it
+        L = 200.0
+        p = jc.Problem(
+            ("0", "1"), ("0", "1"),
+            np.array([[[0.0, L], [0.0, L / 2]], [[L / 3, 0.0], [L, 0.0]]]),
+            np.array([1.0, 1.0]), np.array([[0.1, 0.3], [0.0, 0.2]]), np.array([0.0, 1.0]), 1.0,
+        )
+        sol = jc.solve_hjb_picard(p, n_steps=2000)
+        v0 = sol.values.values[0]
+        assert np.abs(v0 - oracle_value(p, 200_000).values[0]).max() <= 1e-5
+        own = jc.evaluate_policy(p, jc.extract_feedback(sol), n_steps=2000).values[0]
+        assert np.abs(v0 - own).max() <= 5e-5
 
     def test_m2_closed_form(self, m2):
         sol = jc.solve_hjb_picard(m2, n_steps=2000)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import jumpcontrol as jc
+import path_loops
 from jumpcontrol.randomized import (
-    GirsanovWeight,
+    _log_weights,
     ImpossibleMarkError,
     d_split,
     dual_gain_direct,
@@ -16,7 +17,7 @@ from jumpcontrol.randomized import (
     girsanov_weight,
     greedy_control_from_vn,
 )
-from jumpcontrol.simulate import NU_MIN, Path
+from jumpcontrol.simulate import NU_MIN, Path, _running_costs, running_cost_along_path
 
 
 def make_pair_path(t0, x0, a0, jumps, T):
@@ -55,6 +56,13 @@ class TestDSplit:
         with pytest.raises(ImpossibleMarkError):
             d_split(m2, 0, 1, 1, 0)
 
+    def test_arrays_match_scalar_calls(self, threestate):
+        marks = [(0, 1, 2, 1), (2, 0, 2, 1), (1, 1, 0, 1), (1, 0, 1, 1)]
+        d1, d2 = d_split(threestate, *np.array(marks).T)
+        assert np.array_equal(np.stack((d1, d2), axis=1), [d_split(threestate, *m) for m in marks])
+        with pytest.raises(ImpossibleMarkError):
+            d_split(threestate, *np.array(marks + [(0, 0, 1, 1)]).T)
+
 
 class TestGirsanovWeight:
     def test_no_jump_closed_form(self, zero_rate):
@@ -63,14 +71,14 @@ class TestGirsanovWeight:
         nu = jc.constant_control(zero_rate, c)
         path = make_pair_path(0.0, 0, 0, [], 1.0)
         w = girsanov_weight(zero_rate, nu, path)
-        assert w.log_weight == pytest.approx((1.0 - c) * 2.0 * 1.0)
-        assert w.weight == pytest.approx(math.exp((1.0 - c) * 2.0))
+        assert w == pytest.approx((1.0 - c) * 2.0 * 1.0)
+        assert math.exp(w) == pytest.approx(math.exp((1.0 - c) * 2.0))
 
     def test_unit_control_is_identity(self, m2):
         nu = jc.constant_control(m2, 1.0)
         for i in range(50):
             path = jc.simulate_pair_path(m2, 0.0, 0, 1, None, rng=jc.child_rng(21, i))
-            assert girsanov_weight(m2, nu, path).log_weight == pytest.approx(0.0, abs=1e-12)
+            assert girsanov_weight(m2, nu, path) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_jump_hand_value(self, m2):
         # one I-jump at time 0.5 switching action 0 -> 1 under constant nu:
@@ -79,7 +87,7 @@ class TestGirsanovWeight:
         nu = jc.constant_control(m2, c, n_max=4.0)
         path = make_pair_path(0.0, 0, 0, [(0.5, 0, 1)], 1.0)
         w = girsanov_weight(m2, nu, path)
-        assert w.log_weight == pytest.approx((1.0 - c) * 1.0 * 1.0 + math.log(c))
+        assert w == pytest.approx((1.0 - c) * 1.0 * 1.0 + math.log(c))
 
     def test_rejects_controlled_path(self, m2):
         alpha = jc.constant_policy(m2, 0)
@@ -96,13 +104,101 @@ class TestGirsanovWeight:
         nu = jc.IntensityControl(field, 1.0, 4.0)
         path = make_pair_path(0.0, 0, 0, [], 1.0)
         w = girsanov_weight(zero_rate, nu, path)
-        assert w.log_weight == pytest.approx((1.0 - 0.5) * 1.0 + (1.0 - 2.0) * 1.0)
+        assert w == pytest.approx((1.0 - 0.5) * 1.0 + (1.0 - 2.0) * 1.0)
 
     def test_martingale_property(self, m2):
         for c, seed in ((0.3, 31), (1.6, 32)):
             nu = jc.constant_control(m2, c, n_max=2.0)
             mean, se = girsanov_mean_weight(m2, nu, 0.0, 0, 1, 20_000, master_seed=seed)
             assert abs(mean - 1.0) <= 3.0 * se
+
+
+def with_time_dependent_cost(p, n_nodes, horizon, seed):
+    """p with a random f on n_nodes uniform time nodes over [0, horizon]."""
+    rng = np.random.default_rng(seed)
+    f = rng.uniform(-1.0, 1.0, (n_nodes, p.n_states, p.n_actions))
+    return jc.Problem(p.states, p.actions, p.rates, p.lambda0, f, p.terminal_cost, horizon)
+
+
+class TestBatchMatchesLoops:
+    """Batch running costs and log weights against the per-path loops."""
+
+    @pytest.fixture(scope="class", params=["constant f", "time-dependent f"])
+    def case(self, request, threestate):
+        p = threestate
+        if request.param == "time-dependent f":
+            p = with_time_dependent_cost(threestate, 6, 0.7, 80)  # cost nodes k T / 5
+        T = p.horizon
+        rng = np.random.default_rng(81)
+        nu = jc.IntensityControl(rng.uniform(0.2, 3.0, (8, 3, 2, 2)), T, 3.0)
+        paths = [
+            jc.simulate_pair_path(p, 0.0, i % 3, i % 2, None, rng=jc.child_rng(82, i))
+            for i in range(24)
+        ]
+        paths += [
+            jc.simulate_pair_path(p, 0.3 * T, 1, 0, 83),
+            Path(0.0, 2, 1, [], [], [], T, ("no jumps",)),
+            # On cost nodes (k T / 5) and control layer edges (j T / 8).
+            Path(0.0, 0, 0, [T / 5, 2 * T / 5, T / 2, 3 * T / 4, 4 * T / 5],
+                 [1, 1, 2, 2, 0], [0, 1, 1, 0, 0], T, ("on nodes",)),
+            Path(0.1 * T, 1, 1, [0.4 * T, T], [0, 0], [1, 0], T, ("last jump at T",)),
+        ]
+        return p, nu, paths
+
+    def test_running_cost(self, case):
+        p, _, paths = case
+        ref = np.array([path_loops.running_cost_along_path(p, q) for q in paths])
+        got = _running_costs(p, paths)
+        if p.running_cost.ndim == 2:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.abs(got - ref).max() <= 1e-12
+        assert [running_cost_along_path(p, q) for q in paths] == got.tolist()
+
+    def test_log_weight(self, case):
+        p, nu, paths = case
+        ref = np.array([path_loops.girsanov_log_weight(p, nu, q) for q in paths])
+        got = _log_weights(p, nu, paths)
+        assert np.abs(got - ref).max() <= 1e-12
+        assert [girsanov_weight(p, nu, q) for q in paths] == got.tolist()
+        # The mark term of the jump at T counts: it is an I-jump, so d1 = 1.
+        no_last = Path(0.1 * p.horizon, 1, 1, [0.4 * p.horizon], [0], [1], p.horizon, None)
+        assert got[-1] - girsanov_weight(p, nu, no_last) == pytest.approx(math.log(nu.field[-1, 0, 1, 0]))
+
+    def test_estimators_average_the_loop_samples(self, case):
+        # 600 paths: two full batches and a partial one
+        p, nu, _ = case
+        n, T = 600, p.horizon
+        ref_paths = [jc.simulate_pair_path(p, 0.0, 1, 0, None, rng=jc.child_rng(84, i)) for i in range(n)]
+        payoff = np.array([
+            p.terminal_cost[q.state_at(T)] + path_loops.running_cost_along_path(p, q) for q in ref_paths
+        ])
+        weight = np.exp([path_loops.girsanov_log_weight(p, nu, q) for q in ref_paths])
+        for estimate, samples in (
+            (dual_gain_importance(p, nu, 0.0, 1, 0, n, master_seed=84), weight * payoff),
+            (girsanov_mean_weight(p, nu, 0.0, 1, 0, n, paths=ref_paths), weight),
+        ):
+            assert estimate == pytest.approx(
+                (samples.mean(), samples.std(ddof=1) / math.sqrt(n)), rel=1e-12
+            )
+        tilted = [jc.simulate_tilted_path(p, nu, 0.0, 1, 0, None, rng=jc.child_rng(85, i)) for i in range(n)]
+        direct = np.array([
+            p.terminal_cost[q.state_at(T)] + path_loops.running_cost_along_path(p, q) for q in tilted
+        ])
+        assert dual_gain_direct(p, nu, 0.0, 1, 0, n, master_seed=85) == pytest.approx(
+            (direct.mean(), direct.std(ddof=1) / math.sqrt(n)), rel=1e-12
+        )
+
+
+class TestPathCount:
+    @pytest.mark.parametrize("estimator", [dual_gain_importance, girsanov_mean_weight])
+    @pytest.mark.parametrize("given", [50, 250])
+    def test_wrong_batch_size_raises(self, m2, estimator, given):
+        # fewer paths than n_paths used to average uninitialised entries,
+        # more used to raise IndexError
+        paths = [jc.simulate_pair_path(m2, 0.0, 0, 0, None, rng=jc.child_rng(86, i)) for i in range(given)]
+        with pytest.raises(ValueError):
+            estimator(m2, jc.constant_control(m2, 2.0), 0.0, 0, 0, 200, paths=paths)
 
 
 class TestDualGain:

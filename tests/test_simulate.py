@@ -12,6 +12,21 @@ def binom_se(p_hat, n):
     return math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n)
 
 
+class TestLayerIndex:
+    @pytest.mark.parametrize("T", [1.0, 0.7, 2.5])
+    @pytest.mark.parametrize("n", [8, 64, 2000])
+    def test_layer_edge_maps_to_its_layer(self, T, n):
+        # t = k T / n may round just below the edge; the nudged floor still
+        # gives layer k, for a scalar and for an array of times
+        k = np.arange(n)
+        t = k * T / n
+        policy = jc.FeedbackPolicy(np.zeros((n + 1, 1)), T)
+        nu = jc.IntensityControl(np.ones((n, 1, 1, 1)), T, 1.0)
+        for layer_index in (policy.layer_index, nu.layer_index):
+            assert np.array_equal(layer_index(t), k)
+            assert [layer_index(s) for s in t.tolist()] == k.tolist()
+
+
 class TestControlledPath:
     def test_zero_rates_no_jumps(self, zero_rate):
         alpha = jc.constant_policy(zero_rate, 0)
@@ -183,3 +198,28 @@ class TestPathCSV:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "path_id,jump_index,time,X_mark,I_mark"
         assert len(lines) == 1 + sum(p.n_jumps for p in paths)
+
+    def test_bytes_match_csv_writer(self, threestate):
+        # controlled and pair paths, more rows than one write chunk
+        import csv
+        import io
+
+        from jumpcontrol.simulate import paths_to_csv
+
+        alpha = jc.constant_policy(threestate, 1)
+        for sample in (
+            lambda i: jc.simulate_controlled_path(threestate, alpha, 0.0, 0, None, rng=jc.child_rng(10, i)),
+            lambda i: jc.simulate_pair_path(threestate, 0.2, 1, 0, None, rng=jc.child_rng(11, i)),
+        ):
+            paths = [sample(i) for i in range(2000)]
+            ref = io.StringIO()
+            w = csv.writer(ref)
+            w.writerow(["path_id", "jump_index", "time", "X_mark", "I_mark"])
+            for pid, path in enumerate(paths):
+                for j in range(path.n_jumps):
+                    imark = "" if path.a_marks is None else int(path.a_marks[j])
+                    w.writerow([pid, j, repr(float(path.times[j])), int(path.x_marks[j]), imark])
+            buf = io.StringIO()
+            paths_to_csv(paths, buf)
+            assert sum(p.n_jumps for p in paths) > 4096
+            assert buf.getvalue() == ref.getvalue()
