@@ -55,17 +55,6 @@ def _load(args):
     return p
 
 
-def _merge_config(args):
-    """Config file may supply the same keys as the flags; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    for key in ("n_steps", "paths", "seed", "tol", "levels", "out_dir"):
-        if key in cfg and key not in args._explicit:
-            setattr(args, key, cfg[key])
-
-
 def _solve_primal(p, args):
     """The Picard solve of every command; nonconvergence exits 4."""
     try:
@@ -75,7 +64,23 @@ def _solve_primal(p, args):
         raise SystemExit(EXIT_NONCONVERGENCE)
 
 
+def _invalid(message):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_VALIDATION)
+
+
+def _config(args):
+    """The numerical arguments of every command, checked by SolverConfig; a
+    bad value exits 3."""
+    diagnose = {"mc_paths": args.paths, "penalization_levels": args.levels} if args.command == "diagnose" else {}
+    try:
+        return model.SolverConfig(n_steps=args.n_steps, picard_tol=args.tol, **diagnose)
+    except (TypeError, ValueError) as exc:
+        _invalid(exc)
+
+
 def cmd_solve(args):
+    _config(args)
     p = _load(args)
     sol = _solve_primal(p, args)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -106,21 +111,9 @@ def cmd_solve(args):
     return 0
 
 
-def _invalid(message):
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(EXIT_VALIDATION)
-
-
 def cmd_diagnose(args):
+    levels = _config(args).penalization_levels
     p = _load(args)
-    try:
-        cfg = model.SolverConfig(
-            n_steps=args.n_steps, picard_tol=args.tol, mc_paths=args.paths,
-            penalization_levels=args.levels,
-        )
-    except (TypeError, ValueError) as exc:
-        _invalid(exc)
-    levels = cfg.penalization_levels
     primal = _solve_primal(p, args)
     os.makedirs(args.out_dir, exist_ok=True)
     report = penalized.convergence_report(p, levels, n_steps=args.n_steps, primal=primal)
@@ -178,6 +171,9 @@ def cmd_diagnose(args):
 
 
 def cmd_simulate(args):
+    _config(args)
+    if args.count < 0:
+        _invalid(f"path count {args.count} is negative")
     p = _load(args)
     if not 0 <= args.start_state < p.n_states:
         _invalid(f"start state {args.start_state} outside 0..{p.n_states - 1}")
@@ -233,25 +229,28 @@ def _build_parser():
     sp.add_argument("--start-state", type=int, default=0)
     sp.add_argument("--action", default=None, help="constant action label; default: optimal policy")
     sp.set_defaults(func=cmd_simulate)
-    return ap
+    return ap, sub.choices
+
+
+def _read_config(path):
+    """The keys of a JSON config file that stand in for flags; a file that
+    is not a JSON object exits 2."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+        return {k: cfg[k] for k in ("n_steps", "paths", "seed", "tol", "levels", "out_dir") if k in cfg.keys()}
+    except (OSError, ValueError, AttributeError) as exc:
+        print(f"error: cannot parse config {path}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
-    ap = _build_parser()
+    ap, commands = _build_parser()
     args = ap.parse_args(argv)
-    # argparse accepts "--opt=value" and unambiguous prefixes of "--opt".
-    given = {arg.split("=", 1)[0] for arg in argv if arg.startswith("--") and arg != "--"}
-
-    def named(action):
-        return any(opt.startswith(g) for opt in action.option_strings for g in given)
-
-    args._explicit = {a.dest for a in ap._actions if named(a)}
-    for sp_action in ap._subparsers._group_actions:
-        for name, sp in sp_action.choices.items():
-            if name == args.command:
-                args._explicit |= {a.dest for a in sp._actions if named(a)}
-    _merge_config(args)
+    if args.config:
+        # Config values become the command's defaults, so explicit flags win.
+        commands[args.command].set_defaults(**_read_config(args.config))
+        args = ap.parse_args(argv)
     return args.func(args)
 
 

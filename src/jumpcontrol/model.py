@@ -74,7 +74,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_steps < 2:
             raise ValueError("n_steps must be at least 2")
-        if self.picard_tol <= 0:
+        if not self.picard_tol > 0:  # NaN too
             raise ValueError("picard_tol must be positive")
         if self.mc_paths < 1:
             raise ValueError("mc_paths must be at least 1")

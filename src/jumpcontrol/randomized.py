@@ -13,7 +13,8 @@ the drift through the segment integrator of simulate, the marks over the
 flat array of jumps. The dual gain J(t, x, a, nu) is estimated two
 independent ways, both in batches of at most 256 paths: importance
 sampling under the reference dynamics (weight L_T) and direct simulation
-under the tilted dynamics.
+under the tilted dynamics. One exact sampler draws both laws: the
+reference pair is its nu = 1 case.
 """
 from __future__ import annotations
 

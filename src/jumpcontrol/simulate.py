@@ -1,11 +1,12 @@
 """Exact simulation of the controlled jump process and of the pair (X, I),
 and the one integrator for functionals along pair paths.
 
-Three samplers: the feedback-controlled chain X (thinning against the
-uniform rate bound), the uncontrolled pair (X, I) with the autonomous
-lambda0-driven action component (competing exponentials), and the tilted
-pair where the I-intensity is nu(t, x, a, b) * lambda0[b] (thinning of the
-I-component against the declared bound).
+Two samplers. The feedback-controlled chain X thins proposals at the
+uniform rate bound. The pair (X, I) under an intensity tilt nu, whose
+I-intensity is nu(t, x, a, b) * lambda0[b], draws competing exponentials:
+its total rate is constant on each layer of nu, so each jump spends one
+Exp(1) of cumulative hazard across the layer edges. The uncontrolled pair,
+with the autonomous lambda0-driven action component, is the tilt nu = 1.
 
 Every path is a pure function of (problem, inputs, seed); path i of a batch
 uses the child stream SeedSequence(entropy=master_seed, spawn_key=(i,)), so
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Problem, cost_layer, grid_cell, pair_rate_bound, rate_bound
+from .model import Problem, cost_layer, grid_cell, rate_bound
 
 NU_MIN = 1e-6
 
@@ -61,7 +62,6 @@ class Path:
     x_marks: np.ndarray
     a_marks: np.ndarray | None
     horizon: float
-    seed_key: tuple
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -185,8 +185,9 @@ def _sim_tables(p: Problem) -> dict:
     """Per-problem lookup tables (cached lazily).
 
     Plain nested lists: scalar indexing in the tight simulation loops is
-    several times faster on lists than on numpy arrays. "cost_cum" is the
-    integral of f up to each cost node; a constant f has the nodes 0 and T.
+    several times faster on lists than on numpy arrays. "unit" is the tilt
+    nu = 1 of the reference pair. "cost_cum" is the integral of f up to
+    each cost node; a constant f has the nodes 0 and T.
     """
     tables = p.__dict__.get("_sim_tables")
     if tables is None:
@@ -196,10 +197,9 @@ def _sim_tables(p: Problem) -> dict:
         tables = {
             "rows": p.row_sums.tolist(),
             "cums": p.rates.cumsum(axis=2).tolist(),
-            "lam0_cum": p.lambda0.cumsum().tolist(),
             "lam0_tot": float(p.lambda0.sum()),
             "lam": rate_bound(p),
-            "pair_lam": pair_rate_bound(p),
+            "unit": constant_control(p, 1.0),
             "cost_cum": _prefix(0.5 * dt * (nodes[:-1] + nodes[1:])),
         }
         object.__setattr__(p, "_sim_tables", tables)
@@ -251,97 +251,89 @@ def simulate_controlled_path(
                     raise ExplosionError(
                         f"path exceeded {cap} jumps on [{t}, {T}] (bound {lam})"
                     )
-    return Path(t, int(x), None, np.array(times), np.array(marks), None, T, ("ctrl", seed))
+    return Path(t, int(x), None, np.array(times), np.array(marks), None, T)
 
 
 def simulate_pair_path(p: Problem, t: float, x: int, a: int, seed, rng=None) -> Path:
-    """Sample the uncontrolled pair (X, I) on [t, T].
-
-    Competing exponentials at total rate lambda(X, I, E) + lambda0(A): an
-    X-jump keeps I and draws the new state from the normalized row, an
-    I-jump keeps X and draws the new action from lambda0 / lambda0(A).
-    """
-    if rng is None:
-        rng = child_rng(seed, 0) if np.isscalar(seed) else np.random.default_rng(seed)
-    T = p.horizon
-    tab = _sim_tables(p)
-    rows, cums = tab["rows"], tab["cums"]
-    lam0_tot, lam0_cum = tab["lam0_tot"], tab["lam0_cum"]
-    cap = _cap(tab["pair_lam"], T - t)
-    s, cx, ca = t, int(x), int(a)
-    times, xm, am = [], [], []
-    expo = rng.exponential
-    unif = rng.random
-    while True:
-        rx = rows[cx][ca]
-        r = rx + lam0_tot
-        if r <= 0.0:
-            break
-        s += expo() / r
-        if s >= T:
-            break
-        if unif() * r < rx:
-            cx = _draw_index(cums[cx][ca], rx, unif())
-        else:
-            ca = _draw_index(lam0_cum, lam0_tot, unif())
-        times.append(s)
-        xm.append(cx)
-        am.append(ca)
-        if len(times) > cap:
-            raise ExplosionError(f"pair path exceeded {cap} jumps on [{t}, {T}]")
-    return Path(t, int(x), int(a), np.array(times), np.array(xm), np.array(am), T, ("pair", seed))
+    """Sample the uncontrolled pair (X, I) on [t, T]: the tilted law at nu = 1."""
+    return _pair_path(p, _sim_tables(p)["unit"], t, x, a, seed, rng)
 
 
 def simulate_tilted_path(
     p: Problem, nu: IntensityControl, t: float, x: int, a: int, seed, rng=None
 ) -> Path:
-    """Sample the pair (X, I) with I-intensity nu(s, X, I, b) * lambda0[b].
+    """Sample the pair (X, I) on [t, T] with I-intensity nu(s, X, I, b) * lambda0[b]."""
+    return _pair_path(p, nu, t, x, a, seed, rng)
 
-    The X-component is sampled exactly as in simulate_pair_path; I-jump
-    proposals arrive at the dominating rate n_max * lambda0(A) with marks
-    from lambda0 and are accepted with probability nu(s, X, I, b) / n_max.
+
+def _tilt_tables(p: Problem, nu: IntensityControl):
+    """Per-control lookup lists, cached on the control for one lambda0.
+
+    irate[j][x][a] is the I-rate sum_b nu_j(x, a, b) lambda0[b] on layer j,
+    icum[j][x][a] its cumulative over b, and edges[j] the right edge of
+    layer j (inf for the last layer).
+    """
+    cached = nu.__dict__.get("_tilt_tables")
+    if cached is None or cached[0] is not p.lambda0:
+        rates = nu.field * p.lambda0
+        n = nu.n_layers
+        edges = (np.arange(1, n) * nu.horizon / n).tolist() + [math.inf]
+        cached = (p.lambda0, rates.sum(axis=-1).tolist(), rates.cumsum(axis=-1).tolist(), edges)
+        object.__setattr__(nu, "_tilt_tables", cached)
+    return cached[1:]
+
+
+def _pair_path(p: Problem, nu: IntensityControl, t: float, x: int, a: int, seed, rng) -> Path:
+    """The one pair sampler behind simulate_pair_path and simulate_tilted_path,
+    kept as two names so that a tracer tells the two kinds of call apart.
+
+    Competing exponentials: on each layer j of nu the total rate
+    lambda(X, I, E) + sum_b nu_j(X, I, b) lambda0[b] is constant, so each
+    jump spends one Exp(1) draw of cumulative hazard, carried across layer
+    edges. An X-jump keeps I and draws the new state from the normalized
+    row; an I-jump keeps X and draws the new action from nu_j(X, I, .)
+    lambda0. No proposal is rejected.
     """
     if rng is None:
         rng = child_rng(seed, 0) if np.isscalar(seed) else np.random.default_rng(seed)
     T = p.horizon
     tab = _sim_tables(p)
     rows, cums = tab["rows"], tab["cums"]
-    lam0_tot, lam0_cum = tab["lam0_tot"], tab["lam0_cum"]
-    n_max = nu.n_max
-    bound_i = n_max * lam0_tot
-    cap = _cap(tab["lam"] + bound_i, T - t)
-    field = nu.field
-    n_layers = nu.n_layers
-    scale = n_layers / nu.horizon
-    last_layer = n_layers - 1
-    n_proposals = 0
+    irate, icum, edges = _tilt_tables(p, nu)
+    cap = _cap(tab["lam"] + nu.n_max * tab["lam0_tot"], T - t)
+    j = nu.layer_index(t)
     s, cx, ca = t, int(x), int(a)
     times, xm, am = [], [], []
     expo = rng.exponential
     unif = rng.random
     while True:
         rx = rows[cx][ca]
-        r = rx + bound_i
+        ri = irate[j][cx][ca]
+        r = rx + ri
         if r <= 0.0:
             break
-        s += expo() / r
+        e = expo()
+        # Carry what is left of e past each layer edge it outlasts; e stays
+        # >= 0, since it loses exactly the product it was compared with.
+        while e >= (edges[j] - s) * r:
+            e -= (edges[j] - s) * r
+            s = edges[j]
+            j += 1
+            ri = irate[j][cx][ca]
+            r = rx + ri
+        s += e / r
         if s >= T:
             break
-        n_proposals += 1
-        if n_proposals > cap:
-            raise ExplosionError(f"tilted path exceeded {cap} proposals on [{t}, {T}]")
         if unif() * r < rx:
             cx = _draw_index(cums[cx][ca], rx, unif())
         else:
-            b = _draw_index(lam0_cum, lam0_tot, unif())
-            j = min(int(s * scale + 1e-12), last_layer)
-            if unif() * n_max >= field[j, cx, ca, b]:
-                continue
-            ca = b
+            ca = _draw_index(icum[j][cx][ca], ri, unif())
         times.append(s)
         xm.append(cx)
         am.append(ca)
-    return Path(t, int(x), int(a), np.array(times), np.array(xm), np.array(am), T, ("tilt", seed))
+        if len(times) > cap:
+            raise ExplosionError(f"pair path exceeded {cap} jumps on [{t}, {T}]")
+    return Path(t, int(x), int(a), np.array(times), np.array(xm), np.array(am), T)
 
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:

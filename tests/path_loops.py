@@ -1,10 +1,17 @@
-"""Per-path loop references for the pair-path functionals.
+"""Per-path loop references for the pair samplers and the pair-path functionals.
 
-Each function walks one path jump by jump in plain Python: the running
-cost over the pieces cut by the jumps and the cost nodes, and the Girsanov
-log weight over the pieces cut by the jumps and the control's layer edges.
-jumpcontrol.simulate and jumpcontrol.randomized compute the same integrals
-for a whole batch from cumulative tables; the tests compare the two.
+Each function walks one path jump by jump in plain Python:
+- pair_path samples the reference pair (X, I) by competing exponentials at
+  the total rate lambda(X, I, E) + lambda0(A);
+- tilted_path_thinning samples the nu-tilted pair by thinning I-proposals
+  at the bound n_max lambda0(A) (Lewis & Shedler 1979);
+- running_cost_along_path integrates f over the pieces cut by the jumps and
+  the cost nodes;
+- girsanov_log_weight integrates the drift over the pieces cut by the jumps
+  and the control's layer edges.
+jumpcontrol.simulate samples both laws with one layered competing-exponentials
+sampler and computes the integrals for a whole batch from cumulative tables;
+the tests compare the two.
 """
 from __future__ import annotations
 
@@ -12,7 +19,83 @@ import math
 
 import numpy as np
 
-from jumpcontrol.model import cost_at
+from jumpcontrol.model import cost_at, pair_rate_bound, rate_bound
+from jumpcontrol.simulate import ExplosionError, Path, _cap
+
+
+def _draw(cum, total, u):
+    """Inverse-CDF draw from an unnormalized cumulative table."""
+    v = u * total
+    for i in range(len(cum) - 1):
+        if v < cum[i]:
+            return i
+    return len(cum) - 1
+
+
+def pair_path(p, t, x, a, rng) -> Path:
+    """The reference pair on [t, T]: an X-jump keeps I and draws the new
+    state from the normalized row, an I-jump keeps X and draws the new
+    action from lambda0 / lambda0(A)."""
+    T = p.horizon
+    rows, cums = p.row_sums.tolist(), p.rates.cumsum(axis=2).tolist()
+    lam0_tot, lam0_cum = float(p.lambda0.sum()), p.lambda0.cumsum().tolist()
+    cap = _cap(pair_rate_bound(p), T - t)
+    s, cx, ca = t, int(x), int(a)
+    times, xm, am = [], [], []
+    while True:
+        rx = rows[cx][ca]
+        r = rx + lam0_tot
+        if r <= 0.0:
+            break
+        s += rng.exponential() / r
+        if s >= T:
+            break
+        if rng.random() * r < rx:
+            cx = _draw(cums[cx][ca], rx, rng.random())
+        else:
+            ca = _draw(lam0_cum, lam0_tot, rng.random())
+        times.append(s)
+        xm.append(cx)
+        am.append(ca)
+        if len(times) > cap:
+            raise ExplosionError(f"pair path exceeded {cap} jumps on [{t}, {T}]")
+    return Path(t, int(x), int(a), np.array(times), np.array(xm), np.array(am), T)
+
+
+def tilted_path_thinning(p, nu, t, x, a, rng) -> Path:
+    """The nu-tilted pair on [t, T]: the X-component as in pair_path; I-jump
+    proposals arrive at the bound n_max lambda0(A) with marks from lambda0
+    and are accepted with probability nu(s, X, I, b) / n_max."""
+    T = p.horizon
+    rows, cums = p.row_sums.tolist(), p.rates.cumsum(axis=2).tolist()
+    lam0_tot, lam0_cum = float(p.lambda0.sum()), p.lambda0.cumsum().tolist()
+    bound_i = nu.n_max * lam0_tot
+    cap = _cap(rate_bound(p) + bound_i, T - t)
+    n_proposals = 0
+    s, cx, ca = t, int(x), int(a)
+    times, xm, am = [], [], []
+    while True:
+        rx = rows[cx][ca]
+        r = rx + bound_i
+        if r <= 0.0:
+            break
+        s += rng.exponential() / r
+        if s >= T:
+            break
+        n_proposals += 1
+        if n_proposals > cap:
+            raise ExplosionError(f"tilted path exceeded {cap} proposals on [{t}, {T}]")
+        if rng.random() * r < rx:
+            cx = _draw(cums[cx][ca], rx, rng.random())
+        else:
+            b = _draw(lam0_cum, lam0_tot, rng.random())
+            if rng.random() * nu.n_max >= nu.field[nu.layer_index(s), cx, ca, b]:
+                continue
+            ca = b
+        times.append(s)
+        xm.append(cx)
+        am.append(ca)
+    return Path(t, int(x), int(a), np.array(times), np.array(xm), np.array(am), T)
 
 
 def running_cost_along_path(p, path) -> float:

@@ -65,10 +65,10 @@ def equiv_cases(request):
                 for i in range(24)
             ]
             paths += [
-                jc.Path(0.0, 0, 1, [], [], [], T, ("no jumps",)),
+                jc.Path(0.0, 0, 1, [], [], [], T),  # no jumps
                 jc.simulate_pair_path(p, 0.3, 1, 0, 61),
-                jc.Path(0.0, 0, 0, [node, 0.8 * T], [1, 1], [1, 0], T, ("jump on a node",)),
-                jc.Path(0.1, 1, 1, [0.4 * T, T], [0, 1], [0, 0], T, ("last jump at T",)),
+                jc.Path(0.0, 0, 0, [node, 0.8 * T], [1, 1], [1, 0], T),  # jump on a node
+                jc.Path(0.1, 1, 1, [0.4 * T, T], [0, 1], [0, 0], T),  # last jump at T
             ]
             cache[name, n_steps] = sols, paths
         return cache[name, n_steps]

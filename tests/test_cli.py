@@ -60,6 +60,41 @@ class TestSolve:
             assert summary["n_steps"] == 80  # explicit flag beats the config value
 
 
+    def test_config_value_applies_without_its_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_steps": 50}))
+        out = str(tmp_path / "out")
+        assert run_cli(["solve", "--model", M2, "--out-dir", out, "--config", str(cfg)]) == 0
+        assert json.load(open(os.path.join(out, "summary.json")))["n_steps"] == 50
+
+    @pytest.mark.parametrize("text", ["{not json", "[50]"])
+    def test_bad_config_exit_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = run_cli(["solve", "--model", M2, "--out-dir", str(tmp_path / "o"), "--config", str(cfg)])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--n-steps", "0"],
+        ["solve", "--n-steps", "-3"],
+        ["solve", "--n-steps", "1"],
+        ["simulate", "--n-steps", "0"],
+        ["solve", "--tol", "-1"],
+        ["solve", "--tol", "nan"],
+        ["simulate", "--count", "-5", "--action", "2"],
+    ],
+)
+def test_bad_numeric_argument_exit_3(tmp_path, capsys, argv):
+    code = run_cli([*argv, "--model", M2, "--out-dir", str(tmp_path / "o")])
+    assert code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "o")
+
+
 class TestSolveOutputBytes:
     def test_csv_files_match_csv_writer(self, tmp_path):
         # labels that csv must quote; rates that make both actions optimal somewhere
@@ -155,6 +190,16 @@ class TestDiagnose:
         assert not summary["checks"]["greedy_reaches_vn"]
         assert not summary["checks"]["constraint_decay"]
         assert all(se is None for _, se in summary["constraint_violation"].values())
+
+    def test_config_levels_apply_without_the_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"levels": [1, 8], "paths": 50}))
+        out = str(tmp_path / "out")
+        code = run_cli(["diagnose", "--model", M2, "--out-dir", out, "--n-steps", "100", "--config", str(cfg)])
+        assert code in (0, cli.EXIT_SUITE)  # 50 paths: a statistical check may fail
+        summary = json.load(open(os.path.join(out, "summary.json")))
+        assert set(summary["sigma"]) == {"1", "8"}
+        assert summary["paths"] == 50
 
     @pytest.mark.parametrize("levels", ["--levels=8,4", "--levels=4,4", "--levels=-4,8", "--levels=0,8"])
     def test_bad_levels_exit_3(self, tmp_path, capsys, levels):

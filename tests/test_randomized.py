@@ -25,7 +25,7 @@ def make_pair_path(t0, x0, a0, jumps, T):
     times = np.array([j[0] for j in jumps])
     xm = np.array([j[1] for j in jumps], dtype=np.int64)
     am = np.array([j[2] for j in jumps], dtype=np.int64)
-    return Path(t0, x0, a0, times, xm, am, T, None)
+    return Path(t0, x0, a0, times, xm, am, T)
 
 
 class TestDSplit:
@@ -137,11 +137,11 @@ class TestBatchMatchesLoops:
         ]
         paths += [
             jc.simulate_pair_path(p, 0.3 * T, 1, 0, 83),
-            Path(0.0, 2, 1, [], [], [], T, ("no jumps",)),
+            Path(0.0, 2, 1, [], [], [], T),  # no jumps
             # On cost nodes (k T / 5) and control layer edges (j T / 8).
             Path(0.0, 0, 0, [T / 5, 2 * T / 5, T / 2, 3 * T / 4, 4 * T / 5],
-                 [1, 1, 2, 2, 0], [0, 1, 1, 0, 0], T, ("on nodes",)),
-            Path(0.1 * T, 1, 1, [0.4 * T, T], [0, 0], [1, 0], T, ("last jump at T",)),
+                 [1, 1, 2, 2, 0], [0, 1, 1, 0, 0], T),
+            Path(0.1 * T, 1, 1, [0.4 * T, T], [0, 0], [1, 0], T),  # last jump at T
         ]
         return p, nu, paths
 
@@ -162,7 +162,7 @@ class TestBatchMatchesLoops:
         assert np.abs(got - ref).max() <= 1e-12
         assert [girsanov_weight(p, nu, q) for q in paths] == got.tolist()
         # The mark term of the jump at T counts: it is an I-jump, so d1 = 1.
-        no_last = Path(0.1 * p.horizon, 1, 1, [0.4 * p.horizon], [0], [1], p.horizon, None)
+        no_last = Path(0.1 * p.horizon, 1, 1, [0.4 * p.horizon], [0], [1], p.horizon)
         assert got[-1] - girsanov_weight(p, nu, no_last) == pytest.approx(math.log(nu.field[-1, 0, 1, 0]))
 
     def test_estimators_average_the_loop_samples(self, case):

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 import jumpcontrol as jc
+import path_loops
 from jumpcontrol.simulate import ExplosionError, NU_MIN
 
 
@@ -108,6 +109,88 @@ class TestPairPath:
         assert abs(vals.mean() - grid.values[0, 0, 1]) <= 3.0 * se
 
 
+def random_model(seed, n_states, n_actions, horizon=1.3):
+    """About half of the transitions present, self-jumps included."""
+    rng = np.random.default_rng(seed)
+    rates = rng.uniform(0.0, 2.0, (n_states, n_actions, n_states))
+    rates *= rng.random(rates.shape) < 0.5
+    return jc.Problem(
+        tuple(map(str, range(n_states))), tuple(map(str, range(n_actions))), rates,
+        rng.uniform(0.5, 1.5, n_actions), rng.random((n_states, n_actions)),
+        rng.random(n_states), horizon,
+    )
+
+
+class TestPairMatchesLoop:
+    RANDOM = {"random 4x3": (70, 4, 3), "random 5x12": (75, 5, 12)}
+
+    @pytest.mark.parametrize("name", ["m2", "threestate", "aflat", "zero_rate", *RANDOM])
+    @pytest.mark.parametrize("start", [0.0, 0.3])
+    def test_draw_for_draw(self, request, name, start):
+        if name in self.RANDOM:
+            p = random_model(*self.RANDOM[name])
+        else:
+            p = request.getfixturevalue(name)
+        if p.n_actions >= 8:
+            # numpy's pairwise lambda0.sum() differs in the last bit from the
+            # last cumulative entry here; both samplers take the I-jump
+            # total from lambda0.sum(), so the draws still match.
+            assert p.lambda0.sum() != p.lambda0.cumsum()[-1]
+        t0 = start * p.horizon
+        for i in range(300):
+            x, a = i % p.n_states, i % p.n_actions
+            got = jc.simulate_pair_path(p, t0, x, a, None, rng=jc.child_rng(71, i))
+            ref = path_loops.pair_path(p, t0, x, a, jc.child_rng(71, i))
+            for field in ("times", "x_marks", "a_marks"):
+                assert getattr(got, field).tobytes() == getattr(ref, field).tobytes()
+
+
+class TestTiltedLaw:
+    """(X_T, I_T) under a 5-layer nu against the exact layered chain: the
+    product over layers of expm of the pair generator on E x A."""
+
+    @staticmethod
+    def exact_law(p, nu, t0, x, a):
+        from scipy.linalg import expm
+
+        nS, nA, T, n = p.n_states, p.n_actions, p.horizon, nu.n_layers
+        eye_s, eye_a = np.eye(nS, dtype=bool), np.eye(nA, dtype=bool)
+        law = np.zeros(nS * nA)
+        law[x * nA + a] = 1.0
+        for j in range(n):
+            lo, hi = max(t0, j * T / n), (j + 1) * T / n
+            if hi <= lo:
+                continue
+            q = np.zeros((nS, nA, nS, nA))
+            # X-jumps keep a, I-jumps keep x; self-jumps do not move the pair.
+            q += np.where(eye_s[:, None, :], 0.0, p.rates)[..., None] * eye_a[None, :, None, :]
+            q += np.where(eye_a, 0.0, nu.field[j] * p.lambda0)[:, :, None, :] * eye_s[:, None, :, None]
+            q = q.reshape(nS * nA, nS * nA)
+            law = law @ expm((q - np.diag(q.sum(axis=1))) * (hi - lo))
+        return law
+
+    SAMPLERS = {
+        "exact hazard": lambda p, nu, t0, i: jc.simulate_tilted_path(p, nu, t0, 0, 1, None, rng=jc.child_rng(73, i)),
+        "thinning": lambda p, nu, t0, i: path_loops.tilted_path_thinning(p, nu, t0, 0, 1, jc.child_rng(73, i)),
+    }
+
+    @pytest.mark.parametrize("sampler", list(SAMPLERS))
+    @pytest.mark.parametrize("start", [0.0, 0.33])  # 0.33 T lies inside layer 1
+    def test_terminal_law_matches_layered_chain(self, threestate, sampler, start):
+        p = threestate
+        nS, nA, T = p.n_states, p.n_actions, p.horizon
+        rng = np.random.default_rng(72)
+        field = rng.choice([NU_MIN, 0.25, 1.0, 3.0, 6.0], size=(5, nS, nA, nA))
+        nu = jc.IntensityControl(field, T, 6.0)
+        t0, n = start * T, 20_000
+        draw = self.SAMPLERS[sampler]
+        ends = [(q.state_at(T), q.action_at(T)) for q in (draw(p, nu, t0, i) for i in range(n))]
+        freq = np.bincount([x * nA + a for x, a in ends], minlength=nS * nA) / n
+        exact = self.exact_law(p, nu, t0, 0, 1)
+        for f, e in zip(freq, exact):
+            assert abs(f - e) <= 4.0 * binom_se(e, n)
+
+
 class TestTiltedPath:
     def test_unit_tilt_first_jump_distribution(self, m2):
         # nu = 1 reproduces the pair dynamics: first-jump time from (0, a=1)
@@ -181,8 +264,14 @@ class TestControlTypes:
             ("0", "1"), ("a",), np.full((2, 1, 2), 1.0), np.array([1.0]),
             np.zeros((2, 1)), np.zeros(2), 1.0,
         )
-        with pytest.raises(ExplosionError):
-            jc.simulate_controlled_path(p, jc.constant_policy(p, 0), 0.0, 0, None, rng=Stuck())
+        nu = jc.IntensityControl(np.full((4, 2, 1, 1), 2.0), 1.0, 3.0)
+        for sample in (
+            lambda: jc.simulate_controlled_path(p, jc.constant_policy(p, 0), 0.0, 0, None, rng=Stuck()),
+            lambda: jc.simulate_pair_path(p, 0.0, 0, 0, None, rng=Stuck()),
+            lambda: jc.simulate_tilted_path(p, nu, 0.0, 0, 0, None, rng=Stuck()),
+        ):
+            with pytest.raises(ExplosionError):
+                sample()
 
 
 class TestPathCSV:
