@@ -22,10 +22,12 @@ from .simulate import (
     FeedbackPolicy,
     IntensityControl,
     Path,
+    PathBatch,
     child_rng,
     constant_control,
     constant_policy,
     simulate_controlled_path,
+    simulate_controlled_paths,
     simulate_pair_path,
     simulate_tilted_path,
 )

@@ -29,7 +29,8 @@ import numpy as np
 from .model import Problem
 from .penalized import PenalizedSolution, penalty_integral
 from .simulate import (
-    Path, _cost_integrals, _mean_se, _per_path, _segment_integrals, _segments, child_rng, simulate_pair_path,
+    Path, PathBatch, _cost_integrals, _mean_se, _per_path, _segment_integrals, _segments, child_rng,
+    simulate_pair_path,
 )
 
 
@@ -85,7 +86,7 @@ def build_sample(p: Problem, vn: PenalizedSolution, path: Path) -> BSDESample:
     p is the problem vn solves; the tables and rates are read from vn.
     """
     T = vn.values.horizon
-    lo, hi, seg_x, seg_a, _ = _segments([path], T)
+    lo, hi, seg_x, seg_a, _ = _segments(PathBatch.from_paths([path], T))
     bp = np.append(lo, T)
     layers = vn.values.layer_at(bp)  # v^n at the breakpoints: (m+1, nS, nA)
     m = seg_x.size
@@ -129,7 +130,8 @@ def bsde_residual(p: Problem, sample: BSDESample) -> float:
 
 def terminal_k(vn: PenalizedSolution, paths) -> np.ndarray:
     """K_T^n of every pair path, from one pass over their flattened segments."""
-    return _per_path(paths, vn.values.horizon, lambda *seg: _k_increments(vn, *seg))
+    batch = PathBatch.from_paths(paths, vn.values.horizon)
+    return _per_path(batch, lambda *seg: _k_increments(vn, *seg))
 
 
 def constraint_violation(

@@ -183,12 +183,9 @@ def cmd_simulate(args):
         policy = simulate.constant_policy(p, p.actions.index(args.action))
     else:
         policy = hjb.extract_feedback(_solve_primal(p, args))
-    paths = [
-        simulate.simulate_controlled_path(
-            p, policy, 0.0, args.start_state, None, rng=simulate.child_rng(args.seed, i)
-        )
-        for i in range(args.count)
-    ]
+    paths = simulate.simulate_controlled_paths(
+        p, policy, 0.0, args.start_state, args.count, simulate.child_rng(args.seed, 0)
+    )
     os.makedirs(args.out_dir, exist_ok=True)
     _atomic_write(
         os.path.join(args.out_dir, "paths.csv"),
@@ -232,16 +229,21 @@ def _build_parser():
     return ap, sub.choices
 
 
-def _read_config(path):
-    """The keys of a JSON config file that stand in for flags; a file that
-    is not a JSON object exits 2."""
+def _read_config(path, args):
+    """A JSON config file, whose keys are flags of the parsed command (their
+    argparse names, such as n_steps); a file that is not a JSON object, or
+    a key that is not a flag of the command, exits 2."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-        return {k: cfg[k] for k in ("n_steps", "paths", "seed", "tol", "levels", "out_dir") if k in cfg.keys()}
+        unknown = sorted(cfg.keys() - (vars(args).keys() - {"command", "func"}))
     except (OSError, ValueError, AttributeError) as exc:
         print(f"error: cannot parse config {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
+    if unknown:
+        print(f"error: config {path}: not a flag of {args.command}: {', '.join(unknown)}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+    return cfg
 
 
 def main(argv=None):
@@ -249,7 +251,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.config:
         # Config values become the command's defaults, so explicit flags win.
-        commands[args.command].set_defaults(**_read_config(args.config))
+        commands[args.command].set_defaults(**_read_config(args.config, args))
         args = ap.parse_args(argv)
     return args.func(args)
 

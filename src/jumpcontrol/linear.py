@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Problem, _interp, cost_layer, pair_rate_bound, rate_bound
-from .simulate import FeedbackPolicy, _mean_se, child_rng, simulate_controlled_path
+from .simulate import FeedbackPolicy, _mean_se, child_rng, simulate_controlled_paths
 
 _STABILITY = 0.5
 _CSV_CHUNK_ROWS = 4096
@@ -223,11 +223,8 @@ def mc_check_markov(
         raise ValueError("need t <= s <= T")
     g = np.asarray(g_vec, dtype=float)
     grid = solve_kolmogorov(p, alpha, g_vec=g, f_running=None, n_steps=n_steps)
-    diffs = np.empty(n_paths)
-    for i in range(n_paths):
-        path = simulate_controlled_path(p, alpha, t, x, None, rng=child_rng(master_seed, i))
-        diffs[i] = grid.value_at(s, path.state_at(s)) - g[path.state_at(p.horizon)]
-    mean, se = _mean_se(diffs)
+    paths = simulate_controlled_paths(p, alpha, t, x, n_paths, child_rng(master_seed, 0))
+    mean, se = _mean_se(grid.layer_at(s)[paths.states_at(s)] - g[paths.states_at(p.horizon)])
     return {
         "difference": mean,
         "std_error": se,

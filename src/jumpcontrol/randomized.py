@@ -26,8 +26,8 @@ import numpy as np
 from .model import Problem
 from .penalized import PenalizedSolution
 from .simulate import (
-    NU_MIN, IntensityControl, Path, _mean_se, _per_path, _prefix, _running_costs, _segment_integrals,
-    child_rng, constant_control, simulate_pair_path, simulate_tilted_path,
+    NU_MIN, IntensityControl, Path, PathBatch, _check_horizon, _mean_se, _per_path, _prefix, _running_costs,
+    _segment_integrals, child_rng, constant_control, simulate_pair_path, simulate_tilted_path,
 )
 
 
@@ -62,28 +62,25 @@ def _log_weights(p: Problem, nu: IntensityControl, paths) -> np.ndarray:
     the drift is constant on each segment within a layer of nu, and a jump
     at T still carries its mark term."""
     T = p.horizon
-    if abs(nu.horizon - T) > 1e-12:
-        raise ValueError("control and path horizons differ")
+    _check_horizon(nu, p)
     drift = float(p.lambda0.sum()) - nu.field @ p.lambda0  # [j, x, a]
     cum = _prefix(drift * (T / nu.n_layers))
 
     def cell(s0, s1, x, a):
         return drift[nu.layer_index(0.5 * (s0 + s1)), x, a] * (s1 - s0)
 
-    log_w = _per_path(paths, T, lambda *seg: _segment_integrals(T, cum, cell, *seg))
-    counts = np.array([q.n_jumps for q in paths], dtype=np.int64)
-    times = np.concatenate([np.empty(0), *(q.times for q in paths)])
-    y = np.concatenate([np.empty(0, np.int64), *(q.x_marks for q in paths)])
-    b = np.concatenate([np.empty(0, np.int64), *(q.a_marks for q in paths)])
+    batch = PathBatch.from_paths(paths, T)
+    log_w = _per_path(batch, lambda *seg: _segment_integrals(T, cum, cell, *seg))
+    y, b = batch.x_marks, batch.a_marks
     # The state before each jump: the previous mark, or the start for a path's first jump.
-    first = (np.cumsum(counts) - counts)[counts > 0]
+    moved = np.diff(batch.offsets) > 0
+    first = batch.offsets[:-1][moved]
     x_pre, a_pre = np.roll(y, 1), np.roll(b, 1)
-    x_pre[first] = [q.x0 for q in paths if q.n_jumps]
-    a_pre[first] = [q.a0 for q in paths if q.n_jumps]
+    x_pre[first] = batch.x0[moved]
+    a_pre[first] = batch.a0[moved]
     d1, d2 = d_split(p, x_pre, a_pre, y, b)
-    marks = np.log(nu.field[nu.layer_index(times), x_pre, a_pre, b] * d1 + d2)
-    owner = np.repeat(np.arange(len(paths)), counts)
-    return log_w + np.bincount(owner, weights=marks, minlength=len(paths))
+    marks = np.log(nu.field[nu.layer_index(batch.times), x_pre, a_pre, b] * d1 + d2)
+    return log_w + np.bincount(batch.owner, weights=marks, minlength=len(batch))
 
 
 def girsanov_weight(p: Problem, nu: IntensityControl, path: Path) -> float:

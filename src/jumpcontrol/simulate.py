@@ -2,15 +2,18 @@
 and the one integrator for functionals along pair paths.
 
 Two samplers. The feedback-controlled chain X thins proposals at the
-uniform rate bound. The pair (X, I) under an intensity tilt nu, whose
+uniform rate bound (Lewis & Shedler 1979), every path of a batch at once,
+from one stream. The pair (X, I) under an intensity tilt nu, whose
 I-intensity is nu(t, x, a, b) * lambda0[b], draws competing exponentials:
 its total rate is constant on each layer of nu, so each jump spends one
 Exp(1) of cumulative hazard across the layer edges. The uncontrolled pair,
 with the autonomous lambda0-driven action component, is the tilt nu = 1.
 
-Every path is a pure function of (problem, inputs, seed); path i of a batch
-uses the child stream SeedSequence(entropy=master_seed, spawn_key=(i,)), so
-batch statistics are independent of worker count and scheduling.
+Every path is a pure function of (problem, inputs, seed). The pair
+samplers draw one path per stream, and path i of a batch uses the child
+stream SeedSequence(entropy=master_seed, spawn_key=(i,)), so batch
+statistics are independent of worker count and scheduling. A controlled
+batch draws all its paths from the one stream it is given.
 
 Every time integral along pair paths (the running cost here, the Girsanov
 drift in randomized, K and the compensator in bsde) runs over the flattened
@@ -39,7 +42,8 @@ class ExplosionError(RuntimeError):
 
 
 def child_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent child stream for path `index` of a batch."""
+    """Independent child stream `index` of master_seed: path `index` of a
+    pair batch, or the stream of a whole controlled batch."""
     return np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
     )
@@ -85,6 +89,67 @@ class Path:
             raise ValueError("X-only path has no action component")
         i = int(np.searchsorted(self.times, s, side="right")) - 1
         return self.a0 if i < 0 else int(self.a_marks[i])
+
+
+@dataclass(frozen=True)
+class PathBatch:
+    """Paths as flat arrays. Path i starts at (t0[i], x0[i], a0[i]), and its
+    jumps are entries offsets[i]:offsets[i + 1] of times, x_marks and
+    a_marks, in time order; a0 and a_marks are None for X-only paths."""
+
+    t0: np.ndarray
+    x0: np.ndarray
+    a0: np.ndarray | None
+    times: np.ndarray
+    x_marks: np.ndarray
+    a_marks: np.ndarray | None
+    offsets: np.ndarray
+    horizon: float
+
+    @classmethod
+    def from_paths(cls, paths, horizon: float) -> PathBatch:
+        """Flatten Path objects; the batch is X-only unless every path is a pair path."""
+        if any(abs(q.horizon - horizon) > 1e-12 for q in paths):
+            raise ValueError("path horizon differs from the problem's")
+        pair = all(q.a_marks is not None for q in paths)
+
+        def flat(arrays, dtype):
+            return np.concatenate([np.empty(0, dtype), *arrays])
+
+        return cls(
+            np.array([q.t0 for q in paths], dtype=float),
+            np.array([q.x0 for q in paths], dtype=np.int64),
+            np.array([q.a0 for q in paths], dtype=np.int64) if pair else None,
+            flat((q.times for q in paths), float),
+            flat((q.x_marks for q in paths), np.int64),
+            flat((q.a_marks for q in paths), np.int64) if pair else None,
+            np.cumsum([0] + [q.n_jumps for q in paths]),
+            horizon,
+        )
+
+    def __len__(self):
+        return self.offsets.size - 1
+
+    @property
+    def owner(self) -> np.ndarray:
+        """The path index of every jump."""
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+
+    def path(self, i: int) -> Path:
+        j, k = self.offsets[i], self.offsets[i + 1]
+        pair = self.a0 is not None
+        return Path(
+            float(self.t0[i]), int(self.x0[i]), int(self.a0[i]) if pair else None,
+            self.times[j:k], self.x_marks[j:k], self.a_marks[j:k] if pair else None, self.horizon,
+        )
+
+    def states_at(self, s: float) -> np.ndarray:
+        """X_s of every path."""
+        seen = np.bincount(self.owner[self.times <= s], minlength=len(self))
+        out = self.x0.copy()
+        moved = seen > 0
+        out[moved] = self.x_marks[self.offsets[:-1][moved] + seen[moved] - 1]
+        return out
 
 
 def _layer(t, horizon: float, n: int):
@@ -210,48 +275,68 @@ def _cap(mean_rate, span):
     return _CAP_BASE + int(_CAP_FACTOR * mean_rate * max(span, 0.0))
 
 
+def _check_horizon(control, p: Problem):
+    if abs(control.horizon - p.horizon) > 1e-12:
+        raise ValueError("control and path horizons differ")
+
+
+def simulate_controlled_paths(
+    p: Problem, alpha: FeedbackPolicy, t: float, x: int, count: int, rng
+) -> PathBatch:
+    """Sample `count` paths of X on [t, T] from x under the feedback law
+    alpha, all from the one stream rng.
+
+    Thinning: every live path proposes its next epoch at the constant bound
+    Lambda_E, accepts it at s with probability lambda(X, alpha(s, X), E) /
+    Lambda_E, then draws the mark from the normalized row; accepted
+    self-jumps are recorded as genuine points. A round draws, in path
+    order, the waiting times of the live paths, acceptance uniforms for
+    those with a positive rate, then the marks of the accepted ones, so a
+    batch of one makes the draws of the one-path loop.
+    """
+    _check_horizon(alpha, p)
+    T = p.horizon
+    lam = _sim_tables(p)["lam"]
+    live = np.arange(count if lam > 0.0 else 0)
+    s = np.full(live.size, float(t))
+    cur = np.full(live.size, int(x))
+    jumps = np.zeros(count, dtype=np.int64)
+    rows, cums = p.row_sums, p.rates.cumsum(axis=2)
+    cap = _cap(lam, T - t)
+    n_layers = max(alpha.n_layers, 1)
+    scale = n_layers / alpha.horizon
+    events = [(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))]  # (path, time, mark) per round
+    while live.size:
+        s += rng.exponential(size=live.size) * (1.0 / lam)
+        keep = s < T
+        live, s, cur = live[keep], s[keep], cur[keep]
+        a = alpha.table[np.minimum((s * scale + 1e-12).astype(np.int64), n_layers - 1), cur]
+        r = rows[cur, a]
+        hit = np.flatnonzero(r > 0.0)
+        hit = hit[rng.random(size=hit.size) * lam < r[hit]]
+        # The mark is the first state whose cumulative rate exceeds u r, as in _draw_index.
+        v = rng.random(size=hit.size) * r[hit]
+        cur[hit] = np.minimum((cums[cur[hit], a[hit]] <= v[:, None]).sum(axis=1), p.n_states - 1)
+        ids = live[hit]
+        events.append((ids, s[hit], cur[hit]))
+        jumps[ids] += 1
+        if jumps.max(initial=0) > cap:
+            raise ExplosionError(f"path exceeded {cap} jumps on [{t}, {T}] (bound {lam})")
+    who, when, where = (np.concatenate(column) for column in zip(*events))
+    order = np.argsort(who, kind="stable")  # rounds run forward in time, so each path's jumps stay in order
+    return PathBatch(
+        np.full(count, float(t)), np.full(count, int(x)), None, when[order], where[order], None,
+        np.concatenate(([0], np.cumsum(jumps))), T,
+    )
+
+
 def simulate_controlled_path(
     p: Problem, alpha: FeedbackPolicy, t: float, x: int, seed, rng=None
 ) -> Path:
-    """Sample X on [t, T] under the feedback law alpha.
-
-    Thinning: propose epochs at the constant bound Lambda_E, accept a
-    proposal at s with probability lambda(X, alpha(s, X), E) / Lambda_E,
-    then draw the mark from the normalized row. Accepted self-jumps are
-    recorded as genuine points.
-    """
+    """Sample X on [t, T] under the feedback law alpha: a batch of one."""
     if rng is None:
         rng = child_rng(seed, 0) if np.isscalar(seed) else np.random.default_rng(seed)
-    T = p.horizon
-    tab = _sim_tables(p)
-    lam = tab["lam"]
-    times, marks = [], []
-    if lam > 0.0:
-        rows, cums = tab["rows"], tab["cums"]
-        inv_lam = 1.0 / lam
-        cap = _cap(lam, T - t)
-        s, cur = t, int(x)
-        table = alpha.table
-        n_layers = max(alpha.n_layers, 1)
-        scale = n_layers / alpha.horizon
-        last_layer = n_layers - 1
-        expo = rng.exponential
-        unif = rng.random
-        while True:
-            s += expo() * inv_lam
-            if s >= T:
-                break
-            a = int(table[min(int(s * scale + 1e-12), last_layer), cur])
-            r = rows[cur][a]
-            if r > 0.0 and unif() * lam < r:
-                cur = _draw_index(cums[cur][a], r, unif())
-                times.append(s)
-                marks.append(cur)
-                if len(times) > cap:
-                    raise ExplosionError(
-                        f"path exceeded {cap} jumps on [{t}, {T}] (bound {lam})"
-                    )
-    return Path(t, int(x), None, np.array(times), np.array(marks), None, T)
+    return simulate_controlled_paths(p, alpha, t, x, 1, rng).path(0)
 
 
 def simulate_pair_path(p: Problem, t: float, x: int, a: int, seed, rng=None) -> Path:
@@ -263,6 +348,7 @@ def simulate_tilted_path(
     p: Problem, nu: IntensityControl, t: float, x: int, a: int, seed, rng=None
 ) -> Path:
     """Sample the pair (X, I) on [t, T] with I-intensity nu(s, X, I, b) * lambda0[b]."""
+    _check_horizon(nu, p)
     return _pair_path(p, nu, t, x, a, seed, rng)
 
 
@@ -350,32 +436,24 @@ def _prefix(cells):
     return out
 
 
-def _segments(paths, horizon):
-    """Constant-state segments of pair paths, flattened in path order.
+def _segments(batch: PathBatch):
+    """Constant-state segments of a batch of pair paths, flattened in path order.
 
     Returns (lo, hi, x, a, owner): segment i spans [lo[i], hi[i]] in the
     pair state (x[i], a[i]) of path owner[i]. A path with j jumps before
     the horizon has j + 1 segments; a jump at the horizon opens none.
     """
-    for q in paths:
-        if q.a_marks is None:
-            raise ValueError("pair path functionals need pair paths")
-        if abs(q.horizon - horizon) > 1e-12:
-            raise ValueError("path horizon differs from the problem's")
-    n = len(paths)
-
-    def flat(arrays, dtype):
-        return np.concatenate([np.empty(0, dtype), *arrays])
-
-    times = flat((q.times for q in paths), float)
-    inner = times < horizon
-    jumps = np.bincount(np.repeat(np.arange(n), [q.n_jumps for q in paths])[inner], minlength=n)
+    if batch.a_marks is None:
+        raise ValueError("pair path functionals need pair paths")
+    n, horizon = len(batch), batch.horizon
+    inner = batch.times < horizon
+    jumps = np.bincount(batch.owner[inner], minlength=n)
     after = np.cumsum(jumps)  # index just past each path's inner jumps
     before = after - jumps
-    lo = np.insert(times[inner], before, [q.t0 for q in paths])
-    hi = np.insert(times[inner], after, horizon)
-    x = np.insert(flat((q.x_marks for q in paths), np.int64)[inner], before, [q.x0 for q in paths])
-    a = np.insert(flat((q.a_marks for q in paths), np.int64)[inner], before, [q.a0 for q in paths])
+    lo = np.insert(batch.times[inner], before, batch.t0)
+    hi = np.insert(batch.times[inner], after, horizon)
+    x = np.insert(batch.x_marks[inner], before, batch.x0)
+    a = np.insert(batch.a_marks[inner], before, batch.a0)
     owner = np.repeat(np.arange(n), jumps + 1)
     return lo, hi, x, a, owner
 
@@ -408,14 +486,14 @@ def _segment_integrals(T, cum, cell, lo, hi, x, a):
 _CHUNK = 1024  # segments per vectorised pass; bounds the temporaries for any batch size
 
 
-def _per_path(paths, horizon, integrals) -> np.ndarray:
+def _per_path(batch: PathBatch, integrals) -> np.ndarray:
     """Per path, the sum of integrals(lo, hi, x, a) over its segments."""
-    lo, hi, x, a, owner = _segments(paths, horizon)
+    lo, hi, x, a, owner = _segments(batch)
     incr = [
         integrals(*(v[i : i + _CHUNK] for v in (lo, hi, x, a)))
         for i in range(0, lo.size, _CHUNK)
     ]
-    return np.bincount(owner, weights=np.concatenate([np.empty(0), *incr]), minlength=len(paths))
+    return np.bincount(owner, weights=np.concatenate([np.empty(0), *incr]), minlength=len(batch))
 
 
 def _cost_integrals(p: Problem, lo, hi, x, a) -> np.ndarray:
@@ -431,7 +509,7 @@ def _cost_integrals(p: Problem, lo, hi, x, a) -> np.ndarray:
 
 def _running_costs(p: Problem, paths) -> np.ndarray:
     """Exact integral of f(s, X_s, I_s) ds over [t0, T] along each pair path."""
-    return _per_path(paths, p.horizon, lambda *seg: _cost_integrals(p, *seg))
+    return _per_path(PathBatch.from_paths(paths, p.horizon), lambda *seg: _cost_integrals(p, *seg))
 
 
 def running_cost_along_path(p: Problem, path: Path) -> float:
@@ -439,15 +517,20 @@ def running_cost_along_path(p: Problem, path: Path) -> float:
     return float(_running_costs(p, [path])[0])
 
 
-def paths_to_csv(paths, fileobj):
-    """Dump paths as rows (path_id, jump_index, time, X_mark, I_mark), byte
+def paths_to_csv(batch: PathBatch, fileobj):
+    """Dump a batch as rows (path_id, jump_index, time, X_mark, I_mark), byte
     for byte what csv.writer writes."""
-    from .linear import write_csv_rows  # linear imports this module
+    from .linear import _CSV_CHUNK_ROWS, write_csv_rows  # linear imports this module
+
+    owner = batch.owner
+    index = np.arange(owner.size) - batch.offsets[owner]
+    marks = np.full(owner.size, "") if batch.a_marks is None else batch.a_marks
 
     def rows():
-        for pid, path in enumerate(paths):
-            am = [""] * path.n_jumps if path.a_marks is None else path.a_marks.tolist()
-            for j, (t, x, a) in enumerate(zip(path.times.tolist(), path.x_marks.tolist(), am)):
-                yield f"{pid},{j},{t!r},{x},{a}\r\n"
+        # Python objects for one chunk of rows at a time, not for the whole batch
+        for c in range(0, owner.size, _CSV_CHUNK_ROWS):
+            cut = slice(c, c + _CSV_CHUNK_ROWS)
+            columns = (v[cut].tolist() for v in (owner, index, batch.times, batch.x_marks, marks))
+            yield from (f"{i},{j},{t!r},{x},{a}\r\n" for i, j, t, x, a in zip(*columns))
 
     write_csv_rows(fileobj, "path_id,jump_index,time,X_mark,I_mark\r\n", rows())

@@ -1,6 +1,8 @@
-"""Per-path loop references for the pair samplers and the pair-path functionals.
+"""Per-path loop references for the samplers and the pair-path functionals.
 
 Each function walks one path jump by jump in plain Python:
+- controlled_path samples X under a feedback law by thinning proposals at
+  the rate bound Lambda_E (Lewis & Shedler 1979);
 - pair_path samples the reference pair (X, I) by competing exponentials at
   the total rate lambda(X, I, E) + lambda0(A);
 - tilted_path_thinning samples the nu-tilted pair by thinning I-proposals
@@ -9,9 +11,10 @@ Each function walks one path jump by jump in plain Python:
   the cost nodes;
 - girsanov_log_weight integrates the drift over the pieces cut by the jumps
   and the control's layer edges.
-jumpcontrol.simulate samples both laws with one layered competing-exponentials
-sampler and computes the integrals for a whole batch from cumulative tables;
-the tests compare the two.
+jumpcontrol.simulate thins all controlled paths of a batch at once, samples
+both pair laws with one layered competing-exponentials sampler and computes
+the integrals for a whole batch from cumulative tables; the tests compare
+the two.
 """
 from __future__ import annotations
 
@@ -30,6 +33,35 @@ def _draw(cum, total, u):
         if v < cum[i]:
             return i
     return len(cum) - 1
+
+
+def controlled_path(p, alpha, t, x, rng) -> Path:
+    """X on [t, T] under alpha: a proposal at s is accepted with probability
+    lambda(X, alpha(s, X), E) / Lambda_E, and its mark is drawn from the
+    normalized row; accepted self-jumps are genuine points."""
+    T = p.horizon
+    lam = rate_bound(p)
+    times, marks = [], []
+    if lam > 0.0:
+        rows, cums = p.row_sums.tolist(), p.rates.cumsum(axis=2).tolist()
+        inv_lam = 1.0 / lam
+        cap = _cap(lam, T - t)
+        s, cur = t, int(x)
+        n_layers = max(alpha.n_layers, 1)
+        scale = n_layers / alpha.horizon
+        while True:
+            s += rng.exponential() * inv_lam
+            if s >= T:
+                break
+            a = int(alpha.table[min(int(s * scale + 1e-12), n_layers - 1), cur])
+            r = rows[cur][a]
+            if r > 0.0 and rng.random() * lam < r:
+                cur = _draw(cums[cur][a], r, rng.random())
+                times.append(s)
+                marks.append(cur)
+                if len(times) > cap:
+                    raise ExplosionError(f"path exceeded {cap} jumps on [{t}, {T}] (bound {lam})")
+    return Path(t, int(x), None, np.array(times), np.array(marks), None, T)
 
 
 def pair_path(p, t, x, a, rng) -> Path:

@@ -67,6 +67,33 @@ class TestSolve:
         assert run_cli(["solve", "--model", M2, "--out-dir", out, "--config", str(cfg)]) == 0
         assert json.load(open(os.path.join(out, "summary.json")))["n_steps"] == 50
 
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nsteps": 50, "seed": 7}))
+        for command in (["solve"], ["simulate", "--action", "2"]):
+            code = run_cli([*command, "--model", M2, "--out-dir", str(tmp_path / "o"), "--config", str(cfg)])
+            assert code == cli.EXIT_PARSE
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "nsteps" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_takes_every_simulate_flag(self, tmp_path):
+        ids = {}
+        for start in (0, 1):
+            out = tmp_path / f"out{start}"
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({
+                "count": 7, "start_state": start, "action": "2", "seed": 3, "n_steps": 50, "tol": 1e-9,
+                "out_dir": str(out),
+            }))
+            assert run_cli(["simulate", "--model", M2, "--config", str(cfg)]) == 0
+            rows = (out / "paths.csv").read_text().splitlines()
+            assert rows[0] == "path_id,jump_index,time,X_mark,I_mark"
+            ids[start] = {int(r.split(",")[0]) for r in rows[1:]}
+        # from state 0 most of the seven paths jump at rate 2; state 1 is absorbing
+        assert ids[0] and ids[0] <= set(range(7))
+        assert ids[1] == set()
+
     @pytest.mark.parametrize("text", ["{not json", "[50]"])
     def test_bad_config_exit_2(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"

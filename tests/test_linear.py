@@ -71,32 +71,28 @@ class TestKolmogorov:
         assert math.log2(errs[1] / errs[2]) >= 3.5
 
     def test_evaluate_policy_matches_simulation(self, threestate):
-        # constant-action policy, so the running cost along a path is a sum
-        # of f(x, a0) times the sojourn lengths
+        # constant-action policy, so the running cost along a path is
+        # f(x0, a0) T plus, at each jump, the change of f(., a0) times the
+        # time left
         a0 = 0
         alpha = jc.constant_policy(threestate, a0)
         v = jc.evaluate_policy(threestate, alpha, n_steps=2000).values[0, 0]
-        f = threestate.running_cost
+        f = threestate.running_cost[:, a0]
         T = threestate.horizon
         n = 20_000
-        samples = np.empty(n)
-        for i in range(n):
-            path = jc.simulate_controlled_path(
-                threestate, alpha, 0.0, 0, None, rng=jc.child_rng(11, i)
-            )
-            run, lo, x = 0.0, 0.0, 0
-            for j in range(path.n_jumps):
-                run += f[x, a0] * (path.times[j] - lo)
-                lo, x = path.times[j], int(path.x_marks[j])
-            run += f[x, a0] * (T - lo)
-            samples[i] = run + threestate.terminal_cost[x]
+        batch = jc.simulate_controlled_paths(threestate, alpha, 0.0, 0, n, jc.child_rng(11, 0))
+        pre = np.roll(batch.x_marks, 1)
+        pre[batch.offsets[:-1][np.diff(batch.offsets) > 0]] = 0  # a path's first jump leaves x0 = 0
+        change = (f[batch.x_marks] - f[pre]) * (T - batch.times)
+        run = f[0] * T + np.bincount(batch.owner, weights=change, minlength=n)
+        samples = run + threestate.terminal_cost[batch.states_at(T)]
         se = samples.std(ddof=1) / math.sqrt(n)
         assert abs(samples.mean() - v) <= 3.0 * se
 
     def test_running_cost_along_pair_path(self, threestate):
         # exact pathwise integral of f(X, I) averaged over pair paths agrees
         # with the pair Kolmogorov solve with terminal condition zero
-        from jumpcontrol.simulate import running_cost_along_path
+        from jumpcontrol.simulate import _running_costs
 
         grid = jc.solve_kolmogorov_pair(
             threestate,
@@ -105,11 +101,9 @@ class TestKolmogorov:
             n_steps=1000,
         )
         n = 10_000
-        vals = np.array(
-            [running_cost_along_path(
-                threestate,
-                jc.simulate_pair_path(threestate, 0.0, 1, 0, None, rng=jc.child_rng(12, i)),
-            ) for i in range(n)]
+        vals = _running_costs(
+            threestate,
+            [jc.simulate_pair_path(threestate, 0.0, 1, 0, None, rng=jc.child_rng(12, i)) for i in range(n)],
         )
         se = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - grid.values[0, 1, 0]) <= 3.0 * se

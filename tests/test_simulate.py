@@ -39,12 +39,25 @@ class TestControlledPath:
         # alpha = action "2": absorption rate 2, P(X_T = 1) = 1 - exp(-2)
         alpha = jc.constant_policy(m2, 1)
         n = 30_000
-        hits = 0
-        for i in range(n):
-            path = jc.simulate_controlled_path(m2, alpha, 0.0, 0, None, rng=jc.child_rng(17, i))
-            hits += path.state_at(1.0)
+        hits = jc.simulate_controlled_paths(m2, alpha, 0.0, 0, n, jc.child_rng(17, 0)).states_at(1.0).sum()
         target = 1.0 - math.exp(-2.0)
         assert abs(hits / n - target) <= 3.0 * binom_se(target, n)
+
+    def test_batch_law_matches_kolmogorov(self, threestate):
+        # law of X_T under an 8-layer policy: P(X_T = y) solves the backward
+        # equation with g = e_y; the layer edges are grid nodes of the solve
+        p, n = threestate, 20_000
+        alpha = jc.FeedbackPolicy(np.random.default_rng(18).integers(2, size=(9, 3)), p.horizon)
+        ends = jc.simulate_controlled_paths(p, alpha, 0.0, 0, n, jc.child_rng(19, 0)).states_at(p.horizon)
+        freq = np.bincount(ends, minlength=3) / n
+        for y in range(3):
+            exact = jc.solve_kolmogorov(p, alpha, g_vec=np.eye(3)[y], n_steps=2000).values[0, 0]
+            assert abs(freq[y] - exact) <= 4.0 * binom_se(exact, n)
+
+    def test_horizon_mismatch_raises(self, m2):
+        alpha = jc.FeedbackPolicy(np.ones((5, 2)), 3.0)
+        with pytest.raises(ValueError, match="horizons differ"):
+            jc.simulate_controlled_paths(m2, alpha, 0.0, 0, 10, jc.child_rng(20, 0))
 
     def test_seed_determinism(self, m2):
         alpha = jc.constant_policy(m2, 1)
@@ -121,6 +134,73 @@ def random_model(seed, n_states, n_actions, horizon=1.3):
     )
 
 
+class TestControlledMatchesLoop:
+    """A batch of one makes the draws of the one-path thinning loop."""
+
+    RANDOM = {"random 4x3": (76, 4, 3), "random 16x2": (77, 16, 2)}
+
+    @staticmethod
+    def stiff():
+        L = 200.0
+        return jc.Problem(
+            ("0", "1"), ("0", "1"),
+            np.array([[[0.0, L], [0.0, L / 2]], [[L / 3, 0.0], [L, 0.0]]]),
+            np.array([1.0, 1.0]), np.array([[0.1, 0.3], [0.0, 0.2]]), np.array([0.0, 1.0]), 1.0,
+        )
+
+    @staticmethod
+    def absorbing():
+        # action 0 has no jumps from any state, so r = 0 and no acceptance draw
+        p = random_model(78, 3, 2)
+        rates = p.rates.copy()
+        rates[:, 0] = 0.0
+        return jc.Problem(p.states, p.actions, rates, p.lambda0, p.running_cost, p.terminal_cost, p.horizon)
+
+    @pytest.mark.parametrize("name", ["m2", "threestate", "aflat", "zero_rate", "stiff", "absorbing", *RANDOM])
+    @pytest.mark.parametrize("start", [0.0, 0.3])
+    def test_draw_for_draw(self, request, name, start):
+        if name in self.RANDOM:
+            p = random_model(*self.RANDOM[name])
+        elif name in ("stiff", "absorbing"):
+            p = getattr(self, name)()
+        else:
+            p = request.getfixturevalue(name)
+        # 40 layers of random actions
+        table = np.random.default_rng(79).integers(p.n_actions, size=(41, p.n_states))
+        alpha = jc.FeedbackPolicy(table, p.horizon)
+        t0 = start * p.horizon
+        for i in range(40 if name == "stiff" else 200):
+            x = i % p.n_states
+            got = jc.simulate_controlled_path(p, alpha, t0, x, None, rng=jc.child_rng(80, i))
+            ref = path_loops.controlled_path(p, alpha, t0, x, jc.child_rng(80, i))
+            assert got.times.tobytes() == ref.times.tobytes()
+            assert got.x_marks.tobytes() == ref.x_marks.tobytes()
+
+
+class TestPathBatch:
+    def test_round_trip(self, threestate):
+        paths = [
+            jc.simulate_pair_path(threestate, 0.1 * (i % 3), i % 3, i % 2, None, rng=jc.child_rng(81, i))
+            for i in range(50)
+        ]
+        batch = jc.PathBatch.from_paths(paths, threestate.horizon)
+        assert len(batch) == 50
+        for i, q in enumerate(paths):
+            got = batch.path(i)
+            assert (got.t0, got.x0, got.a0, got.horizon) == (q.t0, q.x0, q.a0, q.horizon)
+            for field in ("times", "x_marks", "a_marks"):
+                assert getattr(got, field).tobytes() == getattr(q, field).tobytes()
+        # and back: the flat arrays of a sampled batch survive the views
+        alpha = jc.constant_policy(threestate, 1)
+        batch = jc.simulate_controlled_paths(threestate, alpha, 0.2, 2, 50, jc.child_rng(82, 0))
+        again = jc.PathBatch.from_paths([batch.path(i) for i in range(50)], threestate.horizon)
+        assert again.a_marks is None and batch.a_marks is None
+        for field in ("t0", "x0", "times", "x_marks", "offsets"):
+            assert getattr(again, field).tobytes() == getattr(batch, field).tobytes()
+        for s in (0.2, 0.5, threestate.horizon):
+            assert batch.states_at(s).tolist() == [batch.path(i).state_at(s) for i in range(50)]
+
+
 class TestPairMatchesLoop:
     RANDOM = {"random 4x3": (70, 4, 3), "random 5x12": (75, 5, 12)}
 
@@ -192,6 +272,11 @@ class TestTiltedLaw:
 
 
 class TestTiltedPath:
+    def test_horizon_mismatch_raises(self, m2):
+        nu = jc.IntensityControl(np.full((4, 2, 2, 2), 2.0), 3.0, 2.0)
+        with pytest.raises(ValueError, match="control and path horizons differ"):
+            jc.simulate_tilted_path(m2, nu, 0.0, 0, 0, 1)
+
     def test_unit_tilt_first_jump_distribution(self, m2):
         # nu = 1 reproduces the pair dynamics: first-jump time from (0, a=1)
         # is Exp(lambda(0,1,E) + lambda0(A)) = Exp(2 + 1); KS at the 1% level.
@@ -254,11 +339,11 @@ class TestControlTypes:
         # the jump cap scales with the rate bound, so force it with an rng
         # whose waiting times are essentially zero
         class Stuck:
-            def exponential(self):
-                return 1e-12
+            def exponential(self, size=None):
+                return 1e-12 if size is None else np.full(size, 1e-12)
 
-            def random(self):
-                return 0.0
+            def random(self, size=None):
+                return 0.0 if size is None else np.zeros(size)
 
         p = jc.Problem(
             ("0", "1"), ("a",), np.full((2, 1, 2), 1.0), np.array([1.0]),
@@ -279,14 +364,14 @@ class TestPathCSV:
         import io
 
         alpha = jc.constant_policy(m2, 1)
-        paths = [jc.simulate_controlled_path(m2, alpha, 0.0, 0, None, rng=jc.child_rng(9, i)) for i in range(3)]
+        batch = jc.simulate_controlled_paths(m2, alpha, 0.0, 0, 3, jc.child_rng(9, 0))
         buf = io.StringIO()
         from jumpcontrol.simulate import paths_to_csv
 
-        paths_to_csv(paths, buf)
+        paths_to_csv(batch, buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "path_id,jump_index,time,X_mark,I_mark"
-        assert len(lines) == 1 + sum(p.n_jumps for p in paths)
+        assert len(lines) == 1 + batch.times.size
 
     def test_bytes_match_csv_writer(self, threestate):
         # controlled and pair paths, more rows than one write chunk
@@ -296,11 +381,11 @@ class TestPathCSV:
         from jumpcontrol.simulate import paths_to_csv
 
         alpha = jc.constant_policy(threestate, 1)
-        for sample in (
-            lambda i: jc.simulate_controlled_path(threestate, alpha, 0.0, 0, None, rng=jc.child_rng(10, i)),
-            lambda i: jc.simulate_pair_path(threestate, 0.2, 1, 0, None, rng=jc.child_rng(11, i)),
+        controlled = jc.simulate_controlled_paths(threestate, alpha, 0.0, 0, 2000, jc.child_rng(10, 0))
+        for paths in (
+            [controlled.path(i) for i in range(2000)],
+            [jc.simulate_pair_path(threestate, 0.2, 1, 0, None, rng=jc.child_rng(11, i)) for i in range(2000)],
         ):
-            paths = [sample(i) for i in range(2000)]
             ref = io.StringIO()
             w = csv.writer(ref)
             w.writerow(["path_id", "jump_index", "time", "X_mark", "I_mark"])
@@ -309,6 +394,6 @@ class TestPathCSV:
                     imark = "" if path.a_marks is None else int(path.a_marks[j])
                     w.writerow([pid, j, repr(float(path.times[j])), int(path.x_marks[j]), imark])
             buf = io.StringIO()
-            paths_to_csv(paths, buf)
+            paths_to_csv(jc.PathBatch.from_paths(paths, threestate.horizon), buf)
             assert sum(p.n_jumps for p in paths) > 4096
             assert buf.getvalue() == ref.getvalue()
