@@ -29,6 +29,8 @@ from .simulate import (
     simulate_controlled_path,
     simulate_controlled_paths,
     simulate_pair_path,
+    simulate_pair_paths,
+    simulate_pair_sample,
     simulate_tilted_path,
 )
 from .linear import ValueGrid, evaluate_policy, mc_check_markov, solve_kolmogorov, solve_kolmogorov_pair

@@ -29,8 +29,7 @@ import numpy as np
 from .model import Problem
 from .penalized import PenalizedSolution, penalty_integral
 from .simulate import (
-    Path, PathBatch, _cost_integrals, _mean_se, _per_path, _segment_integrals, _segments, child_rng,
-    simulate_pair_path,
+    Path, PathBatch, _cost_integrals, _mean_se, _per_path, _segment_integrals, _segments, simulate_pair_sample,
 )
 
 
@@ -129,7 +128,8 @@ def bsde_residual(p: Problem, sample: BSDESample) -> float:
 
 
 def terminal_k(vn: PenalizedSolution, paths) -> np.ndarray:
-    """K_T^n of every pair path, from one pass over their flattened segments."""
+    """K_T^n of every pair path of a list or a PathBatch, from one pass over
+    their flattened segments."""
     batch = PathBatch.from_paths(paths, vn.values.horizon)
     return _per_path(batch, lambda *seg: _k_increments(vn, *seg))
 
@@ -148,14 +148,12 @@ def constraint_violation(
 
     Equals E[K_T] / n; Lemma-level bounds keep n times this quantity
     bounded uniformly in n, so the estimate decays like 1/n. Pass `paths`
-    (n_paths paths simulated under the reference pair law from (t, x, a))
-    to reuse one batch across several levels.
+    (n_paths paths simulated under the reference pair law from (t, x, a),
+    as a list or a PathBatch) to reuse one batch across several levels;
+    without them the paths are simulate_pair_sample's from master_seed.
     """
     if paths is None:
-        paths = [
-            simulate_pair_path(p, t, x, a, None, rng=child_rng(master_seed, i))
-            for i in range(n_paths)
-        ]
+        paths = simulate_pair_sample(p, None, t, x, a, n_paths, master_seed)
     elif len(paths) != n_paths:
         raise ValueError(f"expected {n_paths} paths, got {len(paths)}")
     return _mean_se(terminal_k(vn, paths) / max(vn.level, 1))

@@ -131,10 +131,7 @@ def cmd_diagnose(args):
     miny = bsde.minimal_y_report(p, report.solutions, 0.0, x0, v0)
     _atomic_write(os.path.join(args.out_dir, "bsde.csv"), miny.to_csv)
     n_pair = min(args.paths, 2000)
-    pair_paths = [
-        simulate.simulate_pair_path(p, 0.0, x0, 0, None, rng=simulate.child_rng(args.seed, i))
-        for i in range(n_pair)
-    ]
+    pair_paths = simulate.simulate_pair_sample(p, None, 0.0, x0, 0, n_pair, args.seed)
     violations = {
         n: bsde.constraint_violation(p, report.solutions[n], 0.0, x0, 0, n_pair, paths=pair_paths)
         for n in levels

@@ -11,10 +11,11 @@ where (d1, d2) splits the compensator mass at the realized mark between
 the I-channel and the X-channel. log L_T is computed for a batch of paths:
 the drift through the segment integrator of simulate, the marks over the
 flat array of jumps. The dual gain J(t, x, a, nu) is estimated two
-independent ways, both in batches of at most 256 paths: importance
-sampling under the reference dynamics (weight L_T) and direct simulation
-under the tilted dynamics. One exact sampler draws both laws: the
-reference pair is its nu = 1 case.
+independent ways, both over one flat PathBatch evaluated 256 paths at a
+time: importance sampling under the reference dynamics (weight L_T) and
+direct simulation under the tilted dynamics. One exact batch sampler
+draws both laws (simulate.simulate_pair_sample): the reference pair is
+its nu = 1 case.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .model import Problem
 from .penalized import PenalizedSolution
 from .simulate import (
     NU_MIN, IntensityControl, Path, PathBatch, _check_horizon, _mean_se, _per_path, _prefix, _running_costs,
-    _segment_integrals, child_rng, constant_control, simulate_pair_path, simulate_tilted_path,
+    _segment_integrals, constant_control, simulate_pair_sample,
 )
 
 
@@ -58,9 +59,9 @@ def d_split(p: Problem, x_pre, i_pre, y, b):
 
 
 def _log_weights(p: Problem, nu: IntensityControl, paths) -> np.ndarray:
-    """log L_T of the nu-tilted law along each reference pair path, exactly:
-    the drift is constant on each segment within a layer of nu, and a jump
-    at T still carries its mark term."""
+    """log L_T of the nu-tilted law along each reference pair path of a list
+    or a PathBatch, exactly: the drift is constant on each segment within a
+    layer of nu, and a jump at T still carries its mark term."""
     T = p.horizon
     _check_horizon(nu, p)
     drift = float(p.lambda0.sum()) - nu.field @ p.lambda0  # [j, x, a]
@@ -91,22 +92,19 @@ def girsanov_weight(p: Problem, nu: IntensityControl, path: Path) -> float:
 _BATCH = 256  # paths per pass of the estimators; bounds their memory for any path count
 
 
-def _estimate(n_paths, paths, draw, sample) -> tuple[float, float]:
-    """Mean and standard error of sample(batch) over n_paths paths, taken
-    at most _BATCH at a time; path i is paths[i], or draw(i) without paths."""
-    if paths is not None and len(paths) != n_paths:
+def _estimate(p: Problem, n_paths, paths, sample) -> tuple[float, float]:
+    """Mean and standard error of sample(part) over the n_paths paths of a
+    list or a PathBatch, flattened once and taken _BATCH paths at a time."""
+    if len(paths) != n_paths:
         raise ValueError(f"expected {n_paths} paths, got {len(paths)}")
-    samples = np.empty(n_paths)
-    for i in range(0, n_paths, _BATCH):
-        j = min(i + _BATCH, n_paths)
-        batch = paths[i:j] if paths is not None else [draw(k) for k in range(i, j)]
-        samples[i:j] = sample(batch)
-    return _mean_se(samples)
+    batch = PathBatch.from_paths(paths, p.horizon)
+    samples = [sample(batch.part(i, i + _BATCH)) for i in range(0, n_paths, _BATCH)]
+    return _mean_se(np.concatenate([np.empty(0), *samples]))
 
 
-def _payoffs(p: Problem, batch) -> np.ndarray:
+def _payoffs(p: Problem, batch: PathBatch) -> np.ndarray:
     """g(X_T) plus the running cost along each path of a batch."""
-    return p.terminal_cost[[q.state_at(p.horizon) for q in batch]] + _running_costs(p, batch)
+    return p.terminal_cost[batch.states_at(p.horizon)] + _running_costs(p, batch)
 
 
 def dual_gain_importance(
@@ -122,13 +120,13 @@ def dual_gain_importance(
     """J(t, x, a, nu) by importance sampling under the reference dynamics.
 
     Pass `paths` (n_paths paths simulated under the reference pair law from
-    (t, x, a)) to reuse one batch across several controls.
+    (t, x, a), as a list or a PathBatch) to reuse one batch across several
+    controls; without them the paths are simulate_pair_sample's from
+    master_seed.
     """
-    return _estimate(
-        n_paths, paths,
-        lambda i: simulate_pair_path(p, t, x, a, None, rng=child_rng(master_seed, i)),
-        lambda batch: np.exp(_log_weights(p, nu, batch)) * _payoffs(p, batch),
-    )
+    if paths is None:
+        paths = simulate_pair_sample(p, None, t, x, a, n_paths, master_seed)
+    return _estimate(p, n_paths, paths, lambda batch: np.exp(_log_weights(p, nu, batch)) * _payoffs(p, batch))
 
 
 def dual_gain_direct(
@@ -141,11 +139,8 @@ def dual_gain_direct(
     master_seed: int = 0,
 ) -> tuple[float, float]:
     """J(t, x, a, nu) by direct simulation under the tilted dynamics."""
-    return _estimate(
-        n_paths, None,
-        lambda i: simulate_tilted_path(p, nu, t, x, a, None, rng=child_rng(master_seed, i)),
-        lambda batch: _payoffs(p, batch),
-    )
+    paths = simulate_pair_sample(p, nu, t, x, a, n_paths, master_seed)
+    return _estimate(p, n_paths, paths, lambda batch: _payoffs(p, batch))
 
 
 def girsanov_mean_weight(
@@ -160,11 +155,9 @@ def girsanov_mean_weight(
 ) -> tuple[float, float]:
     """MC mean of L_T, exactly 1 by the martingale property; `paths` as for
     dual_gain_importance."""
-    return _estimate(
-        n_paths, paths,
-        lambda i: simulate_pair_path(p, t, x, a, None, rng=child_rng(master_seed, i)),
-        lambda batch: np.exp(_log_weights(p, nu, batch)),
-    )
+    if paths is None:
+        paths = simulate_pair_sample(p, None, t, x, a, n_paths, master_seed)
+    return _estimate(p, n_paths, paths, lambda batch: np.exp(_log_weights(p, nu, batch)))
 
 
 def greedy_control_from_vn(

@@ -9,11 +9,16 @@ its total rate is constant on each layer of nu, so each jump spends one
 Exp(1) of cumulative hazard across the layer edges. The uncontrolled pair,
 with the autonomous lambda0-driven action component, is the tilt nu = 1.
 
-Every path is a pure function of (problem, inputs, seed). The pair
-samplers draw one path per stream, and path i of a batch uses the child
-stream SeedSequence(entropy=master_seed, spawn_key=(i,)), so batch
-statistics are independent of worker count and scheduling. A controlled
-batch draws all its paths from the one stream it is given.
+Both batch samplers advance every live path of a batch by one event per
+round, on the one stream they are given, and return a PathBatch; a batch
+of one makes the draws of the one-path loop. Every path is a pure function
+of (problem, inputs, seed). A pair sample of n paths from master_seed
+(simulate_pair_sample, behind every pair-path estimator) cuts them into
+chunks of 4096 paths: chunk c is one batch on the child stream
+SeedSequence(entropy=master_seed, spawn_key=(c,)), so its statistics do
+not depend on how the work is scheduled. The one-path pair samplers
+(simulate_pair_path, simulate_tilted_path) draw one path per stream; they
+keep a scalar loop, which is several times faster than a batch of one.
 
 Every time integral along pair paths (the running cost here, the Girsanov
 drift in randomized, K and the compensator in bsde) runs over the flattened
@@ -23,6 +28,7 @@ segment (_segment_integrals), summed per path in bounded chunks (_per_path).
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -69,7 +75,7 @@ class Path:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        if t.size and not (np.all(np.diff(t) > 0) and t[0] > self.t0 and t[-1] <= self.horizon):
+        if t.size and not ((t[1:] > t[:-1]).all() and t[0] > self.t0 and t[-1] <= self.horizon):
             raise ValueError("jump times must be strictly increasing in (t0, T]")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "x_marks", np.asarray(self.x_marks, dtype=np.int64))
@@ -108,9 +114,13 @@ class PathBatch:
 
     @classmethod
     def from_paths(cls, paths, horizon: float) -> PathBatch:
-        """Flatten Path objects; the batch is X-only unless every path is a pair path."""
-        if any(abs(q.horizon - horizon) > 1e-12 for q in paths):
+        """Flatten Path objects; the batch is X-only unless every path is a
+        pair path. A PathBatch is returned as it is."""
+        flat = isinstance(paths, PathBatch)
+        if any(abs(q.horizon - horizon) > 1e-12 for q in ([paths] if flat else paths)):
             raise ValueError("path horizon differs from the problem's")
+        if flat:
+            return paths
         pair = all(q.a_marks is not None for q in paths)
 
         def flat(arrays, dtype):
@@ -127,8 +137,33 @@ class PathBatch:
             horizon,
         )
 
+    @classmethod
+    def concat(cls, batches, horizon: float) -> PathBatch:
+        """The pair paths of every batch, in order."""
+
+        def cat(name, dtype):
+            return np.concatenate([np.empty(0, dtype), *(getattr(b, name) for b in batches)])
+
+        jumps = np.concatenate([np.empty(0, np.int64), *(np.diff(b.offsets) for b in batches)])
+        return cls(
+            cat("t0", float), cat("x0", np.int64), cat("a0", np.int64), cat("times", float),
+            cat("x_marks", np.int64), cat("a_marks", np.int64), np.concatenate(([0], np.cumsum(jumps))),
+            horizon,
+        )
+
     def __len__(self):
         return self.offsets.size - 1
+
+    def part(self, i: int, j: int) -> PathBatch:
+        """Paths i to j - 1, as views of the flat arrays."""
+        j = min(j, len(self))
+        lo, hi = self.offsets[i], self.offsets[j]
+        pair = self.a0 is not None
+        return PathBatch(
+            self.t0[i:j], self.x0[i:j], self.a0[i:j] if pair else None, self.times[lo:hi],
+            self.x_marks[lo:hi], self.a_marks[lo:hi] if pair else None, self.offsets[i : j + 1] - lo,
+            self.horizon,
+        )
 
     @property
     def owner(self) -> np.ndarray:
@@ -236,32 +271,26 @@ def constant_control(p: Problem, values, n_max: float | None = None) -> Intensit
     return IntensityControl(field, p.horizon, n_max)
 
 
-def _draw_index(cum, total, u):
-    """Inverse-CDF draw from an unnormalized cumulative table."""
-    v = u * total
-    last = len(cum) - 1
-    for i in range(last):
-        if v < cum[i]:
-            return i
-    return last
-
-
 def _sim_tables(p: Problem) -> dict:
     """Per-problem lookup tables (cached lazily).
 
-    Plain nested lists: scalar indexing in the tight simulation loops is
-    several times faster on lists than on numpy arrays. "unit" is the tilt
-    nu = 1 of the reference pair. "cost_cum" is the integral of f up to
-    each cost node; a constant f has the nodes 0 and T.
+    "cum" is the cumulative rate table cum[x, a, y] of the batch samplers.
+    "rows" and "cums" are the row sums and "cum" as plain nested lists:
+    scalar indexing in the one-path loop is several times faster on lists
+    than on numpy arrays. "unit" is the tilt nu = 1 of the reference pair.
+    "cost_cum" is the integral of f up to each cost node; a constant f has
+    the nodes 0 and T.
     """
     tables = p.__dict__.get("_sim_tables")
     if tables is None:
         f = p.running_cost
         nodes = f if f.ndim == 3 else np.stack((f, f))
         dt = p.horizon / (nodes.shape[0] - 1)
+        cum = p.rates.cumsum(axis=2)
         tables = {
+            "cum": cum,
             "rows": p.row_sums.tolist(),
-            "cums": p.rates.cumsum(axis=2).tolist(),
+            "cums": cum.tolist(),
             "lam0_tot": float(p.lambda0.sum()),
             "lam": rate_bound(p),
             "unit": constant_control(p, 1.0),
@@ -296,12 +325,13 @@ def simulate_controlled_paths(
     """
     _check_horizon(alpha, p)
     T = p.horizon
-    lam = _sim_tables(p)["lam"]
+    tab = _sim_tables(p)
+    lam = tab["lam"]
     live = np.arange(count if lam > 0.0 else 0)
     s = np.full(live.size, float(t))
     cur = np.full(live.size, int(x))
     jumps = np.zeros(count, dtype=np.int64)
-    rows, cums = p.row_sums, p.rates.cumsum(axis=2)
+    rows, cums = p.row_sums, tab["cum"]
     cap = _cap(lam, T - t)
     n_layers = max(alpha.n_layers, 1)
     scale = n_layers / alpha.horizon
@@ -314,7 +344,7 @@ def simulate_controlled_paths(
         r = rows[cur, a]
         hit = np.flatnonzero(r > 0.0)
         hit = hit[rng.random(size=hit.size) * lam < r[hit]]
-        # The mark is the first state whose cumulative rate exceeds u r, as in _draw_index.
+        # The mark is the first state whose cumulative rate exceeds u r.
         v = rng.random(size=hit.size) * r[hit]
         cur[hit] = np.minimum((cums[cur[hit], a[hit]] <= v[:, None]).sum(axis=1), p.n_states - 1)
         ids = live[hit]
@@ -353,40 +383,45 @@ def simulate_tilted_path(
 
 
 def _tilt_tables(p: Problem, nu: IntensityControl):
-    """Per-control lookup lists, cached on the control for one lambda0.
+    """Per-control lookup tables, cached on the control for one lambda0.
 
-    irate[j][x][a] is the I-rate sum_b nu_j(x, a, b) lambda0[b] on layer j,
-    icum[j][x][a] its cumulative over b, and edges[j] the right edge of
-    layer j (inf for the last layer).
+    irate[j, x, a] is the I-rate sum_b nu_j(x, a, b) lambda0[b] on layer j,
+    icum[j, x, a] its cumulative over b, and edges[j] the right edge of
+    layer j (inf for the last layer). Returns (irate, icum, edges) as
+    arrays for the batch sampler and as nested lists of the same numbers
+    for the one-path loop.
     """
     cached = nu.__dict__.get("_tilt_tables")
     if cached is None or cached[0] is not p.lambda0:
         rates = nu.field * p.lambda0
         n = nu.n_layers
-        edges = (np.arange(1, n) * nu.horizon / n).tolist() + [math.inf]
-        cached = (p.lambda0, rates.sum(axis=-1).tolist(), rates.cumsum(axis=-1).tolist(), edges)
+        arrays = (rates.sum(axis=-1), rates.cumsum(axis=-1), np.append(np.arange(1, n) * nu.horizon / n, math.inf))
+        cached = (p.lambda0, arrays, tuple(v.tolist() for v in arrays))
         object.__setattr__(nu, "_tilt_tables", cached)
     return cached[1:]
 
 
 def _pair_path(p: Problem, nu: IntensityControl, t: float, x: int, a: int, seed, rng) -> Path:
-    """The one pair sampler behind simulate_pair_path and simulate_tilted_path,
-    kept as two names so that a tracer tells the two kinds of call apart.
+    """The one-path pair sampler behind simulate_pair_path and
+    simulate_tilted_path, kept as two names so that a tracer tells the two
+    kinds of call apart.
 
     Competing exponentials: on each layer j of nu the total rate
     lambda(X, I, E) + sum_b nu_j(X, I, b) lambda0[b] is constant, so each
     jump spends one Exp(1) draw of cumulative hazard, carried across layer
     edges. An X-jump keeps I and draws the new state from the normalized
     row; an I-jump keeps X and draws the new action from nu_j(X, I, .)
-    lambda0. No proposal is rejected.
+    lambda0: the first index whose cumulative weight exceeds u times the
+    total. No proposal is rejected.
     """
     if rng is None:
         rng = child_rng(seed, 0) if np.isscalar(seed) else np.random.default_rng(seed)
     T = p.horizon
     tab = _sim_tables(p)
     rows, cums = tab["rows"], tab["cums"]
-    irate, icum, edges = _tilt_tables(p, nu)
+    _, (irate, icum, edges) = _tilt_tables(p, nu)
     cap = _cap(tab["lam"] + nu.n_max * tab["lam0_tot"], T - t)
+    last_x, last_a = p.n_states - 1, p.n_actions - 1
     j = nu.layer_index(t)
     s, cx, ca = t, int(x), int(a)
     times, xm, am = [], [], []
@@ -411,15 +446,95 @@ def _pair_path(p: Problem, nu: IntensityControl, t: float, x: int, a: int, seed,
         if s >= T:
             break
         if unif() * r < rx:
-            cx = _draw_index(cums[cx][ca], rx, unif())
+            cx = min(bisect.bisect_right(cums[cx][ca], unif() * rx), last_x)
         else:
-            ca = _draw_index(icum[j][cx][ca], ri, unif())
+            ca = min(bisect.bisect_right(icum[j][cx][ca], unif() * ri), last_a)
         times.append(s)
         xm.append(cx)
         am.append(ca)
         if len(times) > cap:
             raise ExplosionError(f"pair path exceeded {cap} jumps on [{t}, {T}]")
     return Path(t, int(x), int(a), np.array(times), np.array(xm), np.array(am), T)
+
+
+def simulate_pair_paths(
+    p: Problem, nu: IntensityControl, t: float, x: int, a: int, count: int, rng
+) -> PathBatch:
+    """Sample `count` paths of the pair (X, I) on [t, T] from (x, a), with
+    I-intensity nu(s, X, I, b) * lambda0[b], all from the one stream rng.
+
+    The law and the arithmetic of _pair_path, one jump of every live path
+    per round: paths whose total rate is zero retire; the others draw
+    their Exp(1) and carry it across the layer edges of nu; paths that
+    reach T stop; the rest draw their channel uniforms, then their mark
+    uniforms, in path order. So a batch of one makes the draws of the
+    one-path loop, and every path that survives a round jumps in it.
+    """
+    _check_horizon(nu, p)
+    T = p.horizon
+    tab = _sim_tables(p)
+    rows, cums = p.row_sums, tab["cum"]
+    (irate, icum, edges), _ = _tilt_tables(p, nu)
+    cap = _cap(tab["lam"] + nu.n_max * tab["lam0_tot"], T - t)
+    live = np.arange(count)
+    s = np.full(count, float(t))
+    j = np.full(count, nu.layer_index(t))
+    cx, ca = np.full(count, int(x)), np.full(count, int(a))
+    empty = np.empty(0, np.int64)
+    events = [(empty, np.empty(0), empty, empty)]  # (path, time, X mark, I mark) per round
+    rounds = 0
+    while live.size:
+        rx = rows[cx, ca]
+        ri = irate[j, cx, ca]
+        r = rx + ri
+        keep = r > 0.0
+        # Fancy indexing copies, so no later round writes to an array in events.
+        live, s, j, cx, ca, rx, ri, r = (v[keep] for v in (live, s, j, cx, ca, rx, ri, r))
+        e = rng.exponential(size=live.size)
+        over = np.flatnonzero(e >= (edges[j] - s) * r)
+        while over.size:
+            k = j[over]
+            e[over] -= (edges[k] - s[over]) * r[over]
+            s[over] = edges[k]
+            j[over] = k = k + 1
+            ri[over] = irate[k, cx[over], ca[over]]
+            r[over] = rx[over] + ri[over]
+            over = over[e[over] >= (edges[k] - s[over]) * r[over]]
+        s += e / r
+        keep = s < T
+        live, s, j, cx, ca, rx, ri, r = (v[keep] for v in (live, s, j, cx, ca, rx, ri, r))
+        on_x = rng.random(size=live.size) * r < rx
+        u = rng.random(size=live.size)
+        hx, hi = np.flatnonzero(on_x), np.flatnonzero(~on_x)
+        cx[hx] = np.minimum((cums[cx[hx], ca[hx]] <= (u[hx] * rx[hx])[:, None]).sum(axis=1), p.n_states - 1)
+        ca[hi] = np.minimum((icum[j[hi], cx[hi], ca[hi]] <= (u[hi] * ri[hi])[:, None]).sum(axis=1), p.n_actions - 1)
+        events.append((live, s, cx, ca))
+        rounds += 1
+        if live.size and rounds > cap:
+            raise ExplosionError(f"pair path exceeded {cap} jumps on [{t}, {T}]")
+    who, when, xm, am = (np.concatenate(column) for column in zip(*events))
+    order = np.argsort(who, kind="stable")  # rounds run forward in time, so each path's jumps stay in order
+    return PathBatch(
+        np.full(count, float(t)), np.full(count, int(x)), np.full(count, int(a)),
+        when[order], xm[order], am[order], np.concatenate(([0], np.cumsum(np.bincount(who, minlength=count)))), T,
+    )
+
+
+_STREAM_PATHS = 4096  # paths per child stream of a pair sample: part of the seeding contract
+
+
+def simulate_pair_sample(
+    p: Problem, nu: IntensityControl | None, t: float, x: int, a: int, n_paths: int, master_seed: int
+) -> PathBatch:
+    """n_paths pair paths from (t, x, a) under the tilt nu, or the reference
+    pair for None. Chunk c, paths c * 4096 to (c + 1) * 4096 - 1, is one
+    simulate_pair_paths batch on child_rng(master_seed, c)."""
+    nu = _sim_tables(p)["unit"] if nu is None else nu
+    chunks = [
+        simulate_pair_paths(p, nu, t, x, a, min(_STREAM_PATHS, n_paths - i), child_rng(master_seed, c))
+        for c, i in enumerate(range(0, n_paths, _STREAM_PATHS))
+    ]
+    return PathBatch.concat(chunks, p.horizon)
 
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:
@@ -508,7 +623,8 @@ def _cost_integrals(p: Problem, lo, hi, x, a) -> np.ndarray:
 
 
 def _running_costs(p: Problem, paths) -> np.ndarray:
-    """Exact integral of f(s, X_s, I_s) ds over [t0, T] along each pair path."""
+    """Exact integral of f(s, X_s, I_s) ds over [t0, T] along each pair path
+    of a list or a PathBatch."""
     return _per_path(PathBatch.from_paths(paths, p.horizon), lambda *seg: _cost_integrals(p, *seg))
 
 

@@ -180,13 +180,13 @@ class TestConstraintViolation:
 
     def test_reused_paths_give_the_same_estimate(self, threestate):
         vn = jc.solve_penalized(threestate, 8, n_steps=300)
-        paths = [
-            jc.simulate_pair_path(threestate, 0.0, 0, 1, None, rng=jc.child_rng(12, i))
-            for i in range(150)
-        ]
+        # 150 paths are one batch on child stream 0 of the master seed
+        batch = jc.simulate_pair_paths(threestate, jc.constant_control(threestate, 1.0), 0.0, 0, 1, 150,
+                                       jc.child_rng(12, 0))
         fresh = constraint_violation(threestate, vn, 0.0, 0, 1, 150, 12)
-        reused = constraint_violation(threestate, vn, 0.0, 0, 1, 150, paths=paths)
+        reused = constraint_violation(threestate, vn, 0.0, 0, 1, 150, paths=[batch.path(i) for i in range(150)])
         assert reused == fresh
+        assert constraint_violation(threestate, vn, 0.0, 0, 1, 150, paths=batch) == fresh
 
     def test_rejects_a_batch_of_the_wrong_size(self, m2):
         vn = jc.solve_penalized(m2, 2, n_steps=100)

@@ -166,10 +166,12 @@ class TestBatchMatchesLoops:
         assert got[-1] - girsanov_weight(p, nu, no_last) == pytest.approx(math.log(nu.field[-1, 0, 1, 0]))
 
     def test_estimators_average_the_loop_samples(self, case):
-        # 600 paths: two full batches and a partial one
+        # 600 paths: two full batches and a partial one; without paths= the
+        # estimators draw them as one batch on child stream 0
         p, nu, _ = case
         n, T = 600, p.horizon
-        ref_paths = [jc.simulate_pair_path(p, 0.0, 1, 0, None, rng=jc.child_rng(84, i)) for i in range(n)]
+        batch = jc.simulate_pair_paths(p, jc.constant_control(p, 1.0), 0.0, 1, 0, n, jc.child_rng(84, 0))
+        ref_paths = [batch.path(i) for i in range(n)]
         payoff = np.array([
             p.terminal_cost[q.state_at(T)] + path_loops.running_cost_along_path(p, q) for q in ref_paths
         ])
@@ -181,12 +183,23 @@ class TestBatchMatchesLoops:
             assert estimate == pytest.approx(
                 (samples.mean(), samples.std(ddof=1) / math.sqrt(n)), rel=1e-12
             )
-        tilted = [jc.simulate_tilted_path(p, nu, 0.0, 1, 0, None, rng=jc.child_rng(85, i)) for i in range(n)]
+        batch = jc.simulate_pair_paths(p, nu, 0.0, 1, 0, n, jc.child_rng(85, 0))
+        tilted = [batch.path(i) for i in range(n)]
         direct = np.array([
             p.terminal_cost[q.state_at(T)] + path_loops.running_cost_along_path(p, q) for q in tilted
         ])
         assert dual_gain_direct(p, nu, 0.0, 1, 0, n, master_seed=85) == pytest.approx(
             (direct.mean(), direct.std(ddof=1) / math.sqrt(n)), rel=1e-12
+        )
+
+    def test_chunk_c_of_4096_paths_is_child_stream_c(self, case):
+        p, nu, _ = case
+        T = p.horizon
+        chunks = [jc.simulate_pair_paths(p, nu, 0.0, 2, 1, n, jc.child_rng(89, c)) for c, n in enumerate((4096, 5))]
+        paths = [b.path(i) for b in chunks for i in range(len(b))]
+        payoff = np.array([p.terminal_cost[q.state_at(T)] + path_loops.running_cost_along_path(p, q) for q in paths])
+        assert dual_gain_direct(p, nu, 0.0, 2, 1, 4101, master_seed=89) == pytest.approx(
+            (payoff.mean(), payoff.std(ddof=1) / math.sqrt(4101)), rel=1e-12
         )
 
 

@@ -13,6 +13,25 @@ def binom_se(p_hat, n):
     return math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / n)
 
 
+def paths_of(batch):
+    return [batch.path(i) for i in range(len(batch))]
+
+
+class TestPathChecks:
+    def test_jump_times_strictly_increasing_in_t0_to_T(self):
+        T = 1.0
+
+        def path(times):
+            marks = np.zeros(len(times), dtype=np.int64)
+            return jc.Path(0.2, 0, 0, np.array(times), marks, marks, T)
+
+        for bad in ([0.3, 0.3], [0.2, 0.5], [0.5, T + 1e-9], [0.6, 0.4]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                path(bad)
+        assert path([0.5, T]).n_jumps == 2
+        assert path([]).n_jumps == 0
+
+
 class TestLayerIndex:
     @pytest.mark.parametrize("T", [1.0, 0.7, 2.5])
     @pytest.mark.parametrize("n", [8, 64, 2000])
@@ -225,6 +244,34 @@ class TestPairMatchesLoop:
                 assert getattr(got, field).tobytes() == getattr(ref, field).tobytes()
 
 
+class TestPairBatchMatchesLoop:
+    """A batch of one makes the draws of the one-path pair loop, for the
+    reference pair and for a 5-layer tilt."""
+
+    RANDOM = {"random 5x12": (75, 5, 12)}
+
+    @pytest.mark.parametrize("name", ["m2", "threestate", "aflat", "zero_rate", *RANDOM])
+    @pytest.mark.parametrize("tilt", ["unit", "5 layers"])
+    @pytest.mark.parametrize("start", [0.0, 0.33])  # 0.33 T lies inside layer 1 of 5
+    def test_draw_for_draw(self, request, name, tilt, start):
+        p = random_model(*self.RANDOM[name]) if name in self.RANDOM else request.getfixturevalue(name)
+        nS, nA, T = p.n_states, p.n_actions, p.horizon
+        t0 = start * T
+        if tilt == "unit":
+            nu = jc.constant_control(p, 1.0)
+            loop = lambda x, a, rng: jc.simulate_pair_path(p, t0, x, a, None, rng=rng)
+        else:
+            field = np.random.default_rng(87).choice([NU_MIN, 0.25, 1.0, 3.0, 6.0], size=(5, nS, nA, nA))
+            nu = jc.IntensityControl(field, T, 6.0)
+            loop = lambda x, a, rng: jc.simulate_tilted_path(p, nu, t0, x, a, None, rng=rng)
+        for i in range(100):
+            x, a = i % nS, i % nA
+            got = jc.simulate_pair_paths(p, nu, t0, x, a, 1, jc.child_rng(88, i)).path(0)
+            ref = loop(x, a, jc.child_rng(88, i))
+            for field in ("times", "x_marks", "a_marks"):
+                assert getattr(got, field).tobytes() == getattr(ref, field).tobytes()
+
+
 class TestTiltedLaw:
     """(X_T, I_T) under a 5-layer nu against the exact layered chain: the
     product over layers of expm of the pair generator on E x A."""
@@ -250,8 +297,13 @@ class TestTiltedLaw:
         return law
 
     SAMPLERS = {
-        "exact hazard": lambda p, nu, t0, i: jc.simulate_tilted_path(p, nu, t0, 0, 1, None, rng=jc.child_rng(73, i)),
-        "thinning": lambda p, nu, t0, i: path_loops.tilted_path_thinning(p, nu, t0, 0, 1, jc.child_rng(73, i)),
+        "exact hazard": lambda p, nu, t0, n: [
+            jc.simulate_tilted_path(p, nu, t0, 0, 1, None, rng=jc.child_rng(73, i)) for i in range(n)
+        ],
+        "thinning": lambda p, nu, t0, n: [
+            path_loops.tilted_path_thinning(p, nu, t0, 0, 1, jc.child_rng(73, i)) for i in range(n)
+        ],
+        "batch": lambda p, nu, t0, n: paths_of(jc.simulate_pair_paths(p, nu, t0, 0, 1, n, jc.child_rng(73, 0))),
     }
 
     @pytest.mark.parametrize("sampler", list(SAMPLERS))
@@ -264,7 +316,7 @@ class TestTiltedLaw:
         nu = jc.IntensityControl(field, T, 6.0)
         t0, n = start * T, 20_000
         draw = self.SAMPLERS[sampler]
-        ends = [(q.state_at(T), q.action_at(T)) for q in (draw(p, nu, t0, i) for i in range(n))]
+        ends = [(q.state_at(T), q.action_at(T)) for q in draw(p, nu, t0, n)]
         freq = np.bincount([x * nA + a for x, a in ends], minlength=nS * nA) / n
         exact = self.exact_law(p, nu, t0, 0, 1)
         for f, e in zip(freq, exact):
@@ -276,6 +328,8 @@ class TestTiltedPath:
         nu = jc.IntensityControl(np.full((4, 2, 2, 2), 2.0), 3.0, 2.0)
         with pytest.raises(ValueError, match="control and path horizons differ"):
             jc.simulate_tilted_path(m2, nu, 0.0, 0, 0, 1)
+        with pytest.raises(ValueError, match="control and path horizons differ"):
+            jc.simulate_pair_paths(m2, nu, 0.0, 0, 0, 10, jc.child_rng(20, 0))
 
     def test_unit_tilt_first_jump_distribution(self, m2):
         # nu = 1 reproduces the pair dynamics: first-jump time from (0, a=1)
@@ -354,6 +408,8 @@ class TestControlTypes:
             lambda: jc.simulate_controlled_path(p, jc.constant_policy(p, 0), 0.0, 0, None, rng=Stuck()),
             lambda: jc.simulate_pair_path(p, 0.0, 0, 0, None, rng=Stuck()),
             lambda: jc.simulate_tilted_path(p, nu, 0.0, 0, 0, None, rng=Stuck()),
+            lambda: jc.simulate_pair_paths(p, jc.constant_control(p, 1.0), 0.0, 0, 0, 3, Stuck()),
+            lambda: jc.simulate_pair_paths(p, nu, 0.0, 0, 0, 3, Stuck()),
         ):
             with pytest.raises(ExplosionError):
                 sample()
