@@ -33,9 +33,9 @@ from .simulate import (
     simulate_pair_sample,
     simulate_tilted_path,
 )
-from .linear import ValueGrid, evaluate_policy, mc_check_markov, solve_kolmogorov, solve_kolmogorov_pair
+from .linear import ValueGrid, evaluate_policy, solve_kolmogorov, solve_kolmogorov_pair
 from .hjb import HJBSolution, NonconvergenceError, extract_feedback, hamiltonian, solve_hjb_marching, solve_hjb_picard
-from .penalized import PenalizedSolution, convergence_report, penalty_term, solve_penalized
+from .penalized import PenalizedSolution, convergence_report, solve_penalized
 from .randomized import (
     d_split,
     dual_gain_direct,

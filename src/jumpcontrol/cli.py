@@ -1,8 +1,8 @@
 """Command-line front end: solve, diagnose, simulate.
 
 Exit codes: 0 success, 2 model parse error, 3 validation failure (of the
-model or of an argument: a state index, penalization levels), 4 solver
-nonconvergence, 5 diagnostic suite failure.
+model or of an argument: a state index, penalization levels, a march past
+penalized.MAX_RK4_STEPS), 4 solver nonconvergence, 5 diagnostic suite failure.
 """
 from __future__ import annotations
 
@@ -116,7 +116,10 @@ def cmd_diagnose(args):
     p = _load(args)
     primal = _solve_primal(p, args)
     os.makedirs(args.out_dir, exist_ok=True)
-    report = penalized.convergence_report(p, levels, n_steps=args.n_steps, primal=primal)
+    try:
+        report = penalized.convergence_report(p, levels, n_steps=args.n_steps, primal=primal)
+    except ValueError as exc:  # a march past penalized.MAX_RK4_STEPS
+        _invalid(exc)
     _atomic_write(os.path.join(args.out_dir, "penalized.csv"), report.to_csv)
 
     x0 = 0

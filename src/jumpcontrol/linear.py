@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Problem, _interp, cost_layer, pair_rate_bound, rate_bound
-from .simulate import FeedbackPolicy, _mean_se, child_rng, simulate_controlled_paths
+from .simulate import FeedbackPolicy, _sim_tables
 
 _STABILITY = 0.5
 _CSV_CHUNK_ROWS = 4096
+_COST_BLOCK = 1 << 16  # bounds the cost table of one block of RK4 sub-steps
 
 
 @dataclass(frozen=True)
@@ -91,39 +92,59 @@ def write_csv_rows(fileobj, header, rows):
         fileobj.write(text)
 
 
-def _rk4_march(v_terminal, n_steps, T, deriv, n_sub):
-    """March dv/ds = deriv(s, v) backward from T to 0 on the uniform grid."""
+def _rk4_march(v_terminal, n_steps, T, deriv, n_sub, cost=None):
+    """March dv/ds = deriv(s, v) - cost(s) backward from T to 0 on the uniform
+    grid by classical RK4, n_sub equal sub-steps per grid step.
+
+    deriv(s, v, out) writes into out, a stage buffer allocated once, and
+    must not write v. cost, if given, maps an array of stage times to the
+    running cost there (the times' shape leads; the rest broadcasts against
+    v); each call covers a block of sub-steps, one row (s, s - h/2, s - h)
+    per sub-step, of at most _COST_BLOCK entries of v's size.
+    """
     dt = T / n_steps
-    out = np.empty((n_steps + 1, *np.shape(v_terminal)))
-    out[n_steps] = v_terminal
     h = dt / n_sub
-    for k in range(n_steps - 1, -1, -1):
-        v = out[k + 1]
-        s = (k + 1) * dt
-        for _ in range(n_sub):
-            k1 = deriv(s, v)
-            k2 = deriv(s - 0.5 * h, v - 0.5 * h * k1)
-            k3 = deriv(s - 0.5 * h, v - 0.5 * h * k2)
-            k4 = deriv(s - h, v - h * k3)
-            v = v - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            s -= h
-        out[k] = v
+    out = np.empty((n_steps + 1, *np.shape(v_terminal)))
+    out[n_steps] = v = np.array(v_terminal, dtype=float, order="C")
+    k1, k2, k3, k4, w = (np.empty_like(v) for _ in range(5))
+    block = max(1, _COST_BLOCK // (3 * v.size))
+    offsets = np.array([0.0, 0.5 * h, h])
+    for top in range(n_steps * n_sub, 0, -block):
+        ends = np.arange(top, max(top - block, 0), -1)
+        nodes = -(-ends // n_sub)  # sub-step i below node k starts at t_k - i h
+        times = (nodes * dt - (nodes * n_sub - ends) * h)[:, None] - offsets
+        costs = itertools.repeat((0.0,) * 3) if cost is None else cost(times)
+        for end, (s, s_mid, s_end), c in zip(ends.tolist(), times.tolist(), costs):
+            deriv(s, v, k1)
+            k1 -= c[0]
+            np.multiply(k1, -0.5 * h, out=w)
+            w += v
+            deriv(s_mid, w, k2)
+            k2 -= c[1]
+            np.multiply(k2, -0.5 * h, out=w)
+            w += v
+            deriv(s_mid, w, k3)
+            k3 -= c[1]
+            np.multiply(k3, -h, out=w)
+            w += v
+            deriv(s_end, w, k4)
+            k4 -= c[2]
+            # v -= h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            k2 *= 2.0
+            k2 += k1
+            k3 *= 2.0
+            k2 += k3
+            k2 += k4
+            k2 *= h / 6.0
+            v -= k2
+            if (end - 1) % n_sub == 0:
+                out[(end - 1) // n_sub] = v
     return out
 
 
-def pair_x_generator(p: Problem):
-    """The X part of the pair generator, with the action argument frozen.
-
-    Returns v -> sum_y (v(y, a) - v(x, a)) lambda(x, a, y) for v of shape
-    (..., n_states, n_actions); lambda(x, a, E) is summed once here, not
-    once per call.
-    """
-    rates, rows = p.rates, p.row_sums
-
-    def apply(v):
-        return np.einsum("xay,...ya->...xa", rates, v) - rows * v
-
-    return apply
+def _stage_table(f):
+    """The march's cost argument for a callable s -> layer, or None."""
+    return None if f is None else (lambda ts: [list(map(f, row)) for row in ts.tolist()])
 
 
 def policy_running_cost(p: Problem, alpha: FeedbackPolicy):
@@ -155,15 +176,11 @@ def solve_kolmogorov(
     dt = p.horizon / n_steps
     n_sub = max(1, math.ceil(dt * rate_bound(p) / _STABILITY))
 
-    def deriv(s, v):
-        acts = alpha.table[alpha.layer_index(s)]
-        lam = p.rates[idx, acts]
-        drift = lam @ v - lam.sum(axis=1) * v
-        if f_running is not None:
-            drift = drift + f_running(s)
-        return -drift
+    def deriv(s, v, out):
+        lam = p.rates[idx, alpha.table[alpha.layer_index(s)]]
+        np.subtract(lam.sum(axis=1) * v, lam @ v, out=out)
 
-    return ValueGrid(_rk4_march(g, n_steps, p.horizon, deriv, n_sub), p.horizon)
+    return ValueGrid(_rk4_march(g, n_steps, p.horizon, deriv, n_sub, _stage_table(f_running)), p.horizon)
 
 
 def evaluate_policy(p: Problem, alpha: FeedbackPolicy, n_steps: int = 2000) -> ValueGrid:
@@ -185,49 +202,14 @@ def solve_kolmogorov_pair(
     """
     if g_pair is None:
         g_pair = p.terminal_cost
-    g = np.asarray(g_pair, dtype=float)
-    if g.ndim == 1:
-        g = np.repeat(g[:, None], p.n_actions, axis=1)
-    lam0 = p.lambda0
-    lam0_tot = float(lam0.sum())
+    nS, nA = p.n_states, p.n_actions
+    g = np.broadcast_to(np.reshape(g_pair, (nS, -1)), (nS, nA))
+    coupling = np.kron(np.eye(nS), p.lambda0 - p.lambda0.sum() * np.eye(nA))
+    neg_gen_t = -(_sim_tables(p)["x_gen"] + coupling).T
     dt = p.horizon / n_steps
     n_sub = max(1, math.ceil(dt * pair_rate_bound(p) / _STABILITY))
-    x_gen = pair_x_generator(p)
 
-    def deriv(s, v):
-        drift = x_gen(v) + (v @ lam0)[:, None] - lam0_tot * v
-        if f_pair is not None:
-            drift = drift + f_pair(s)
-        return -drift
+    def deriv(s, v, out):
+        np.dot(v.reshape(-1), neg_gen_t, out=out.reshape(-1))
 
-    return ValueGrid(_rk4_march(g, n_steps, p.horizon, deriv, n_sub), p.horizon)
-
-
-def mc_check_markov(
-    p: Problem,
-    alpha: FeedbackPolicy,
-    t: float,
-    x: int,
-    s: float,
-    g_vec,
-    n_paths: int,
-    master_seed: int = 0,
-    n_steps: int = 2000,
-) -> dict:
-    """Tower-property check E[P_sT[g](X_s)] vs E[g(X_T)] on shared paths.
-
-    Both estimators use the same simulated paths, so at s = T the per-path
-    difference is exactly zero.
-    """
-    if not (t <= s <= p.horizon + 1e-12):
-        raise ValueError("need t <= s <= T")
-    g = np.asarray(g_vec, dtype=float)
-    grid = solve_kolmogorov(p, alpha, g_vec=g, f_running=None, n_steps=n_steps)
-    paths = simulate_controlled_paths(p, alpha, t, x, n_paths, child_rng(master_seed, 0))
-    mean, se = _mean_se(grid.layer_at(s)[paths.states_at(s)] - g[paths.states_at(p.horizon)])
-    return {
-        "difference": mean,
-        "std_error": se,
-        "n_paths": n_paths,
-        "within_3se": bool(abs(mean) <= 3.0 * se + 1e-12),
-    }
+    return ValueGrid(_rk4_march(g, n_steps, p.horizon, deriv, n_sub, _stage_table(f_pair)), p.horizon)

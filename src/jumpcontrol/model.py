@@ -202,7 +202,7 @@ def cost_layer(p: Problem, t, *index) -> np.ndarray:
         return _interp(f, t, p.horizon, *index)
     check_times(t, p.horizon)
     if not index and np.ndim(t) == 0:
-        return f  # the per-stage call of the penalized march: keep it cheap
+        return f  # the per-stage call of policy evaluation: keep it cheap
     return np.broadcast_to(f[index], np.broadcast(t, *index).shape + f.shape[len(index):])
 
 

@@ -17,11 +17,17 @@ increase in n, stay below the primal HJB solution, and lose their
 dependence on the a argument as n grows; convergence_report measures all
 three effects against the primal solver.
 
-All requested levels are marched together along a leading level axis, so
-the family costs about as much as a single level. The penalty's Lipschitz
-constant grows like (n + 1) * lambda0(A), so every level takes the common
-sub-step count set by the largest level n_max, which keeps
-dt_eff * (Lambda_pair + (n_max + 1) * lambda0(A)) below 0.5. Steps use
+All requested levels are marched together as one (levels, n_states *
+n_actions) state on the flat pair index x * n_actions + a, so the family
+costs about as much as a single level. A stage is one product with L_X^a,
+one matrix on that index built once per problem, the positive parts of psi
+in a preallocated buffer, and one batched product with the per-level
+weights n lambda0; f is tabulated at the stage times by one cost_layer call
+per block of steps. The penalty's Lipschitz constant grows like (n + 1) *
+lambda0(A), so every level takes the common sub-step count set by the
+largest level n_max, which keeps dt_eff * (Lambda_pair + (n_max + 1) *
+lambda0(A)) below 0.5; a march of more than MAX_RK4_STEPS steps in all is
+refused before it starts. Steps use
 classical RK4: the monotonicity and domination checks compare solutions to
 within 1e-9, which a first-order scheme cannot reach at practical grid
 sizes.
@@ -35,12 +41,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .linear import ValueGrid, _rk4_march, pair_x_generator
+from .linear import ValueGrid, _rk4_march
 from .model import Problem, cost_layer, pair_rate_bound
 from .hjb import HJBSolution, solve_hjb_picard
-from .simulate import _prefix
+from .simulate import _prefix, _sim_tables
 
 _STABILITY = 0.5
+# Largest n_steps * n_sub of one march. Far above the 2000 steps of a
+# default march, and a march this long already takes tens of seconds.
+MAX_RK4_STEPS = 1_000_000
 
 
 def _positive_part_integral(p0, p1, h):
@@ -86,7 +95,9 @@ class PenalizedSolution:
     @cached_property
     def compensator_rate(self) -> ValueGrid:
         """sum_y lambda(x, a, y) v^n(t, y, a) - lambda(x, a, E) v^n(t, x, a) on the grid."""
-        return ValueGrid(pair_x_generator(self.problem)(self.values.values), self.values.horizon)
+        v = self.values.values
+        rate = v.reshape(v.shape[0], -1) @ _sim_tables(self.problem)["x_gen"].T
+        return ValueGrid(rate.reshape(v.shape), self.values.horizon)
 
     @cached_property
     def compensator_table(self) -> np.ndarray:
@@ -95,24 +106,6 @@ class PenalizedSolution:
         c = self.compensator_rate.values
         dt = self.values.horizon / self.values.n_steps
         return _prefix(0.5 * dt * (c[:-1] + c[1:]))
-
-
-def penalty_layer(v_layer: np.ndarray, lam0: np.ndarray, n: int) -> np.ndarray:
-    """Penalty term for a whole layer v[x, a]; returns an (x, a) array.
-
-    This is the full coupling of the uncancelled equation, kept as the
-    tested reference for the cancelled form that the solver marches.
-    """
-    v = np.asarray(v_layer, dtype=float)
-    psi = v[:, None, :] - v[:, :, None]  # psi[x, a, b] = v[x, b] - v[x, a]
-    return np.einsum("xab,b->xa", n * np.maximum(psi, 0.0) - psi, lam0)
-
-
-def penalty_term(v_layer, x: int, a: int, lam0, n: int) -> float:
-    """sum_b { n [v(x,b) - v(x,a)]^+ - (v(x,b) - v(x,a)) } lambda0[b]."""
-    v = np.asarray(v_layer, dtype=float)
-    psi = v[x, :] - v[x, a]
-    return float(np.dot(n * np.maximum(psi, 0.0) - psi, np.asarray(lam0, dtype=float)))
 
 
 def _march_levels(p: Problem, levels, n_steps: int) -> list:
@@ -124,15 +117,31 @@ def _march_levels(p: Problem, levels, n_steps: int) -> list:
     dt = p.horizon / n_steps
     lipschitz = pair_rate_bound(p) + (max(levels, default=0) + 1) * float(lam0.sum())
     n_sub = max(1, math.ceil(dt * lipschitz / _STABILITY))
-    n_col = np.asarray(levels, dtype=float)[:, None, None]
-    x_gen = pair_x_generator(p)
-    g = np.broadcast_to(p.terminal_cost[:, None], (len(levels), p.n_states, p.n_actions))
+    if n_steps * n_sub > MAX_RK4_STEPS:
+        raise ValueError(
+            f"level {max(levels)} needs {n_sub} RK4 sub-steps per grid step, "
+            f"{n_steps * n_sub} in all, past the limit of {MAX_RK4_STEPS}"
+        )
+    n_lev, nS, nA = len(levels), p.n_states, p.n_actions
+    m = nS * nA
+    neg_gen_t = -_sim_tables(p)["x_gen"].T
+    neg_weights = -np.multiply.outer(np.asarray(levels, dtype=float), lam0)[:, :, None]
+    psi = np.empty((n_lev, nS, nA, nA))
+    psi_rows = psi.reshape(n_lev, m, nA)
+    pen = np.empty((n_lev, m, 1))
+    pen_flat = pen[..., 0]
 
-    def deriv(s, v):
-        psi = v[..., None, :] - v[..., :, None]  # psi[l, x, a, b] = v[l, x, b] - v[l, x, a]
-        return -(x_gen(v) + cost_layer(p, s) + n_col * (np.maximum(psi, 0.0) @ lam0))
+    def deriv(s, v, out):
+        np.dot(v, neg_gen_t, out=out)
+        v3 = v.reshape(n_lev, nS, nA)
+        np.subtract(v3[:, :, None, :], v3[:, :, :, None], out=psi)  # psi[l, x, a, b] = v[l, x, b] - v[l, x, a]
+        np.maximum(psi, 0.0, out=psi)
+        np.matmul(psi_rows, neg_weights, out=pen)
+        out += pen_flat
 
-    vals = _rk4_march(g, n_steps, p.horizon, deriv, n_sub)
+    g = np.broadcast_to(np.repeat(p.terminal_cost, nA), (n_lev, m))
+    vals = _rk4_march(g, n_steps, p.horizon, deriv, n_sub, lambda ts: cost_layer(p, ts).reshape(*ts.shape, m))
+    vals = vals.reshape(n_steps + 1, n_lev, nS, nA)
     return [
         PenalizedSolution(int(n), ValueGrid(vals[:, i], p.horizon), n_sub, p)
         for i, n in enumerate(levels)

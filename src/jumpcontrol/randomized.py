@@ -122,7 +122,8 @@ def dual_gain_importance(
     Pass `paths` (n_paths paths simulated under the reference pair law from
     (t, x, a), as a list or a PathBatch) to reuse one batch across several
     controls; without them the paths are simulate_pair_sample's from
-    master_seed.
+    master_seed. A list is flattened at every call, so a caller that reuses
+    a list should pass PathBatch.from_paths(list) once instead.
     """
     if paths is None:
         paths = simulate_pair_sample(p, None, t, x, a, n_paths, master_seed)
@@ -154,7 +155,8 @@ def girsanov_mean_weight(
     paths=None,
 ) -> tuple[float, float]:
     """MC mean of L_T, exactly 1 by the martingale property; `paths` as for
-    dual_gain_importance."""
+    dual_gain_importance: pass a reused list as PathBatch.from_paths(list)
+    once, since a list is flattened at every call."""
     if paths is None:
         paths = simulate_pair_sample(p, None, t, x, a, n_paths, master_seed)
     return _estimate(p, n_paths, paths, lambda batch: np.exp(_log_weights(p, nu, batch)))

@@ -279,7 +279,8 @@ def _sim_tables(p: Problem) -> dict:
     scalar indexing in the one-path loop is several times faster on lists
     than on numpy arrays. "unit" is the tilt nu = 1 of the reference pair.
     "cost_cum" is the integral of f up to each cost node; a constant f has
-    the nodes 0 and T.
+    the nodes 0 and T. "x_gen" is L_X^a, the generator of X under the frozen
+    action, as one matrix on the flat pair state x * n_actions + a.
     """
     tables = p.__dict__.get("_sim_tables")
     if tables is None:
@@ -287,6 +288,8 @@ def _sim_tables(p: Problem) -> dict:
         nodes = f if f.ndim == 3 else np.stack((f, f))
         dt = p.horizon / (nodes.shape[0] - 1)
         cum = p.rates.cumsum(axis=2)
+        x_gen = np.einsum("xay,ab->xayb", p.rates, np.eye(p.n_actions)).reshape(p.row_sums.size, -1)
+        x_gen[np.diag_indices_from(x_gen)] -= p.row_sums.ravel()
         tables = {
             "cum": cum,
             "rows": p.row_sums.tolist(),
@@ -295,6 +298,7 @@ def _sim_tables(p: Problem) -> dict:
             "lam": rate_bound(p),
             "unit": constant_control(p, 1.0),
             "cost_cum": _prefix(0.5 * dt * (nodes[:-1] + nodes[1:])),
+            "x_gen": x_gen,
         }
         object.__setattr__(p, "_sim_tables", tables)
     return tables

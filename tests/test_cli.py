@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -233,6 +234,17 @@ class TestDiagnose:
         code = run_cli(["diagnose", "--model", M2, "--out-dir", str(tmp_path / "o"), levels])
         assert code == cli.EXIT_VALIDATION
         assert capsys.readouterr().err.count("\n") == 1
+
+    def test_huge_level_exit_3_before_marching(self, tmp_path, capsys):
+        # level 1e8 at N = 50 needs about 4e6 sub-steps per grid step, which
+        # would march for hours; the march is refused before it starts
+        start = time.perf_counter()
+        code = run_cli(["diagnose", "--model", M2, "--out-dir", str(tmp_path / "o"),
+                        "--n-steps", "50", "--levels", "1,100000000"])
+        assert code == cli.EXIT_VALIDATION
+        assert time.perf_counter() - start < 10.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "level 100000000" in err
 
 
 class TestNonconvergence:

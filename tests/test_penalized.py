@@ -3,9 +3,12 @@ import io
 import numpy as np
 import pytest
 
+import einsum_penalized
 import jumpcontrol as jc
-from jumpcontrol.linear import pair_x_generator
-from jumpcontrol.penalized import penalty_layer, penalty_term
+from einsum_penalized import penalty_layer, penalty_term
+from jumpcontrol.penalized import _march_levels
+from jumpcontrol.simulate import _sim_tables
+from test_hjb import random_problem
 
 ALL_LEVELS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
@@ -49,7 +52,7 @@ class TestPenaltyTerm:
         v = rng.normal(size=(3, 2))
         lam0 = threestate.lambda0
         n = int(rng.integers(0, 300))
-        x_part = pair_x_generator(threestate)(v)
+        x_part = (_sim_tables(threestate)["x_gen"] @ v.reshape(-1)).reshape(v.shape)
         pair = x_part + (v @ lam0)[:, None] - lam0.sum() * v
         psi = v[:, None, :] - v[:, :, None]
         cancelled = x_part + n * (np.maximum(psi, 0.0) @ lam0)
@@ -96,6 +99,35 @@ class TestSolvePenalized:
         vn0 = sol.values.values[0, 0, :]
         assert np.all(vn0 <= v0 + 1e-9)
         assert v0 - vn0.min() <= 0.05
+
+
+class TestMatchesEinsumReference:
+    """The flat march against the einsum march of tests/einsum_penalized.py."""
+
+    def assert_agrees(self, p, levels, n_steps):
+        sols = _march_levels(p, levels, n_steps)
+        ref, n_sub = einsum_penalized.march_levels(p, levels, n_steps)
+        x_gen = einsum_penalized.pair_x_generator(p)
+        for i, sol in enumerate(sols):
+            assert sol.n_substeps == n_sub
+            assert np.abs(sol.values.values - ref[:, i]).max() <= 1e-13
+            assert np.abs(sol.compensator_rate.values - x_gen(ref[:, i])).max() <= 1e-13
+        return n_sub
+
+    @pytest.mark.parametrize("name", ["m2", "threestate"])
+    def test_all_levels(self, name, request):
+        self.assert_agrees(request.getfixturevalue(name), ALL_LEVELS, 2000)
+
+    def test_level_zero(self, threestate):
+        self.assert_agrees(threestate, [0], 500)
+
+    def test_substeps(self, threestate):
+        assert self.assert_agrees(threestate, [256], 100) > 1
+
+    def test_time_dependent_running_cost(self):
+        p = random_problem(7, 4, 3, 5.0, 6)
+        assert p.running_cost.ndim == 3
+        self.assert_agrees(p, [0, 3, 50], 300)
 
 
 class TestConvergenceReport:
