@@ -115,11 +115,11 @@ def cmd_diagnose(args):
     levels = _config(args).penalization_levels
     p = _load(args)
     primal = _solve_primal(p, args)
-    os.makedirs(args.out_dir, exist_ok=True)
     try:
         report = penalized.convergence_report(p, levels, n_steps=args.n_steps, primal=primal)
     except ValueError as exc:  # a march past penalized.MAX_RK4_STEPS
         _invalid(exc)
+    os.makedirs(args.out_dir, exist_ok=True)
     _atomic_write(os.path.join(args.out_dir, "penalized.csv"), report.to_csv)
 
     x0 = 0

@@ -245,6 +245,7 @@ class TestDiagnose:
         assert time.perf_counter() - start < 10.0
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "level 100000000" in err
+        assert not os.path.exists(tmp_path / "o")
 
 
 class TestNonconvergence:
