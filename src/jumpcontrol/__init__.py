@@ -26,7 +26,6 @@ from .simulate import (
     child_rng,
     constant_control,
     constant_policy,
-    simulate_controlled_path,
     simulate_controlled_paths,
     simulate_pair_path,
     simulate_pair_paths,
@@ -34,14 +33,13 @@ from .simulate import (
     simulate_tilted_path,
 )
 from .linear import ValueGrid, evaluate_policy, solve_kolmogorov, solve_kolmogorov_pair
-from .hjb import HJBSolution, NonconvergenceError, extract_feedback, hamiltonian, solve_hjb_marching, solve_hjb_picard
+from .hjb import HJBSolution, NonconvergenceError, extract_feedback, solve_hjb_picard
 from .penalized import PenalizedSolution, convergence_report, solve_penalized
 from .randomized import (
     d_split,
     dual_gain_direct,
     dual_gain_importance,
     dual_value_check,
-    girsanov_weight,
     greedy_control_from_vn,
 )
 from .bsde import BSDESample, bsde_residual, build_sample, constraint_violation, minimal_y_report

@@ -70,8 +70,10 @@ def _invalid(message):
 
 
 def _config(args):
-    """The numerical arguments of every command, checked by SolverConfig; a
-    bad value exits 3."""
+    """The numerical arguments of every command, checked by SolverConfig,
+    and the seed; a bad value exits 3."""
+    if args.seed < 0:
+        _invalid(f"seed {args.seed} is negative")
     diagnose = {"mc_paths": args.paths, "penalization_levels": args.levels} if args.command == "diagnose" else {}
     try:
         return model.SolverConfig(n_steps=args.n_steps, picard_tol=args.tol, **diagnose)
@@ -229,10 +231,13 @@ def _build_parser():
     return ap, sub.choices
 
 
-def _read_config(path, args):
+def _read_config(path, parser, args):
     """A JSON config file, whose keys are flags of the parsed command (their
-    argparse names, such as n_steps); a file that is not a JSON object, or
-    a key that is not a flag of the command, exits 2."""
+    argparse names, such as n_steps). A value is parsed as its flag parses
+    the value's text, a list standing for its comma-joined items (as for
+    --levels); a flag without a type takes only a string. A file that is
+    not a JSON object, a key that is not a flag of the command, or a value
+    that its flag rejects exits 2."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -243,6 +248,16 @@ def _read_config(path, args):
     if unknown:
         print(f"error: config {path}: not a flag of {args.command}: {', '.join(unknown)}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
+    types = {action.dest: action.type for action in parser._actions}
+    for key, value in cfg.items():
+        try:
+            if types[key] is None and not isinstance(value, str):
+                raise TypeError(f"expected a string, got {value!r}")
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            cfg[key] = text if types[key] is None else types[key](text)
+        except (TypeError, ValueError) as exc:
+            print(f"error: config {path}: {key}: {exc}", file=sys.stderr)
+            raise SystemExit(EXIT_PARSE)
     return cfg
 
 
@@ -251,7 +266,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.config:
         # Config values become the command's defaults, so explicit flags win.
-        commands[args.command].set_defaults(**_read_config(args.config, args))
+        parser = commands[args.command]
+        parser.set_defaults(**_read_config(args.config, parser, args))
         args = ap.parse_args(argv)
     return args.func(args)
 

@@ -20,8 +20,9 @@ the (nodes, states) iterate with B as a (states, actions x states) matrix,
 then a max over actions and a cumulative sum of cell integrals, all in
 preallocated buffers. Each cell integrates the linear interpolant of the
 unscaled maximum exactly against exp(-L s); the trapezoid rule would treat
-exp(-L s) as linear, an error like L^3 T dt^2. A first-order explicit
-marching solver provides an independent cross-check.
+exp(-L s) as linear, an error like L^3 T dt^2. The brute-force oracle
+(oracle.oracle_value), a first-order explicit scheme, is the independent
+cross-check.
 """
 from __future__ import annotations
 
@@ -64,17 +65,6 @@ def _action_values(p: Problem, v, cost) -> np.ndarray:
     q -= p.row_sums * v[..., None]
     q += cost
     return q
-
-
-def hamiltonian(p: Problem, t: float, v_layer) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state max over actions of (generator + running cost) at time t.
-
-    Returns (values, argmax); ties break to the lowest action index, which
-    is what np.argmax delivers on exact ties.
-    """
-    q = _action_values(p, np.asarray(v_layer, dtype=float), cost_layer(p, t))
-    am = q.argmax(axis=1)
-    return q[np.arange(p.n_states), am], am
 
 
 def solve_hjb_picard(
@@ -157,21 +147,6 @@ def solve_hjb_picard(
         raise NonconvergenceError(residual, iterations)
     argmax = _action_values(p, v, cost).argmax(axis=2)
     return HJBSolution(ValueGrid(v, T), argmax, iterations, residual)
-
-
-def solve_hjb_marching(p: Problem, n_steps: int = 10_000) -> HJBSolution:
-    """Backward explicit Euler reference: v[k] = v[k+1] + dt * H(t_k, v[k+1])."""
-    T = p.horizon
-    dt = T / n_steps
-    ts = np.linspace(0.0, T, n_steps + 1)
-    v = np.empty((n_steps + 1, p.n_states))
-    argmax = np.empty((n_steps + 1, p.n_states), dtype=np.int64)
-    v[n_steps] = p.terminal_cost
-    _, argmax[n_steps] = hamiltonian(p, T, v[n_steps])
-    for k in range(n_steps - 1, -1, -1):
-        h, argmax[k] = hamiltonian(p, ts[k], v[k + 1])
-        v[k] = v[k + 1] + dt * h
-    return HJBSolution(ValueGrid(v, T), argmax, n_steps, 0.0)
 
 
 def extract_feedback(sol: HJBSolution) -> FeedbackPolicy:

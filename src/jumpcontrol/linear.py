@@ -2,7 +2,9 @@
 
 Both equations are linear and smooth in time, so they are marched backward
 with classical 4-stage Runge-Kutta; a stability guard sub-steps whenever
-dt times the relevant rate bound exceeds 0.5.
+dt times the relevant rate bound exceeds 0.5. Their running costs, like
+the penalized family's, are functions of an array of stage times, the cost
+argument of the one marcher (_rk4_march).
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Problem, _interp, cost_layer, pair_rate_bound, rate_bound
-from .simulate import FeedbackPolicy, _sim_tables
+from .simulate import FeedbackPolicy
 
 _STABILITY = 0.5
 _CSV_CHUNK_ROWS = 4096
@@ -51,29 +53,17 @@ class ValueGrid:
         layer = self.layer_at(s)
         return float(layer[x] if a is None else layer[x, a])
 
-    def to_csv(self, fileobj, states, actions=None):
-        """Rows (k, t, state[, action], value) with repr floats, byte for
-        byte what csv.writer writes."""
+    def to_csv(self, fileobj, states):
+        """Rows (k, t, state, value) of a per-state grid with repr floats,
+        byte for byte what csv.writer writes."""
         ts = [repr(t) for t in self.times.tolist()]
         fields = [csv_field(s) for s in states]
-        layers = zip(ts, self.values)
-        if actions is None:
-            header = "k,t,state,value\r\n"
-            rows = (
-                f"{k},{t},{sx},{v!r}\r\n"
-                for k, (t, layer) in enumerate(layers)
-                for sx, v in zip(fields, layer.tolist())
-            )
-        else:
-            header = "k,t,state,action,value\r\n"
-            afields = [csv_field(a) for a in actions]
-            rows = (
-                f"{k},{t},{sx},{sa},{v!r}\r\n"
-                for k, (t, layer) in enumerate(layers)
-                for sx, row in zip(fields, layer.tolist())
-                for sa, v in zip(afields, row)
-            )
-        write_csv_rows(fileobj, header, rows)
+        rows = (
+            f"{k},{t},{sx},{v!r}\r\n"
+            for k, (t, layer) in enumerate(zip(ts, self.values))
+            for sx, v in zip(fields, layer.tolist())
+        )
+        write_csv_rows(fileobj, "k,t,state,value\r\n", rows)
 
 
 def csv_field(label) -> str:
@@ -142,22 +132,6 @@ def _rk4_march(v_terminal, n_steps, T, deriv, n_sub, cost=None):
     return out
 
 
-def _stage_table(f):
-    """The march's cost argument for a callable s -> layer, or None."""
-    return None if f is None else (lambda ts: [list(map(f, row)) for row in ts.tolist()])
-
-
-def policy_running_cost(p: Problem, alpha: FeedbackPolicy):
-    """Running-cost field s -> f(s, x, alpha(s, x)) as a per-state vector."""
-    idx = np.arange(p.n_states)
-
-    def f_running(s):
-        k = alpha.layer_index(s)
-        return cost_layer(p, s)[idx, alpha.table[k]]
-
-    return f_running
-
-
 def solve_kolmogorov(
     p: Problem,
     alpha: FeedbackPolicy,
@@ -167,9 +141,10 @@ def solve_kolmogorov(
 ) -> ValueGrid:
     """Solve the backward equation dv/ds + L_s v + f = 0, v(T) = g.
 
-    L_s is the generator of X under the feedback law alpha; f_running is a
-    callable s -> per-state vector, or None for zero running cost. The
-    value of the policy from (t, x) is the grid entry at (t, x).
+    L_s is the generator of X under the feedback law alpha; f_running maps
+    an array of stage times to the running cost there, of shape
+    times.shape + (n_states,), or is None for zero running cost. The value
+    of the policy from (t, x) is the grid entry at (t, x).
     """
     g = p.terminal_cost if g_vec is None else np.asarray(g_vec, dtype=float)
     idx = np.arange(p.n_states)
@@ -180,14 +155,17 @@ def solve_kolmogorov(
         lam = p.rates[idx, alpha.table[alpha.layer_index(s)]]
         np.subtract(lam.sum(axis=1) * v, lam @ v, out=out)
 
-    return ValueGrid(_rk4_march(g, n_steps, p.horizon, deriv, n_sub, _stage_table(f_running)), p.horizon)
+    return ValueGrid(_rk4_march(g, n_steps, p.horizon, deriv, n_sub, f_running), p.horizon)
 
 
 def evaluate_policy(p: Problem, alpha: FeedbackPolicy, n_steps: int = 2000) -> ValueGrid:
     """Gain J(t, x, alpha) on the whole grid (problem costs, terminal g)."""
-    return solve_kolmogorov(
-        p, alpha, g_vec=p.terminal_cost, f_running=policy_running_cost(p, alpha), n_steps=n_steps
-    )
+    idx = np.arange(p.n_states)
+
+    def f_running(ts):  # f(s, x, alpha(s, x)) at every stage time s and state x
+        return cost_layer(p, ts[..., None], idx, alpha.table[alpha.layer_index(ts)])
+
+    return solve_kolmogorov(p, alpha, g_vec=p.terminal_cost, f_running=f_running, n_steps=n_steps)
 
 
 def solve_kolmogorov_pair(
@@ -198,18 +176,19 @@ def solve_kolmogorov_pair(
     L phi(x, a) = sum_y (phi(y, a) - phi(x, a)) lambda(x, a, y)
                 + sum_b (phi(x, b) - phi(x, a)) lambda0[b].
     g_pair may be a per-state vector (broadcast over actions) or an
-    (n_states, n_actions) array; f_pair is a callable s -> layer or None.
+    (n_states, n_actions) array; f_pair is None or, as f_running of
+    solve_kolmogorov, maps stage times to layers of shape (n_states, n_actions).
     """
     if g_pair is None:
         g_pair = p.terminal_cost
     nS, nA = p.n_states, p.n_actions
     g = np.broadcast_to(np.reshape(g_pair, (nS, -1)), (nS, nA))
     coupling = np.kron(np.eye(nS), p.lambda0 - p.lambda0.sum() * np.eye(nA))
-    neg_gen_t = -(_sim_tables(p)["x_gen"] + coupling).T
+    neg_gen_t = -(p.x_generator + coupling).T
     dt = p.horizon / n_steps
     n_sub = max(1, math.ceil(dt * pair_rate_bound(p) / _STABILITY))
 
     def deriv(s, v, out):
         np.dot(v.reshape(-1), neg_gen_t, out=out.reshape(-1))
 
-    return ValueGrid(_rk4_march(g, n_steps, p.horizon, deriv, n_sub, _stage_table(f_pair)), p.horizon)
+    return ValueGrid(_rk4_march(g, n_steps, p.horizon, deriv, n_sub, f_pair), p.horizon)

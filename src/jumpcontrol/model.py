@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,14 @@ class Problem:
     def row_sums(self):
         """Total jump rate lambda(x, a, E) as an (n_states, n_actions) array."""
         return self.rates.sum(axis=2)
+
+    @cached_property
+    def x_generator(self) -> np.ndarray:
+        """L_X^a, the generator of X under the frozen action a, as one matrix
+        on the flat pair state x * n_actions + a; built on first use."""
+        gen = np.einsum("xay,ab->xayb", self.rates, np.eye(self.n_actions)).reshape(self.row_sums.size, -1)
+        gen[np.diag_indices_from(gen)] -= self.row_sums.ravel()
+        return _readonly(gen)
 
 
 @dataclass(frozen=True)
@@ -201,8 +210,6 @@ def cost_layer(p: Problem, t, *index) -> np.ndarray:
     if f.ndim == 3:
         return _interp(f, t, p.horizon, *index)
     check_times(t, p.horizon)
-    if not index and np.ndim(t) == 0:
-        return f  # the per-stage call of policy evaluation: keep it cheap
     return np.broadcast_to(f[index], np.broadcast(t, *index).shape + f.shape[len(index):])
 
 

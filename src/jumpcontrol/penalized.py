@@ -44,7 +44,7 @@ import numpy as np
 from .linear import ValueGrid, _rk4_march
 from .model import Problem, cost_layer, pair_rate_bound
 from .hjb import HJBSolution, solve_hjb_picard
-from .simulate import _prefix, _sim_tables
+from .simulate import _prefix
 
 _STABILITY = 0.5
 # Largest n_steps * n_sub of one march. Far above the 2000 steps of a
@@ -96,7 +96,7 @@ class PenalizedSolution:
     def compensator_rate(self) -> ValueGrid:
         """sum_y lambda(x, a, y) v^n(t, y, a) - lambda(x, a, E) v^n(t, x, a) on the grid."""
         v = self.values.values
-        rate = v.reshape(v.shape[0], -1) @ _sim_tables(self.problem)["x_gen"].T
+        rate = v.reshape(v.shape[0], -1) @ self.problem.x_generator.T
         return ValueGrid(rate.reshape(v.shape), self.values.horizon)
 
     @cached_property
@@ -124,7 +124,7 @@ def _march_levels(p: Problem, levels, n_steps: int) -> list:
         )
     n_lev, nS, nA = len(levels), p.n_states, p.n_actions
     m = nS * nA
-    neg_gen_t = -_sim_tables(p)["x_gen"].T
+    neg_gen_t = -p.x_generator.T
     neg_weights = -np.multiply.outer(np.asarray(levels, dtype=float), lam0)[:, :, None]
     psi = np.empty((n_lev, nS, nA, nA))
     psi_rows = psi.reshape(n_lev, m, nA)
@@ -190,7 +190,6 @@ def convergence_report(
     levels,
     n_steps: int = 2000,
     primal: HJBSolution | None = None,
-    order_tol: float = ORDER_TOL,
 ) -> ConvergenceReport:
     """Monotonicity / domination / a-flattening diagnostics across levels."""
     levels = [int(n) for n in levels]
@@ -207,8 +206,8 @@ def convergence_report(
         vn = sol.values.values  # (N+1, nS, nA)
         sigma = float((vn.max(axis=2) - vn.min(axis=2)).max())
         delta = float((v[:, :, None] - vn).max())
-        mono = 0 if prev is None else int(np.count_nonzero(prev > vn + order_tol))
-        cap = int(np.count_nonzero(vn > v[:, :, None] + order_tol))
+        mono = 0 if prev is None else int(np.count_nonzero(prev > vn + ORDER_TOL))
+        cap = int(np.count_nonzero(vn > v[:, :, None] + ORDER_TOL))
         rows.append(ConvergenceRow(n, sigma, delta, mono, cap))
         prev = vn
     return ConvergenceReport(rows, primal, solutions)

@@ -27,7 +27,7 @@ import numpy as np
 from .model import Problem
 from .penalized import PenalizedSolution
 from .simulate import (
-    NU_MIN, IntensityControl, Path, PathBatch, _check_horizon, _mean_se, _per_path, _prefix, _running_costs,
+    NU_MIN, IntensityControl, PathBatch, _check_horizon, _mean_se, _per_path, _prefix, _running_costs,
     _segment_integrals, constant_control, simulate_pair_sample,
 )
 
@@ -82,11 +82,6 @@ def _log_weights(p: Problem, nu: IntensityControl, paths) -> np.ndarray:
     d1, d2 = d_split(p, x_pre, a_pre, y, b)
     marks = np.log(nu.field[nu.layer_index(batch.times), x_pre, a_pre, b] * d1 + d2)
     return log_w + np.bincount(batch.owner, weights=marks, minlength=len(batch))
-
-
-def girsanov_weight(p: Problem, nu: IntensityControl, path: Path) -> float:
-    """log L_T, the log density of the nu-tilted law along a reference pair path."""
-    return float(_log_weights(p, nu, [path])[0])
 
 
 _BATCH = 256  # paths per pass of the estimators; bounds their memory for any path count

@@ -216,9 +216,6 @@ class FeedbackPolicy:
     def layer_index(self, t):
         return _layer(t, self.horizon, max(self.n_layers, 1))
 
-    def action_at(self, t: float, x: int) -> int:
-        return int(self.table[self.layer_index(t), x])
-
 
 def constant_policy(p: Problem, action: int) -> FeedbackPolicy:
     return FeedbackPolicy(np.full((2, p.n_states), action), p.horizon)
@@ -257,9 +254,6 @@ class IntensityControl:
     def layer_index(self, t):
         return _layer(t, self.horizon, self.n_layers)
 
-    def value(self, t: float, x: int, a: int, b: int) -> float:
-        return float(self.field[self.layer_index(t), x, a, b])
-
 
 def constant_control(p: Problem, values, n_max: float | None = None) -> IntensityControl:
     """Time- and state-homogeneous control; `values` broadcasts to the mark axis."""
@@ -279,8 +273,7 @@ def _sim_tables(p: Problem) -> dict:
     scalar indexing in the one-path loop is several times faster on lists
     than on numpy arrays. "unit" is the tilt nu = 1 of the reference pair.
     "cost_cum" is the integral of f up to each cost node; a constant f has
-    the nodes 0 and T. "x_gen" is L_X^a, the generator of X under the frozen
-    action, as one matrix on the flat pair state x * n_actions + a.
+    the nodes 0 and T.
     """
     tables = p.__dict__.get("_sim_tables")
     if tables is None:
@@ -288,8 +281,6 @@ def _sim_tables(p: Problem) -> dict:
         nodes = f if f.ndim == 3 else np.stack((f, f))
         dt = p.horizon / (nodes.shape[0] - 1)
         cum = p.rates.cumsum(axis=2)
-        x_gen = np.einsum("xay,ab->xayb", p.rates, np.eye(p.n_actions)).reshape(p.row_sums.size, -1)
-        x_gen[np.diag_indices_from(x_gen)] -= p.row_sums.ravel()
         tables = {
             "cum": cum,
             "rows": p.row_sums.tolist(),
@@ -298,7 +289,6 @@ def _sim_tables(p: Problem) -> dict:
             "lam": rate_bound(p),
             "unit": constant_control(p, 1.0),
             "cost_cum": _prefix(0.5 * dt * (nodes[:-1] + nodes[1:])),
-            "x_gen": x_gen,
         }
         object.__setattr__(p, "_sim_tables", tables)
     return tables
@@ -362,15 +352,6 @@ def simulate_controlled_paths(
         np.full(count, float(t)), np.full(count, int(x)), None, when[order], where[order], None,
         np.concatenate(([0], np.cumsum(jumps))), T,
     )
-
-
-def simulate_controlled_path(
-    p: Problem, alpha: FeedbackPolicy, t: float, x: int, seed, rng=None
-) -> Path:
-    """Sample X on [t, T] under the feedback law alpha: a batch of one."""
-    if rng is None:
-        rng = child_rng(seed, 0) if np.isscalar(seed) else np.random.default_rng(seed)
-    return simulate_controlled_paths(p, alpha, t, x, 1, rng).path(0)
 
 
 def simulate_pair_path(p: Problem, t: float, x: int, a: int, seed, rng=None) -> Path:
@@ -630,11 +611,6 @@ def _running_costs(p: Problem, paths) -> np.ndarray:
     """Exact integral of f(s, X_s, I_s) ds over [t0, T] along each pair path
     of a list or a PathBatch."""
     return _per_path(PathBatch.from_paths(paths, p.horizon), lambda *seg: _cost_integrals(p, *seg))
-
-
-def running_cost_along_path(p: Problem, path: Path) -> float:
-    """Exact integral of f(s, X_s, I_s) ds over [t0, T] along a pair path."""
-    return float(_running_costs(p, [path])[0])
 
 
 def paths_to_csv(batch: PathBatch, fileobj):

@@ -1,0 +1,38 @@
+"""The package API that the benchmark's API operations call still works.
+
+perfbench/child.py is loaded by path, as it stands, and its `importance`
+and `residual` operations run at tiny sizes.
+"""
+import importlib.util
+import math
+import os
+
+import jumpcontrol as jc
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def load_child():
+    spec = importlib.util.spec_from_file_location("perfbench_child", os.path.join(ROOT, "perfbench", "child.py"))
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    return child
+
+
+def test_importance_and_residual_operations_give_finite_rows():
+    child = load_child()
+    rows = child.importance(
+        jc, os.path.join(FIXTURES, "m2.json"), n_steps=100, level=8, x0=0, paths=20, seed=3
+    )
+    assert len(rows) == 2 * 5  # per start action: three importance rows, two weight rows
+    assert all(math.isfinite(r["mean"]) and math.isfinite(r["std_error"]) for r in rows)
+
+    out = child.residual(
+        jc, os.path.join(FIXTURES, "threestate.json"), n_steps=100, levels=[1, 8], x0=0, paths=10, seed=4
+    )
+    assert len(out["x_T"]) == 10
+    assert [row["level"] for row in out["levels"]] == [1, 8]
+    for row in out["levels"]:
+        values = [*row["residual"], *row["k_T"], *row["y_T"], *(v for layer in row["v0"] for v in layer)]
+        assert len(row["residual"]) == 10 and all(math.isfinite(v) for v in values)

@@ -129,7 +129,7 @@ class TestBuildSample:
 
     def test_rejects_controlled_path(self, m2):
         vn = jc.solve_penalized(m2, 2, n_steps=100)
-        path = jc.simulate_controlled_path(m2, jc.constant_policy(m2, 0), 0.0, 0, 1)
+        path = jc.simulate_controlled_paths(m2, jc.constant_policy(m2, 0), 0.0, 0, 1, jc.child_rng(1, 0)).path(0)
         with pytest.raises(ValueError):
             build_sample(m2, vn, path)
 

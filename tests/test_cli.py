@@ -78,6 +78,25 @@ class TestSolve:
             assert err.count("\n") == 1 and "nsteps" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            (["solve"], {"n_steps": 2.5}),
+            (["solve"], {"out_dir": 5}),
+            (["simulate", "--action", "2"], {"seed": 1.5}),
+            (["simulate", "--action", "2"], {"count": 2.5}),
+            (["diagnose"], {"paths": 1.5}),
+        ],
+    )
+    def test_config_value_of_wrong_type_exit_2(self, tmp_path, capsys, command, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = run_cli([*command, "--model", M2, "--out-dir", str(tmp_path / "o"), "--config", str(cfg)])
+        assert code == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and next(iter(doc)) in err
+        assert not (tmp_path / "o").exists()
+
     def test_config_takes_every_simulate_flag(self, tmp_path):
         ids = {}
         for start in (0, 1):
@@ -114,6 +133,9 @@ class TestSolve:
         ["solve", "--tol", "-1"],
         ["solve", "--tol", "nan"],
         ["simulate", "--count", "-5", "--action", "2"],
+        ["solve", "--seed", "-1"],
+        ["simulate", "--seed", "-1", "--action", "2"],
+        ["diagnose", "--seed", "-1"],
     ],
 )
 def test_bad_numeric_argument_exit_3(tmp_path, capsys, argv):

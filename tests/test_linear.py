@@ -83,7 +83,7 @@ class TestKolmogorov:
         # f = 1, g = 0: expected value is just the remaining time
         alpha = jc.constant_policy(m2, 0)
         grid = jc.solve_kolmogorov(
-            m2, alpha, g_vec=np.zeros(2), f_running=lambda s: np.ones(2), n_steps=500
+            m2, alpha, g_vec=np.zeros(2), f_running=lambda ts: np.ones(ts.shape + (2,)), n_steps=500
         )
         assert grid.values[0, 0] == pytest.approx(1.0, abs=1e-9)
         assert grid.values[0, 1] == pytest.approx(1.0, abs=1e-9)
@@ -128,7 +128,7 @@ class TestKolmogorov:
         grid = jc.solve_kolmogorov_pair(
             threestate,
             g_pair=np.zeros((3, 2)),
-            f_pair=lambda s: threestate.running_cost,
+            f_pair=lambda ts: cost_layer(threestate, ts),
             n_steps=1000,
         )
         n = 10_000
@@ -174,41 +174,33 @@ class TestPairKolmogorov:
         assert report["difference"] == 0.0
 
 
-def csv_writer_values(fh, grid, states, actions=None):
+def csv_writer_values(fh, grid, states):
     """Row-by-row csv.writer reference for ValueGrid.to_csv."""
     w = csv.writer(fh)
     ts = grid.times
-    if actions is None:
-        w.writerow(["k", "t", "state", "value"])
-        for k in range(grid.n_steps + 1):
-            for x, sx in enumerate(states):
-                w.writerow([k, repr(float(ts[k])), sx, repr(float(grid.values[k, x]))])
-    else:
-        w.writerow(["k", "t", "state", "action", "value"])
-        for k in range(grid.n_steps + 1):
-            for x, sx in enumerate(states):
-                for a, sa in enumerate(actions):
-                    w.writerow([k, repr(float(ts[k])), sx, sa, repr(float(grid.values[k, x, a]))])
+    w.writerow(["k", "t", "state", "value"])
+    for k in range(grid.n_steps + 1):
+        for x, sx in enumerate(states):
+            w.writerow([k, repr(float(ts[k])), sx, repr(float(grid.values[k, x]))])
 
 
 QUOTED_LABELS = ("a,b", 'say "hi"', "", "two\nlines", "plain")
 
 
 class TestValueGridCSV:
-    @pytest.mark.parametrize("pair", [False, True])
-    def test_bytes_match_csv_writer(self, tmp_path, pair):
+    def test_bytes_match_csv_writer(self, tmp_path):
         # 5000 nodes x 5 states passes the row chunk size of the writer
         rng = np.random.default_rng(4)
-        states, actions = QUOTED_LABELS, (("u,v", 'q"', "w") if pair else None)
-        shape = (5001, len(states)) + ((len(actions),) if pair else ())
+        states = QUOTED_LABELS
+        shape = (5001, len(states))
         vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
         vals.flat[:3] = (0.0, -0.0, 1.0)
         grid = jc.ValueGrid(vals, 0.7)
         ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
         with open(ours, "w", newline="") as fh:
-            grid.to_csv(fh, states, actions)
+            grid.to_csv(fh, states)
         with open(ref, "w", newline="") as fh:
-            csv_writer_values(fh, grid, states, actions)
+            csv_writer_values(fh, grid, states)
         assert ours.read_bytes() == ref.read_bytes()
 
     def test_round_trip_layout(self, m2, tmp_path):

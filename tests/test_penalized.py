@@ -7,7 +7,6 @@ import einsum_penalized
 import jumpcontrol as jc
 from einsum_penalized import penalty_layer, penalty_term
 from jumpcontrol.penalized import _march_levels
-from jumpcontrol.simulate import _sim_tables
 from test_hjb import random_problem
 
 ALL_LEVELS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -52,7 +51,7 @@ class TestPenaltyTerm:
         v = rng.normal(size=(3, 2))
         lam0 = threestate.lambda0
         n = int(rng.integers(0, 300))
-        x_part = (_sim_tables(threestate)["x_gen"] @ v.reshape(-1)).reshape(v.shape)
+        x_part = (threestate.x_generator @ v.reshape(-1)).reshape(v.shape)
         pair = x_part + (v @ lam0)[:, None] - lam0.sum() * v
         psi = v[:, None, :] - v[:, :, None]
         cancelled = x_part + n * (np.maximum(psi, 0.0) @ lam0)

@@ -14,10 +14,10 @@ from jumpcontrol.randomized import (
     dual_gain_importance,
     dual_value_check,
     girsanov_mean_weight,
-    girsanov_weight,
     greedy_control_from_vn,
 )
-from jumpcontrol.simulate import NU_MIN, Path, _running_costs, running_cost_along_path
+from jumpcontrol.model import cost_layer
+from jumpcontrol.simulate import NU_MIN, Path, _running_costs
 
 
 def make_pair_path(t0, x0, a0, jumps, T):
@@ -70,7 +70,7 @@ class TestGirsanovWeight:
         c = 0.4
         nu = jc.constant_control(zero_rate, c)
         path = make_pair_path(0.0, 0, 0, [], 1.0)
-        w = girsanov_weight(zero_rate, nu, path)
+        w = _log_weights(zero_rate, nu, [path])[0]
         assert w == pytest.approx((1.0 - c) * 2.0 * 1.0)
         assert math.exp(w) == pytest.approx(math.exp((1.0 - c) * 2.0))
 
@@ -78,7 +78,7 @@ class TestGirsanovWeight:
         nu = jc.constant_control(m2, 1.0)
         for i in range(50):
             path = jc.simulate_pair_path(m2, 0.0, 0, 1, None, rng=jc.child_rng(21, i))
-            assert girsanov_weight(m2, nu, path) == pytest.approx(0.0, abs=1e-12)
+            assert _log_weights(m2, nu, [path])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_single_jump_hand_value(self, m2):
         # one I-jump at time 0.5 switching action 0 -> 1 under constant nu:
@@ -86,14 +86,14 @@ class TestGirsanovWeight:
         c = 2.0
         nu = jc.constant_control(m2, c, n_max=4.0)
         path = make_pair_path(0.0, 0, 0, [(0.5, 0, 1)], 1.0)
-        w = girsanov_weight(m2, nu, path)
+        w = _log_weights(m2, nu, [path])[0]
         assert w == pytest.approx((1.0 - c) * 1.0 * 1.0 + math.log(c))
 
     def test_rejects_controlled_path(self, m2):
         alpha = jc.constant_policy(m2, 0)
-        path = jc.simulate_controlled_path(m2, alpha, 0.0, 0, 7)
+        path = jc.simulate_controlled_paths(m2, alpha, 0.0, 0, 1, jc.child_rng(7, 0)).path(0)
         with pytest.raises(ValueError):
-            girsanov_weight(m2, jc.constant_control(m2, 1.0), path)
+            _log_weights(m2, jc.constant_control(m2, 1.0), [path])[0]
 
     def test_layered_drift_integration(self, zero_rate):
         # two layers with constant nu on each half; jump-free path gives
@@ -103,7 +103,7 @@ class TestGirsanovWeight:
         field[1] = 2.0
         nu = jc.IntensityControl(field, 1.0, 4.0)
         path = make_pair_path(0.0, 0, 0, [], 1.0)
-        w = girsanov_weight(zero_rate, nu, path)
+        w = _log_weights(zero_rate, nu, [path])[0]
         assert w == pytest.approx((1.0 - 0.5) * 1.0 + (1.0 - 2.0) * 1.0)
 
     def test_martingale_property(self, m2):
@@ -153,17 +153,17 @@ class TestBatchMatchesLoops:
             assert np.array_equal(got, ref)
         else:
             assert np.abs(got - ref).max() <= 1e-12
-        assert [running_cost_along_path(p, q) for q in paths] == got.tolist()
+        assert [_running_costs(p, [q])[0] for q in paths] == got.tolist()
 
     def test_log_weight(self, case):
         p, nu, paths = case
         ref = np.array([path_loops.girsanov_log_weight(p, nu, q) for q in paths])
         got = _log_weights(p, nu, paths)
         assert np.abs(got - ref).max() <= 1e-12
-        assert [girsanov_weight(p, nu, q) for q in paths] == got.tolist()
+        assert [_log_weights(p, nu, [q])[0] for q in paths] == got.tolist()
         # The mark term of the jump at T counts: it is an I-jump, so d1 = 1.
         no_last = Path(0.1 * p.horizon, 1, 1, [0.4 * p.horizon], [0], [1], p.horizon)
-        assert got[-1] - girsanov_weight(p, nu, no_last) == pytest.approx(math.log(nu.field[-1, 0, 1, 0]))
+        assert got[-1] - _log_weights(p, nu, [no_last])[0] == pytest.approx(math.log(nu.field[-1, 0, 1, 0]))
 
     def test_estimators_average_the_loop_samples(self, case):
         # 600 paths: two full batches and a partial one; without paths= the
@@ -224,7 +224,7 @@ class TestDualGain:
     def test_unit_control_matches_pair_kolmogorov(self, threestate):
         nu = jc.constant_control(threestate, 1.0)
         grid = jc.solve_kolmogorov_pair(
-            threestate, f_pair=lambda s: threestate.running_cost, n_steps=1000
+            threestate, f_pair=lambda ts: cost_layer(threestate, ts), n_steps=1000
         )
         est, se = dual_gain_direct(threestate, nu, 0.0, 0, 0, 20_000, master_seed=43)
         assert abs(est - grid.values[0, 0, 0]) <= 3.0 * se

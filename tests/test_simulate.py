@@ -50,7 +50,7 @@ class TestLayerIndex:
 class TestControlledPath:
     def test_zero_rates_no_jumps(self, zero_rate):
         alpha = jc.constant_policy(zero_rate, 0)
-        path = jc.simulate_controlled_path(zero_rate, alpha, 0.0, 1, 3)
+        path = jc.simulate_controlled_paths(zero_rate, alpha, 0.0, 1, 1, jc.child_rng(3, 0)).path(0)
         assert path.n_jumps == 0
         assert path.state_at(zero_rate.horizon) == 1
 
@@ -80,15 +80,15 @@ class TestControlledPath:
 
     def test_seed_determinism(self, m2):
         alpha = jc.constant_policy(m2, 1)
-        p1 = jc.simulate_controlled_path(m2, alpha, 0.0, 0, 5)
-        p2 = jc.simulate_controlled_path(m2, alpha, 0.0, 0, 5)
+        p1 = jc.simulate_controlled_paths(m2, alpha, 0.0, 0, 1, jc.child_rng(5, 0)).path(0)
+        p2 = jc.simulate_controlled_paths(m2, alpha, 0.0, 0, 1, jc.child_rng(5, 0)).path(0)
         assert np.array_equal(p1.times, p2.times)
         assert np.array_equal(p1.x_marks, p2.x_marks)
 
     def test_path_invariants(self, threestate):
         alpha = jc.constant_policy(threestate, 1)
         for i in range(200):
-            path = jc.simulate_controlled_path(threestate, alpha, 0.2, 2, None, rng=jc.child_rng(1, i))
+            path = jc.simulate_controlled_paths(threestate, alpha, 0.2, 2, 1, jc.child_rng(1, i)).path(0)
             assert np.all(np.diff(path.times) > 0)
             if path.n_jumps:
                 assert path.times[0] > 0.2
@@ -190,7 +190,7 @@ class TestControlledMatchesLoop:
         t0 = start * p.horizon
         for i in range(40 if name == "stiff" else 200):
             x = i % p.n_states
-            got = jc.simulate_controlled_path(p, alpha, t0, x, None, rng=jc.child_rng(80, i))
+            got = jc.simulate_controlled_paths(p, alpha, t0, x, 1, jc.child_rng(80, i)).path(0)
             ref = path_loops.controlled_path(p, alpha, t0, x, jc.child_rng(80, i))
             assert got.times.tobytes() == ref.times.tobytes()
             assert got.x_marks.tobytes() == ref.x_marks.tobytes()
@@ -378,8 +378,8 @@ class TestControlTypes:
         table[2:] = 1
         alpha = jc.FeedbackPolicy(table, 1.0)
         # four layers of width 0.25; layer 2 starts at t = 0.5
-        assert alpha.action_at(0.49, 0) == 0
-        assert alpha.action_at(0.5, 0) == 1
+        assert alpha.table[alpha.layer_index(0.49), 0] == 0
+        assert alpha.table[alpha.layer_index(0.5), 0] == 1
 
     def test_control_bounds_enforced(self, m2):
         with pytest.raises(ValueError):
@@ -387,7 +387,7 @@ class TestControlTypes:
         with pytest.raises(ValueError):
             jc.IntensityControl(np.full((1, 2, 2, 2), 2.0), 1.0, 1.0)
         ok = jc.IntensityControl(np.full((1, 2, 2, 2), NU_MIN), 1.0, 1.0)
-        assert ok.value(0.3, 0, 0, 1) == NU_MIN
+        assert ok.field[ok.layer_index(0.3), 0, 0, 1] == NU_MIN
 
     def test_explosion_guard(self):
         # the jump cap scales with the rate bound, so force it with an rng
@@ -405,7 +405,7 @@ class TestControlTypes:
         )
         nu = jc.IntensityControl(np.full((4, 2, 1, 1), 2.0), 1.0, 3.0)
         for sample in (
-            lambda: jc.simulate_controlled_path(p, jc.constant_policy(p, 0), 0.0, 0, None, rng=Stuck()),
+            lambda: jc.simulate_controlled_paths(p, jc.constant_policy(p, 0), 0.0, 0, 1, Stuck()),
             lambda: jc.simulate_pair_path(p, 0.0, 0, 0, None, rng=Stuck()),
             lambda: jc.simulate_tilted_path(p, nu, 0.0, 0, 0, None, rng=Stuck()),
             lambda: jc.simulate_pair_paths(p, jc.constant_control(p, 1.0), 0.0, 0, 0, 3, Stuck()),
