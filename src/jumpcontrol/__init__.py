@@ -30,7 +30,6 @@ from .simulate import (
     simulate_pair_path,
     simulate_pair_paths,
     simulate_pair_sample,
-    simulate_tilted_path,
 )
 from .linear import ValueGrid, evaluate_policy, solve_kolmogorov, solve_kolmogorov_pair
 from .hjb import HJBSolution, NonconvergenceError, extract_feedback, solve_hjb_picard

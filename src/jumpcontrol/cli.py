@@ -50,7 +50,7 @@ def _load(args):
         raise SystemExit(EXIT_PARSE)
     report = model.validate_problem(p)
     if not report.ok:
-        print(f"error: model fails validation:\n{report}", file=sys.stderr)
+        print(f"error: model fails validation: {report}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
     return p
 
@@ -69,6 +69,14 @@ def _invalid(message):
     raise SystemExit(EXIT_VALIDATION)
 
 
+def _out_dir(args):
+    """Create the output directory; one that cannot be created exits 3."""
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        _invalid(f"cannot create output directory {args.out_dir}: {exc}")
+
+
 def _config(args):
     """The numerical arguments of every command, checked by SolverConfig,
     and the seed; a bad value exits 3."""
@@ -85,7 +93,7 @@ def cmd_solve(args):
     _config(args)
     p = _load(args)
     sol = _solve_primal(p, args)
-    os.makedirs(args.out_dir, exist_ok=True)
+    _out_dir(args)
     _atomic_write(
         os.path.join(args.out_dir, "values.csv"),
         lambda fh: sol.values.to_csv(fh, p.states),
@@ -121,7 +129,7 @@ def cmd_diagnose(args):
         report = penalized.convergence_report(p, levels, n_steps=args.n_steps, primal=primal)
     except ValueError as exc:  # a march past penalized.MAX_RK4_STEPS
         _invalid(exc)
-    os.makedirs(args.out_dir, exist_ok=True)
+    _out_dir(args)
     _atomic_write(os.path.join(args.out_dir, "penalized.csv"), report.to_csv)
 
     x0 = 0
@@ -188,7 +196,7 @@ def cmd_simulate(args):
     paths = simulate.simulate_controlled_paths(
         p, policy, 0.0, args.start_state, args.count, simulate.child_rng(args.seed, 0)
     )
-    os.makedirs(args.out_dir, exist_ok=True)
+    _out_dir(args)
     _atomic_write(
         os.path.join(args.out_dir, "paths.csv"),
         lambda fh: simulate.paths_to_csv(paths, fh),

@@ -105,7 +105,10 @@ def solve_hjb_picard(
     if x < 1e-4:
         w0, w1 = dt * (0.5 - x / 6 + x * x / 24), dt * (0.5 + x / 6 + x * x / 24)
     else:
-        w0, w1 = (x + math.expm1(-x)) / (lam * x), (math.expm1(x) - x) / (lam * x)
+        try:
+            w0, w1 = (x + math.expm1(-x)) / (lam * x), (math.expm1(x) - x) / (lam * x)
+        except OverflowError:  # exp(L dt) past L dt = 709.78; exp(-L t) underflows there too
+            raise NonconvergenceError(math.inf, 0) from None
 
     gamma = np.empty((nK, nA * nS))
     gamma3 = gamma.reshape(nK, nA, nS)

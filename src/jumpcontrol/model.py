@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -109,20 +110,22 @@ class ValidationReport:
     def __str__(self):
         if self.ok:
             return "problem admissible"
-        return "\n".join(
-            f"{v['kind']} at {v['location']}: {v['detail']}" for v in self.violations
-        )
+        return "; ".join(f"{v['kind']} at {v['location']}: {v['detail']}" for v in self.violations)
 
 
 def validate_problem(p: Problem) -> ValidationReport:
     """Check admissibility of the problem data; pure and idempotent.
 
-    Returns a report listing every violation (negative or non-finite rate,
-    a lambda0 entry without full support, non-finite cost, bad horizon);
-    the report is empty iff the problem is admissible.
+    Returns a report listing every violation (repeated label, negative or
+    non-finite rate, a lambda0 entry without full support, non-finite cost,
+    bad horizon); the report is empty iff the problem is admissible.
     """
     rep = ValidationReport()
     nS, nA = p.n_states, p.n_actions
+    for kind, labels in (("state", p.states), ("action", p.actions)):
+        for label, count in Counter(labels).items():
+            if count > 1:
+                rep.add(f"repeated {kind} label", repr(label), f"{count} times")
     if p.rates.shape != (nS, nA, nS):
         rep.add("rates shape", p.rates.shape, f"expected {(nS, nA, nS)}")
         return rep

@@ -168,12 +168,9 @@ def greedy_control_from_vn(
     """
     level = max(vn.level, 1)
     edges = np.linspace(0.0, p.horizon, n_layers + 1)
-    field = np.full((n_layers, p.n_states, p.n_actions, p.n_actions), NU_MIN)
-    for j in range(n_layers):
-        layer = vn.values.layer_at(0.5 * (edges[j] + edges[j + 1]))  # (x, a)
-        better = layer[:, None, :] > layer[:, :, None]  # [x, a, b]: v(x,b) > v(x,a)
-        field[j][better] = float(level)
-    return IntensityControl(field, p.horizon, float(level))
+    layers = vn.values.layer_at(0.5 * (edges[:-1] + edges[1:]))  # (j, x, a) at the midpoints
+    better = layers[:, :, None, :] > layers[:, :, :, None]  # [j, x, a, b]: v(x,b) > v(x,a)
+    return IntensityControl(np.where(better, float(level), NU_MIN), p.horizon, float(level))
 
 
 @dataclass

@@ -1,24 +1,24 @@
 """Exact simulation of the controlled jump process and of the pair (X, I),
 and the one integrator for functionals along pair paths.
 
-Two samplers. The feedback-controlled chain X thins proposals at the
-uniform rate bound (Lewis & Shedler 1979), every path of a batch at once,
-from one stream. The pair (X, I) under an intensity tilt nu, whose
-I-intensity is nu(t, x, a, b) * lambda0[b], draws competing exponentials:
-its total rate is constant on each layer of nu, so each jump spends one
-Exp(1) of cumulative hazard across the layer edges. The uncontrolled pair,
-with the autonomous lambda0-driven action component, is the tilt nu = 1.
+Two batch samplers. The feedback-controlled chain X thins proposals at the
+uniform rate bound (Lewis & Shedler 1979). The pair (X, I) under an
+intensity tilt nu, whose I-intensity is nu(t, x, a, b) * lambda0[b], draws
+competing exponentials: its total rate is constant on each layer of nu, so
+each jump spends one Exp(1) of cumulative hazard across the layer edges.
+Both advance every live path of a batch by one event per round, on the one
+stream they are given, and return a PathBatch; every path is a pure
+function of (problem, inputs, seed). A pair sample of n paths from
+master_seed (simulate_pair_sample, behind every pair-path estimator) cuts
+them into chunks of 4096 paths: chunk c is one batch on the child stream
+SeedSequence(entropy=master_seed, spawn_key=(c,)), so its statistics do not
+depend on how the work is scheduled.
 
-Both batch samplers advance every live path of a batch by one event per
-round, on the one stream they are given, and return a PathBatch; a batch
-of one makes the draws of the one-path loop. Every path is a pure function
-of (problem, inputs, seed). A pair sample of n paths from master_seed
-(simulate_pair_sample, behind every pair-path estimator) cuts them into
-chunks of 4096 paths: chunk c is one batch on the child stream
-SeedSequence(entropy=master_seed, spawn_key=(c,)), so its statistics do
-not depend on how the work is scheduled. The one-path pair samplers
-(simulate_pair_path, simulate_tilted_path) draw one path per stream; they
-keep a scalar loop, which is several times faster than a batch of one.
+Tilted paths come only from the batch sampler. The reference pair, with
+the autonomous lambda0-driven action component, is the tilt nu = 1. One
+scalar loop, simulate_pair_path, draws one reference path per stream,
+several times faster than a batch of one; a batch of one at nu = 1 makes
+its draws.
 
 Every time integral along pair paths (the running cost here, the Girsanov
 drift in randomized, K and the compensator in bsde) runs over the flattened
@@ -269,11 +269,11 @@ def _sim_tables(p: Problem) -> dict:
     """Per-problem lookup tables (cached lazily).
 
     "cum" is the cumulative rate table cum[x, a, y] of the batch samplers.
-    "rows" and "cums" are the row sums and "cum" as plain nested lists:
-    scalar indexing in the one-path loop is several times faster on lists
-    than on numpy arrays. "unit" is the tilt nu = 1 of the reference pair.
-    "cost_cum" is the integral of f up to each cost node; a constant f has
-    the nodes 0 and T.
+    "rows", "cums" and "lam0_cum" are the row sums, "cum" and the cumulative
+    lambda0 as plain nested lists: scalar indexing in the one-path loop is
+    several times faster on lists than on numpy arrays. "unit" is the tilt
+    nu = 1 of the reference pair. "cost_cum" is the integral of f up to each
+    cost node; a constant f has the nodes 0 and T.
     """
     tables = p.__dict__.get("_sim_tables")
     if tables is None:
@@ -286,6 +286,7 @@ def _sim_tables(p: Problem) -> dict:
             "rows": p.row_sums.tolist(),
             "cums": cum.tolist(),
             "lam0_tot": float(p.lambda0.sum()),
+            "lam0_cum": p.lambda0.cumsum().tolist(),
             "lam": rate_bound(p),
             "unit": constant_control(p, 1.0),
             "cost_cum": _prefix(0.5 * dt * (nodes[:-1] + nodes[1:])),
@@ -355,85 +356,35 @@ def simulate_controlled_paths(
 
 
 def simulate_pair_path(p: Problem, t: float, x: int, a: int, seed, rng=None) -> Path:
-    """Sample the uncontrolled pair (X, I) on [t, T]: the tilted law at nu = 1."""
-    return _pair_path(p, _sim_tables(p)["unit"], t, x, a, seed, rng)
+    """Sample the reference pair (X, I) on [t, T] from (x, a), on rng or
+    else on child_rng(seed, 0).
 
-
-def simulate_tilted_path(
-    p: Problem, nu: IntensityControl, t: float, x: int, a: int, seed, rng=None
-) -> Path:
-    """Sample the pair (X, I) on [t, T] with I-intensity nu(s, X, I, b) * lambda0[b]."""
-    _check_horizon(nu, p)
-    return _pair_path(p, nu, t, x, a, seed, rng)
-
-
-def _tilt_tables(p: Problem, nu: IntensityControl):
-    """Per-control lookup tables, cached on the control for one lambda0.
-
-    irate[j, x, a] is the I-rate sum_b nu_j(x, a, b) lambda0[b] on layer j,
-    icum[j, x, a] its cumulative over b, and edges[j] the right edge of
-    layer j (inf for the last layer). Returns (irate, icum, edges) as
-    arrays for the batch sampler and as nested lists of the same numbers
-    for the one-path loop.
+    Competing exponentials at the total rate lambda(X, I, E) + lambda0(A):
+    an X-jump keeps I and draws the new state from the normalized row; an
+    I-jump keeps X and draws the new action from lambda0: the first index
+    whose cumulative weight exceeds u times the total.
     """
-    cached = nu.__dict__.get("_tilt_tables")
-    if cached is None or cached[0] is not p.lambda0:
-        rates = nu.field * p.lambda0
-        n = nu.n_layers
-        arrays = (rates.sum(axis=-1), rates.cumsum(axis=-1), np.append(np.arange(1, n) * nu.horizon / n, math.inf))
-        cached = (p.lambda0, arrays, tuple(v.tolist() for v in arrays))
-        object.__setattr__(nu, "_tilt_tables", cached)
-    return cached[1:]
-
-
-def _pair_path(p: Problem, nu: IntensityControl, t: float, x: int, a: int, seed, rng) -> Path:
-    """The one-path pair sampler behind simulate_pair_path and
-    simulate_tilted_path, kept as two names so that a tracer tells the two
-    kinds of call apart.
-
-    Competing exponentials: on each layer j of nu the total rate
-    lambda(X, I, E) + sum_b nu_j(X, I, b) lambda0[b] is constant, so each
-    jump spends one Exp(1) draw of cumulative hazard, carried across layer
-    edges. An X-jump keeps I and draws the new state from the normalized
-    row; an I-jump keeps X and draws the new action from nu_j(X, I, .)
-    lambda0: the first index whose cumulative weight exceeds u times the
-    total. No proposal is rejected.
-    """
-    if rng is None:
-        rng = child_rng(seed, 0) if np.isscalar(seed) else np.random.default_rng(seed)
+    rng = child_rng(seed, 0) if rng is None else rng
     T = p.horizon
     tab = _sim_tables(p)
-    rows, cums = tab["rows"], tab["cums"]
-    _, (irate, icum, edges) = _tilt_tables(p, nu)
-    cap = _cap(tab["lam"] + nu.n_max * tab["lam0_tot"], T - t)
+    rows, cums, ri, icum = tab["rows"], tab["cums"], tab["lam0_tot"], tab["lam0_cum"]
+    cap = _cap(tab["lam"] + ri, T - t)
     last_x, last_a = p.n_states - 1, p.n_actions - 1
-    j = nu.layer_index(t)
     s, cx, ca = t, int(x), int(a)
     times, xm, am = [], [], []
-    expo = rng.exponential
-    unif = rng.random
+    expo, unif = rng.exponential, rng.random
     while True:
         rx = rows[cx][ca]
-        ri = irate[j][cx][ca]
         r = rx + ri
         if r <= 0.0:
             break
-        e = expo()
-        # Carry what is left of e past each layer edge it outlasts; e stays
-        # >= 0, since it loses exactly the product it was compared with.
-        while e >= (edges[j] - s) * r:
-            e -= (edges[j] - s) * r
-            s = edges[j]
-            j += 1
-            ri = irate[j][cx][ca]
-            r = rx + ri
-        s += e / r
+        s += expo() / r
         if s >= T:
             break
         if unif() * r < rx:
             cx = min(bisect.bisect_right(cums[cx][ca], unif() * rx), last_x)
         else:
-            ca = min(bisect.bisect_right(icum[j][cx][ca], unif() * ri), last_a)
+            ca = min(bisect.bisect_right(icum, unif() * ri), last_a)
         times.append(s)
         xm.append(cx)
         am.append(ca)
@@ -442,24 +393,43 @@ def _pair_path(p: Problem, nu: IntensityControl, t: float, x: int, a: int, seed,
     return Path(t, int(x), int(a), np.array(times), np.array(xm), np.array(am), T)
 
 
+def _tilt_tables(p: Problem, nu: IntensityControl):
+    """Per-control lookup tables, cached on the control for one lambda0.
+
+    irate[j, x, a] is the I-rate sum_b nu_j(x, a, b) lambda0[b] on layer j,
+    icum[j, x, a] its cumulative over b, and edges[j] the right edge of
+    layer j (inf for the last layer). Returns (irate, icum, edges).
+    """
+    cached = nu.__dict__.get("_tilt_tables")
+    if cached is None or cached[0] is not p.lambda0:
+        rates = nu.field * p.lambda0
+        n = nu.n_layers
+        edges = np.append(np.arange(1, n) * nu.horizon / n, math.inf)
+        cached = (p.lambda0, rates.sum(axis=-1), rates.cumsum(axis=-1), edges)
+        object.__setattr__(nu, "_tilt_tables", cached)
+    return cached[1:]
+
+
 def simulate_pair_paths(
     p: Problem, nu: IntensityControl, t: float, x: int, a: int, count: int, rng
 ) -> PathBatch:
     """Sample `count` paths of the pair (X, I) on [t, T] from (x, a), with
     I-intensity nu(s, X, I, b) * lambda0[b], all from the one stream rng.
 
-    The law and the arithmetic of _pair_path, one jump of every live path
-    per round: paths whose total rate is zero retire; the others draw
-    their Exp(1) and carry it across the layer edges of nu; paths that
-    reach T stop; the rest draw their channel uniforms, then their mark
-    uniforms, in path order. So a batch of one makes the draws of the
-    one-path loop, and every path that survives a round jumps in it.
+    Competing exponentials, one jump of every live path per round: on each
+    layer j of nu the total rate lambda(X, I, E) + sum_b nu_j(X, I, b)
+    lambda0[b] is constant, so each jump spends one Exp(1) draw of
+    cumulative hazard, carried across layer edges. Paths whose total rate
+    is zero retire; paths that reach T stop; the rest draw their channel
+    uniforms, then their mark uniforms, in path order, so every path that
+    survives a round jumps in it. At nu = 1 a batch of one makes the draws
+    of simulate_pair_path. No proposal is rejected.
     """
     _check_horizon(nu, p)
     T = p.horizon
     tab = _sim_tables(p)
     rows, cums = p.row_sums, tab["cum"]
-    (irate, icum, edges), _ = _tilt_tables(p, nu)
+    irate, icum, edges = _tilt_tables(p, nu)
     cap = _cap(tab["lam"] + nu.n_max * tab["lam0_tot"], T - t)
     live = np.arange(count)
     s = np.full(count, float(t))

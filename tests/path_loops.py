@@ -5,6 +5,8 @@ Each function walks one path jump by jump in plain Python:
   the rate bound Lambda_E (Lewis & Shedler 1979);
 - pair_path samples the reference pair (X, I) by competing exponentials at
   the total rate lambda(X, I, E) + lambda0(A);
+- tilted_path samples the nu-tilted pair by competing exponentials, layer
+  by layer of nu;
 - tilted_path_thinning samples the nu-tilted pair by thinning I-proposals
   at the bound n_max lambda0(A) (Lewis & Shedler 1979);
 - running_cost_along_path integrates f over the pieces cut by the jumps and
@@ -12,9 +14,9 @@ Each function walks one path jump by jump in plain Python:
 - girsanov_log_weight integrates the drift over the pieces cut by the jumps
   and the control's layer edges.
 jumpcontrol.simulate thins all controlled paths of a batch at once, samples
-both pair laws with one layered competing-exponentials sampler and computes
-the integrals for a whole batch from cumulative tables; the tests compare
-the two.
+the tilted pair in batches with one layered competing-exponentials sampler
+(the reference pair also with one scalar loop), and computes the integrals
+for a whole batch from cumulative tables; the tests compare the two.
 """
 from __future__ import annotations
 
@@ -86,6 +88,51 @@ def pair_path(p, t, x, a, rng) -> Path:
             cx = _draw(cums[cx][ca], rx, rng.random())
         else:
             ca = _draw(lam0_cum, lam0_tot, rng.random())
+        times.append(s)
+        xm.append(cx)
+        am.append(ca)
+        if len(times) > cap:
+            raise ExplosionError(f"pair path exceeded {cap} jumps on [{t}, {T}]")
+    return Path(t, int(x), int(a), np.array(times), np.array(xm), np.array(am), T)
+
+
+def tilted_path(p, nu, t, x, a, rng) -> Path:
+    """The nu-tilted pair on [t, T]: on layer j of nu the total rate
+    lambda(X, I, E) + sum_b nu_j(X, I, b) lambda0[b] is constant, so each
+    jump spends one Exp(1) of cumulative hazard, carried across the layer
+    edges. An X-jump is drawn as in pair_path; an I-jump keeps X and draws
+    the new action from nu_j(X, I, .) lambda0."""
+    T = p.horizon
+    rows, cums = p.row_sums.tolist(), p.rates.cumsum(axis=2).tolist()
+    rates = nu.field * p.lambda0
+    irate, icum = rates.sum(axis=-1).tolist(), rates.cumsum(axis=-1).tolist()
+    n = nu.n_layers
+    edges = (np.arange(1, n) * nu.horizon / n).tolist() + [math.inf]
+    cap = _cap(rate_bound(p) + nu.n_max * float(p.lambda0.sum()), T - t)
+    j = nu.layer_index(t)
+    s, cx, ca = t, int(x), int(a)
+    times, xm, am = [], [], []
+    while True:
+        rx = rows[cx][ca]
+        ri = irate[j][cx][ca]
+        r = rx + ri
+        if r <= 0.0:
+            break
+        e = rng.exponential()
+        # Carry what is left of e past each layer edge it outlasts.
+        while e >= (edges[j] - s) * r:
+            e -= (edges[j] - s) * r
+            s = edges[j]
+            j += 1
+            ri = irate[j][cx][ca]
+            r = rx + ri
+        s += e / r
+        if s >= T:
+            break
+        if rng.random() * r < rx:
+            cx = _draw(cums[cx][ca], rx, rng.random())
+        else:
+            ca = _draw(icum[j][cx][ca], ri, rng.random())
         times.append(s)
         xm.append(cx)
         am.append(ca)

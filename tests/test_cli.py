@@ -270,7 +270,43 @@ class TestDiagnose:
         assert not os.path.exists(tmp_path / "o")
 
 
+@pytest.mark.parametrize(
+    "labels, argv",
+    [({"states": ["0", "0"]}, ["solve"]), ({"actions": ["a", "a"]}, ["simulate", "--action", "a"])],
+)
+def test_repeated_label_exit_3(tmp_path, capsys, labels, argv):
+    model = tmp_path / "repeated.json"
+    model.write_text(json.dumps(dict(json.load(open(M2)), **labels)))
+    code = run_cli([*argv, "--model", str(model), "--out-dir", str(tmp_path / "o")])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "repeated" in err
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("command", [["solve"], ["diagnose", "--paths", "20", "--levels", "1,2"], ["simulate"]])
+def test_out_dir_that_is_a_file_exit_3(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("")
+    code = run_cli([*command, "--model", M2, "--out-dir", str(out), "--n-steps", "50"])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "output directory" in err
+    assert out.read_text() == ""
+
+
 class TestNonconvergence:
+    @pytest.mark.parametrize("command", [["solve"], ["diagnose"], ["simulate"]])
+    def test_stiff_exit_4(self, tmp_path, capsys, command):
+        # L dt = 1000 at the default N = 2000: the cell weights overflow
+        spec = dict(json.load(open(M2)), actions=["a"], lambda0=[1.0], rates=[[[0.0, 2e6]], [[0.0, 0.0]]])
+        model = tmp_path / "stiff.json"
+        model.write_text(json.dumps(spec))
+        code = run_cli([*command, "--model", str(model), "--out-dir", str(tmp_path / "o")])
+        assert code == cli.EXIT_NONCONVERGENCE
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "o")
+
     @pytest.mark.parametrize("command", [["solve"], ["diagnose"], ["simulate"]])
     def test_exit_4(self, tmp_path, capsys, command):
         # L T = 800: exp(-L t) underflows, so Picard has no finite solution

@@ -70,6 +70,15 @@ class TestPicard:
         with np.errstate(all="ignore"), pytest.raises(NonconvergenceError):
             jc.solve_hjb_picard(p, n_steps=200)
 
+    def test_exponential_weight_overflow_raises(self):
+        # L dt = 1000: exp(L dt) in the cell weights overflows a float
+        p = jc.Problem(
+            ("0", "1"), ("0",), np.array([[[0.0, 2e6]], [[0.0, 0.0]]]),
+            np.array([1.0]), np.zeros((2, 1)), np.array([0.0, 1.0]), 1.0,
+        )
+        with pytest.raises(NonconvergenceError):
+            jc.solve_hjb_picard(p, n_steps=2000)
+
     def test_stiff_model(self):
         # L = 200, L dt = 0.1: the trapezoid rule on the rescaled unknown
         # gave v(0, 0) = 1.1698; exact exponential cell weights fix it

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -43,6 +44,12 @@ class TestValidateProblem:
         rates[1, 1, 0] = float("nan")
         rep = jc.validate_problem(small_problem(rates=rates))
         assert any(v["kind"] == "non-finite rate" for v in rep.violations)
+
+    @pytest.mark.parametrize("axis", ["states", "actions"])
+    def test_repeated_label(self, axis):
+        rep = jc.validate_problem(dataclasses.replace(small_problem(), **{axis: ("0", "0")}))
+        kind = "repeated state label" if axis == "states" else "repeated action label"
+        assert [v["kind"] for v in rep.violations] == [kind]
 
     def test_idempotent_and_pure(self):
         p = small_problem(lambda0=(1.0, 0.0))

@@ -246,6 +246,17 @@ class TestGreedyControl:
         assert nu.field[0, 0, 0, 1] == 16.0
         assert nu.field[0, 0, 1, 0] == NU_MIN
 
+    @pytest.mark.parametrize("n_layers", [1, 5, 64, 100])
+    def test_field_matches_per_layer_loop(self, threestate, n_layers):
+        p = threestate
+        vn = jc.solve_penalized(p, 64, n_steps=400)
+        edges = np.linspace(0.0, p.horizon, n_layers + 1)
+        expect = np.full((n_layers, p.n_states, p.n_actions, p.n_actions), NU_MIN)
+        for j in range(n_layers):
+            layer = vn.values.layer_at(0.5 * (edges[j] + edges[j + 1]))  # (x, a)
+            expect[j][layer[:, None, :] > layer[:, :, None]] = 64.0
+        assert greedy_control_from_vn(p, vn, n_layers).field.tobytes() == expect.tobytes()
+
 
 class TestDualValueCheck:
     def test_m2_report(self, m2):

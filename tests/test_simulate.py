@@ -246,7 +246,7 @@ class TestPairMatchesLoop:
 
 class TestPairBatchMatchesLoop:
     """A batch of one makes the draws of the one-path pair loop, for the
-    reference pair and for a 5-layer tilt."""
+    reference pair, and of the layered loop reference for a 5-layer tilt."""
 
     RANDOM = {"random 5x12": (75, 5, 12)}
 
@@ -263,7 +263,7 @@ class TestPairBatchMatchesLoop:
         else:
             field = np.random.default_rng(87).choice([NU_MIN, 0.25, 1.0, 3.0, 6.0], size=(5, nS, nA, nA))
             nu = jc.IntensityControl(field, T, 6.0)
-            loop = lambda x, a, rng: jc.simulate_tilted_path(p, nu, t0, x, a, None, rng=rng)
+            loop = lambda x, a, rng: path_loops.tilted_path(p, nu, t0, x, a, rng)
         for i in range(100):
             x, a = i % nS, i % nA
             got = jc.simulate_pair_paths(p, nu, t0, x, a, 1, jc.child_rng(88, i)).path(0)
@@ -297,9 +297,6 @@ class TestTiltedLaw:
         return law
 
     SAMPLERS = {
-        "exact hazard": lambda p, nu, t0, n: [
-            jc.simulate_tilted_path(p, nu, t0, 0, 1, None, rng=jc.child_rng(73, i)) for i in range(n)
-        ],
         "thinning": lambda p, nu, t0, n: [
             path_loops.tilted_path_thinning(p, nu, t0, 0, 1, jc.child_rng(73, i)) for i in range(n)
         ],
@@ -327,19 +324,14 @@ class TestTiltedPath:
     def test_horizon_mismatch_raises(self, m2):
         nu = jc.IntensityControl(np.full((4, 2, 2, 2), 2.0), 3.0, 2.0)
         with pytest.raises(ValueError, match="control and path horizons differ"):
-            jc.simulate_tilted_path(m2, nu, 0.0, 0, 0, 1)
-        with pytest.raises(ValueError, match="control and path horizons differ"):
             jc.simulate_pair_paths(m2, nu, 0.0, 0, 0, 10, jc.child_rng(20, 0))
 
     def test_unit_tilt_first_jump_distribution(self, m2):
         # nu = 1 reproduces the pair dynamics: first-jump time from (0, a=1)
         # is Exp(lambda(0,1,E) + lambda0(A)) = Exp(2 + 1); KS at the 1% level.
         nu = jc.constant_control(m2, 1.0)
-        first = []
-        for i in range(10_000):
-            path = jc.simulate_tilted_path(m2, nu, 0.0, 0, 1, None, rng=jc.child_rng(5, i))
-            if path.n_jumps:
-                first.append(path.times[0])
+        batch = jc.simulate_pair_paths(m2, nu, 0.0, 0, 1, 10_000, jc.child_rng(5, 0))
+        first = [path.times[0] for path in paths_of(batch) if path.n_jumps]
         # condition on at least one jump before T: truncated exponential CDF
         rate = 3.0
         z = 1.0 - math.exp(-rate * 1.0)
@@ -350,19 +342,15 @@ class TestTiltedPath:
         c = 1.7
         nu = jc.constant_control(zero_rate, c, n_max=2.0)
         n = 20_000
-        counts = np.array(
-            [jc.simulate_tilted_path(zero_rate, nu, 0.0, 0, 0, None, rng=jc.child_rng(6, i)).n_jumps
-             for i in range(n)]
-        )
+        counts = np.diff(jc.simulate_pair_paths(zero_rate, nu, 0.0, 0, 0, n, jc.child_rng(6, 0)).offsets)
         target = c * 2.0  # c * lambda0(A) * T
         assert abs(counts.mean() - target) <= 3.0 * counts.std(ddof=1) / math.sqrt(n)
 
     def test_nmax_tilt_scales_mean_count(self, zero_rate):
         n = 10_000
         n_max = 3.0
-        count = lambda nu, seed: np.array(
-            [jc.simulate_tilted_path(zero_rate, nu, 0.0, 0, 0, None, rng=jc.child_rng(seed, i)).n_jumps
-             for i in range(n)]
+        count = lambda nu, seed: np.diff(
+            jc.simulate_pair_paths(zero_rate, nu, 0.0, 0, 0, n, jc.child_rng(seed, 0)).offsets
         )
         base = count(jc.constant_control(zero_rate, 1.0, n_max=n_max), 7)
         tilted = count(jc.constant_control(zero_rate, n_max, n_max=n_max), 8)
@@ -407,7 +395,6 @@ class TestControlTypes:
         for sample in (
             lambda: jc.simulate_controlled_paths(p, jc.constant_policy(p, 0), 0.0, 0, 1, Stuck()),
             lambda: jc.simulate_pair_path(p, 0.0, 0, 0, None, rng=Stuck()),
-            lambda: jc.simulate_tilted_path(p, nu, 0.0, 0, 0, None, rng=Stuck()),
             lambda: jc.simulate_pair_paths(p, jc.constant_control(p, 1.0), 0.0, 0, 0, 3, Stuck()),
             lambda: jc.simulate_pair_paths(p, nu, 0.0, 0, 0, 3, Stuck()),
         ):
