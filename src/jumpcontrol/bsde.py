@@ -10,14 +10,14 @@ solves the penalized backward equation, and the sign constraint on
 Z_s(X_s, b) is recovered in the limit of large n. build_sample evaluates
 (Y, Z, K) with piecewise-linear time interpolation of v^n. Its breakpoints
 are t0, the jump times and T, because the pair state is constant in
-between. A time integral over such a segment is a difference of the
-cumulative tables that PenalizedSolution builds once per v^n, plus the two
-partial grid cells at the segment's ends (the integrator of simulate, which
-the running cost and the Girsanov drift share), so a path costs O(jumps),
-not O(grid). All integrals are exact for the interpolant (the positive part is
-integrated cell by cell with its kink located analytically), so the
-pathwise residual isolates the solver's ODE error rather than quadrature
-noise.
+between. K, the X-compensator and the running cost are rates (cum, cell)
+of simulate's one segment integrator: PenalizedSolution builds the first
+two once per v^n, so a segment costs a difference of cum plus its two end
+cells, each read from its grid cell's two node layers, and a path costs
+O(jumps), not O(grid). All integrals are exact for the interpolant (the
+positive part is integrated cell by cell with its kink located
+analytically), so the pathwise residual isolates the solver's ODE error
+rather than quadrature noise.
 """
 from __future__ import annotations
 
@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Problem
-from .penalized import PenalizedSolution, penalty_integral
+from .penalized import PenalizedSolution
 from .simulate import (
-    Path, PathBatch, _cost_integrals, _mean_se, _per_path, _segment_integrals, _segments, simulate_pair_sample,
+    Path, PathBatch, _mean_se, _per_path, _segment_integrals, _segments, _sim_tables, simulate_pair_sample,
 )
 
 
@@ -55,30 +55,6 @@ class BSDESample:
     solution: PenalizedSolution = field(repr=False)
 
 
-def _k_increments(vn: PenalizedSolution, lo, hi, x, a) -> np.ndarray:
-    """K^n accumulated over each constant-state segment."""
-    grid, lam0 = vn.values, vn.problem.lambda0
-
-    def cell(s0, s1, x, a):
-        s = np.stack((s0, s1))
-        psi = grid.layer_at(s, x) - grid.layer_at(s, x, a)[..., None]  # (2, m, nA)
-        return penalty_integral(psi[0], psi[1], (s1 - s0)[:, None], lam0, vn.level)
-
-    return _segment_integrals(grid.horizon, vn.k_table, cell, lo, hi, x, a)
-
-
-def _compensator_increments(vn: PenalizedSolution, lo, hi, x, a) -> np.ndarray:
-    """int sum_y Z(y, I) lambda(X, I, y) dr over each constant-state segment;
-    the integrand is linear on each grid cell, so the trapezoid is exact."""
-    rate = vn.compensator_rate
-
-    def cell(s0, s1, x, a):
-        c = rate.layer_at(np.stack((s0, s1)), x, a)
-        return 0.5 * (c[0] + c[1]) * (s1 - s0)
-
-    return _segment_integrals(vn.values.horizon, vn.compensator_table, cell, lo, hi, x, a)
-
-
 def build_sample(p: Problem, vn: PenalizedSolution, path: Path) -> BSDESample:
     """Evaluate (Y, Z, K) from v^n along a pair path.
 
@@ -94,15 +70,13 @@ def build_sample(p: Problem, vn: PenalizedSolution, path: Path) -> BSDESample:
     state_x = np.append(seg_x, path.state_at(T))
     state_a = np.append(seg_a, path.action_at(T))
     y_values = layers[np.arange(m + 1), state_x, state_a]
-    k_values = np.concatenate(([0.0], np.cumsum(_k_increments(vn, lo, hi, seg_x, seg_a))))
+    k_values = np.concatenate(([0.0], np.cumsum(_segment_integrals(T, vn.k_table, lo, hi, seg_x, seg_a))))
 
-    # Z at the realized jump marks; a jump at T reads the layer at T.
-    jump_z = np.empty(path.n_jumps)
-    if path.n_jumps:
-        jpos = np.searchsorted(bp, path.times)
-        pre_x = np.concatenate(([path.x0], path.x_marks[:-1]))
-        pre_a = np.concatenate(([path.a0], path.a_marks[:-1]))
-        jump_z = layers[jpos, path.x_marks, path.a_marks] - layers[jpos, pre_x, pre_a]
+    # Z at the realized jump marks; a jump at T reads the layer at T. Jump j
+    # leaves segment j's state, and a jump at T opens no segment of its own.
+    n = path.n_jumps
+    jpos = np.searchsorted(bp, path.times)
+    jump_z = layers[jpos, path.x_marks, path.a_marks] - layers[jpos, seg_x[:n], seg_a[:n]]
     return BSDESample(path, vn.level, bp, seg_x, seg_a, y_values, k_values, jump_z, vn)
 
 
@@ -120,8 +94,8 @@ def bsde_residual(p: Problem, sample: BSDESample) -> float:
     """
     path, bp = sample.path, sample.breakpoints
     segments = (bp[:-1], bp[1:], sample.seg_x, sample.seg_a)
-    int_c1 = float(_compensator_increments(sample.solution, *segments).sum())
-    int_f = float(_cost_integrals(p, *segments).sum())
+    int_c1 = float(_segment_integrals(p.horizon, sample.solution.compensator_table, *segments).sum())
+    int_f = float(_segment_integrals(p.horizon, _sim_tables(p)["cost"], *segments).sum())
     g_term = float(p.terminal_cost[path.state_at(path.horizon)])
     rhs = g_term + int_f + float(sample.k_values[-1]) - float(sample.jump_z.sum()) + int_c1
     return float(sample.y_values[0]) - rhs
@@ -130,8 +104,7 @@ def bsde_residual(p: Problem, sample: BSDESample) -> float:
 def terminal_k(vn: PenalizedSolution, paths) -> np.ndarray:
     """K_T^n of every pair path of a list or a PathBatch, from one pass over
     their flattened segments."""
-    batch = PathBatch.from_paths(paths, vn.values.horizon)
-    return _per_path(batch, lambda *seg: _k_increments(vn, *seg))
+    return _per_path(PathBatch.from_paths(paths, vn.values.horizon), vn.k_table)
 
 
 def constraint_violation(

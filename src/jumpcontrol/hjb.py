@@ -37,10 +37,9 @@ from .simulate import FeedbackPolicy
 
 
 class NonconvergenceError(RuntimeError):
-    def __init__(self, residual, iterations):
+    def __init__(self, residual, iterations, message=None):
         super().__init__(
-            f"Picard iteration did not converge in {iterations} iterations "
-            f"(last residual {residual:.3e})"
+            message or f"Picard iteration did not converge in {iterations} iterations (last residual {residual:.3e})"
         )
         self.residual = residual
         self.iterations = iterations
@@ -83,6 +82,8 @@ def solve_hjb_picard(
     T = p.horizon
     nS, nA, nK = p.n_states, p.n_actions, n_steps + 1
     lam = rate_bound(p)
+    if math.exp(-lam * T) == 0.0:  # v(T) = (exp(-L T) g) / exp(-L T) would be 0/0
+        raise NonconvergenceError(math.inf, 0, f"no finite solution: exp(-L t) underflows to 0 at L*T = {lam * T:g}")
     dt = T / n_steps
     ts = np.linspace(0.0, T, nK)
     scale_down = np.exp(-lam * ts)[:, None]
@@ -107,8 +108,8 @@ def solve_hjb_picard(
     else:
         try:
             w0, w1 = (x + math.expm1(-x)) / (lam * x), (math.expm1(x) - x) / (lam * x)
-        except OverflowError:  # exp(L dt) past L dt = 709.78; exp(-L t) underflows there too
-            raise NonconvergenceError(math.inf, 0) from None
+        except OverflowError:  # exp(L dt) past L dt = 709.78
+            raise NonconvergenceError(math.inf, 0, f"exp(L dt) overflows the cell weights at L*dt = {x:g}") from None
 
     gamma = np.empty((nK, nA * nS))
     gamma3 = gamma.reshape(nK, nA, nS)

@@ -1,8 +1,9 @@
 """Backward Kolmogorov solvers: policy evaluation and the pair semigroup.
 
 Both equations are linear and smooth in time, so they are marched backward
-with classical 4-stage Runge-Kutta; a stability guard sub-steps whenever
-dt times the relevant rate bound exceeds 0.5. Their running costs, like
+with classical 4-stage Runge-Kutta. Every RK4 march, the penalized one too,
+sub-steps to keep the sub-step times its rate bound below 0.5 and refuses
+more than MAX_RK4_STEPS sub-steps in all (_substeps). Their running costs, like
 the penalized family's, are functions of an array of stage times, the cost
 argument of the one marcher (_rk4_march).
 """
@@ -20,6 +21,9 @@ from .model import Problem, _interp, cost_layer, pair_rate_bound, rate_bound
 from .simulate import FeedbackPolicy
 
 _STABILITY = 0.5
+# Largest n_steps * n_sub of one march. Far above the 2000 steps of a
+# default march, and a march this long already takes tens of seconds.
+MAX_RK4_STEPS = 1_000_000
 _CSV_CHUNK_ROWS = 4096
 _COST_BLOCK = 1 << 16  # bounds the cost table of one block of RK4 sub-steps
 
@@ -44,10 +48,9 @@ class ValueGrid:
     def times(self):
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
-    def layer_at(self, s, *index) -> np.ndarray:
-        """Piecewise-linear time interpolation of the whole layer, or only of
-        its entries at the leading indices `index`; see model._interp."""
-        return _interp(self.values, s, self.horizon, *index)
+    def layer_at(self, s) -> np.ndarray:
+        """Piecewise-linear time interpolation of the whole layer; see model._interp."""
+        return _interp(self.values, s, self.horizon)
 
     def value_at(self, s: float, x: int, a: int | None = None) -> float:
         layer = self.layer_at(s)
@@ -80,6 +83,18 @@ def write_csv_rows(fileobj, header, rows):
     rows = iter(rows)
     while text := "".join(itertools.islice(rows, _CSV_CHUNK_ROWS)):
         fileobj.write(text)
+
+
+def _substeps(n_steps, T, bound, what) -> int:
+    """Sub-steps per grid step that keep h * bound below _STABILITY; a march
+    past MAX_RK4_STEPS sub-steps in all raises ValueError naming `what`."""
+    n_sub = max(1, math.ceil(T / n_steps * bound / _STABILITY))
+    if n_steps * n_sub > MAX_RK4_STEPS:
+        raise ValueError(
+            f"{what} at rate bound {bound:g} needs {n_sub} RK4 sub-steps per grid step, "
+            f"{n_steps * n_sub} in all, past the limit of {MAX_RK4_STEPS}"
+        )
+    return n_sub
 
 
 def _rk4_march(v_terminal, n_steps, T, deriv, n_sub, cost=None):
@@ -148,8 +163,7 @@ def solve_kolmogorov(
     """
     g = p.terminal_cost if g_vec is None else np.asarray(g_vec, dtype=float)
     idx = np.arange(p.n_states)
-    dt = p.horizon / n_steps
-    n_sub = max(1, math.ceil(dt * rate_bound(p) / _STABILITY))
+    n_sub = _substeps(n_steps, p.horizon, rate_bound(p), "solve_kolmogorov")
 
     def deriv(s, v, out):
         lam = p.rates[idx, alpha.table[alpha.layer_index(s)]]
@@ -185,8 +199,7 @@ def solve_kolmogorov_pair(
     g = np.broadcast_to(np.reshape(g_pair, (nS, -1)), (nS, nA))
     coupling = np.kron(np.eye(nS), p.lambda0 - p.lambda0.sum() * np.eye(nA))
     neg_gen_t = -(p.x_generator + coupling).T
-    dt = p.horizon / n_steps
-    n_sub = max(1, math.ceil(dt * pair_rate_bound(p) / _STABILITY))
+    n_sub = _substeps(n_steps, p.horizon, pair_rate_bound(p), "solve_kolmogorov_pair")
 
     def deriv(s, v, out):
         np.dot(v.reshape(-1), neg_gen_t, out=out.reshape(-1))

@@ -184,7 +184,7 @@ def grid_cell(t, T: float, n: int):
 
 def check_times(t, T: float) -> None:
     """Raise ValueError unless every time in t lies in [0, T], up to 1e-12."""
-    t_lo, t_hi = (t, t) if np.ndim(t) == 0 else (np.min(t), np.max(t))
+    t_lo, t_hi = (t, t) if np.ndim(t) == 0 else (np.min(t, initial=np.inf), np.max(t, initial=-np.inf))
     if t_lo < -1e-12 or t_hi > T + 1e-12:
         raise ValueError(f"time {t_lo if t_lo < -1e-12 else t_hi} outside [0, {T}]")
 
@@ -204,7 +204,7 @@ def _interp(table, t, T: float, *index) -> np.ndarray:
 
 def cost_layer(p: Problem, t, *index) -> np.ndarray:
     """Running cost at time t as an (n_states, n_actions) array, or only its
-    entries at the leading indices `index`, as in ValueGrid.layer_at.
+    entries at the leading indices `index`, as in _interp.
 
     Piecewise-linear in t between the sampled nodes; exact at nodes. Array
     times and indices broadcast, and their shape leads the result.

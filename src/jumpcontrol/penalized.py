@@ -27,7 +27,7 @@ per block of steps. The penalty's Lipschitz constant grows like (n + 1) *
 lambda0(A), so every level takes the common sub-step count set by the
 largest level n_max, which keeps dt_eff * (Lambda_pair + (n_max + 1) *
 lambda0(A)) below 0.5; a march of more than MAX_RK4_STEPS steps in all is
-refused before it starts. Steps use
+refused before it starts (linear._substeps). Steps use
 classical RK4: the monotonicity and domination checks compare solutions to
 within 1e-9, which a first-order scheme cannot reach at practical grid
 sizes.
@@ -35,21 +35,15 @@ sizes.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .linear import ValueGrid, _rk4_march
+from .linear import MAX_RK4_STEPS, ValueGrid, _rk4_march, _substeps  # MAX_RK4_STEPS: the README names it here
 from .model import Problem, cost_layer, pair_rate_bound
 from .hjb import HJBSolution, solve_hjb_picard
-from .simulate import _prefix
-
-_STABILITY = 0.5
-# Largest n_steps * n_sub of one march. Far above the 2000 steps of a
-# default march, and a march this long already takes tens of seconds.
-MAX_RK4_STEPS = 1_000_000
+from .simulate import _prefix, _trapezoid
 
 
 def _positive_part_integral(p0, p1, h):
@@ -71,11 +65,14 @@ def penalty_integral(psi0, psi1, h, lam0, n):
 
 @dataclass(frozen=True)
 class PenalizedSolution:
-    """v^n on the grid, with path-functional tables built on first use.
+    """v^n on the grid, with the rates of the path functionals built on
+    first use.
 
-    The tables hold, for every constant pair state (x, a), the exact
-    integrals from 0 to each grid node of the integrands of K and of the
-    X-compensator along the piecewise-linear interpolant of v^n.
+    k_table and compensator_table are the rates (cum, cell) of the
+    integrands of K and of the X-compensator (simulate._segment_integrals):
+    for every constant pair state (x, a), cum holds their exact integrals
+    from 0 to each grid node along the piecewise-linear interpolant of v^n,
+    and cell integrates them inside one grid cell from its two node layers.
     """
 
     level: int
@@ -84,13 +81,19 @@ class PenalizedSolution:
     problem: Problem = field(repr=False, compare=False)
 
     @cached_property
-    def k_table(self) -> np.ndarray:
-        """n * int_0^{t_k} sum_b [v^n(s, x, b) - v^n(s, x, a)]^+ lambda0[b] ds,
-        shape (N+1, n_states, n_actions)."""
-        v = self.values.values
-        psi = v[..., None, :] - v[..., :, None]  # psi[k, x, a, b]
+    def k_table(self):
+        """The rate of n * sum_b [v^n(s, x, b) - v^n(s, x, a)]^+ lambda0[b]."""
+        v, lam0, n = self.values.values, self.problem.lambda0, self.level
         dt = self.values.horizon / self.values.n_steps
-        return _prefix(penalty_integral(psi[:-1], psi[1:], dt, self.problem.lambda0, self.level))
+        psi = v[..., None, :] - v[..., :, None]  # psi[k, x, a, b]
+
+        def cell(k, s0, s1, x, a):
+            w = (np.stack((s0, s1)) / dt - k)[..., None]
+            layer = (1.0 - w) * v[k, x] + w * v[k + 1, x]  # v^n(s, x, .) at s0 and s1
+            psi_s = layer - np.take_along_axis(layer, a[None, :, None], axis=2)  # psi at s0 and s1
+            return penalty_integral(psi_s[0], psi_s[1], (s1 - s0)[:, None], lam0, n)
+
+        return _prefix(penalty_integral(psi[:-1], psi[1:], dt, lam0, n)), cell
 
     @cached_property
     def compensator_rate(self) -> ValueGrid:
@@ -100,12 +103,9 @@ class PenalizedSolution:
         return ValueGrid(rate.reshape(v.shape), self.values.horizon)
 
     @cached_property
-    def compensator_table(self) -> np.ndarray:
-        """Integral of compensator_rate from 0 to each grid node (trapezoid,
-        exact for the interpolant), shape (N+1, n_states, n_actions)."""
-        c = self.compensator_rate.values
-        dt = self.values.horizon / self.values.n_steps
-        return _prefix(0.5 * dt * (c[:-1] + c[1:]))
+    def compensator_table(self):
+        """The rate of compensator_rate, linear on each grid cell."""
+        return _trapezoid(self.compensator_rate.values, self.values.horizon / self.values.n_steps)
 
 
 def _march_levels(p: Problem, levels, n_steps: int) -> list:
@@ -114,14 +114,8 @@ def _march_levels(p: Problem, levels, n_steps: int) -> list:
     if any(n < 0 for n in levels):
         raise ValueError("penalization level must be nonnegative")
     lam0 = p.lambda0
-    dt = p.horizon / n_steps
     lipschitz = pair_rate_bound(p) + (max(levels, default=0) + 1) * float(lam0.sum())
-    n_sub = max(1, math.ceil(dt * lipschitz / _STABILITY))
-    if n_steps * n_sub > MAX_RK4_STEPS:
-        raise ValueError(
-            f"level {max(levels)} needs {n_sub} RK4 sub-steps per grid step, "
-            f"{n_steps * n_sub} in all, past the limit of {MAX_RK4_STEPS}"
-        )
+    n_sub = _substeps(n_steps, p.horizon, lipschitz, f"level {max(levels)}")
     n_lev, nS, nA = len(levels), p.n_states, p.n_actions
     m = nS * nA
     neg_gen_t = -p.x_generator.T

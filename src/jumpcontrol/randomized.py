@@ -28,7 +28,7 @@ from .model import Problem
 from .penalized import PenalizedSolution
 from .simulate import (
     NU_MIN, IntensityControl, PathBatch, _check_horizon, _mean_se, _per_path, _prefix, _running_costs,
-    _segment_integrals, constant_control, simulate_pair_sample,
+    constant_control, simulate_pair_sample,
 )
 
 
@@ -65,13 +65,8 @@ def _log_weights(p: Problem, nu: IntensityControl, paths) -> np.ndarray:
     T = p.horizon
     _check_horizon(nu, p)
     drift = float(p.lambda0.sum()) - nu.field @ p.lambda0  # [j, x, a]
-    cum = _prefix(drift * (T / nu.n_layers))
-
-    def cell(s0, s1, x, a):
-        return drift[nu.layer_index(0.5 * (s0 + s1)), x, a] * (s1 - s0)
-
     batch = PathBatch.from_paths(paths, T)
-    log_w = _per_path(batch, lambda *seg: _segment_integrals(T, cum, cell, *seg))
+    log_w = _per_path(batch, (_prefix(drift * (T / nu.n_layers)), lambda k, s0, s1, x, a: drift[k, x, a] * (s1 - s0)))
     y, b = batch.x_marks, batch.a_marks
     # The state before each jump: the previous mark, or the start for a path's first jump.
     moved = np.diff(batch.offsets) > 0

@@ -21,10 +21,14 @@ several times faster than a batch of one; a batch of one at nu = 1 makes
 its draws.
 
 Every time integral along pair paths (the running cost here, the Girsanov
-drift in randomized, K and the compensator in bsde) runs over the flattened
-constant-state segments of a batch (_segments): one difference of a
-cumulative table on the rate's time nodes plus two partial end cells per
-segment (_segment_integrals), summed per path in bounded chunks (_per_path).
+drift in randomized, K and the compensator in bsde) is a rate (cum, cell)
+on uniform time nodes t_k: cum[k, x, a] integrates it from 0 to t_k, and
+cell(k, s0, s1, x, a) integrates it exactly over [s0, s1] inside cell k
+from the node values k and k + 1 alone. _segment_integrals locates both
+ends of each flattened constant-state segment of a batch (_segments) once
+and integrates it as its two end cells plus one difference of cum;
+_per_path sums the segments per path in bounded chunks. _trapezoid is the
+rate of every integrand that is linear on its cells.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Problem, cost_layer, grid_cell, rate_bound
+from .model import Problem, check_times, grid_cell, rate_bound
 
 NU_MIN = 1e-6
 
@@ -49,7 +53,11 @@ class ExplosionError(RuntimeError):
 
 def child_rng(master_seed: int, index: int) -> np.random.Generator:
     """Independent child stream `index` of master_seed: path `index` of a
-    pair batch, or the stream of a whole controlled batch."""
+    pair batch, or the stream of a whole controlled batch. A None seed
+    raises ValueError: it would draw from OS entropy, so no run could be
+    repeated."""
+    if master_seed is None:
+        raise ValueError("a master seed is required; None would seed from OS entropy")
     return np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
     )
@@ -272,14 +280,13 @@ def _sim_tables(p: Problem) -> dict:
     "rows", "cums" and "lam0_cum" are the row sums, "cum" and the cumulative
     lambda0 as plain nested lists: scalar indexing in the one-path loop is
     several times faster on lists than on numpy arrays. "unit" is the tilt
-    nu = 1 of the reference pair. "cost_cum" is the integral of f up to each
-    cost node; a constant f has the nodes 0 and T.
+    nu = 1 of the reference pair. "cost" is the trapezoid rate of f on its
+    nodes; a constant f has the nodes 0 and T.
     """
     tables = p.__dict__.get("_sim_tables")
     if tables is None:
         f = p.running_cost
         nodes = f if f.ndim == 3 else np.stack((f, f))
-        dt = p.horizon / (nodes.shape[0] - 1)
         cum = p.rates.cumsum(axis=2)
         tables = {
             "cum": cum,
@@ -289,7 +296,7 @@ def _sim_tables(p: Problem) -> dict:
             "lam0_cum": p.lambda0.cumsum().tolist(),
             "lam": rate_bound(p),
             "unit": constant_control(p, 1.0),
-            "cost_cum": _prefix(0.5 * dt * (nodes[:-1] + nodes[1:])),
+            "cost": _trapezoid(nodes, p.horizon / (nodes.shape[0] - 1)),
         }
         object.__setattr__(p, "_sim_tables", tables)
     return tables
@@ -516,6 +523,7 @@ def _segments(batch: PathBatch):
     if batch.a_marks is None:
         raise ValueError("pair path functionals need pair paths")
     n, horizon = len(batch), batch.horizon
+    check_times(batch.t0, horizon)  # the rates' cells do not extrapolate
     inner = batch.times < horizon
     jumps = np.bincount(batch.owner[inner], minlength=n)
     after = np.cumsum(jumps)  # index just past each path's inner jumps
@@ -528,15 +536,27 @@ def _segments(batch: PathBatch):
     return lo, hi, x, a, owner
 
 
-def _segment_integrals(T, cum, cell, lo, hi, x, a):
-    """Integral over each segment [lo, hi] of a rate that depends on the
-    pair state (x, a) and on time through a table on the uniform nodes
-    t_k = k T / n, n = len(cum) - 1.
+def _trapezoid(nodes, dt):
+    """The rate (cum, cell) of an integrand linear on each cell of spacing
+    dt, with values nodes[k, x, a] at the nodes. The cell is written so
+    that a constant integrand f gives exactly f * (s1 - s0)."""
 
-    cum[k, x, a] is the integral of the rate from 0 to t_k, and
-    cell(s0, s1, x, a) integrates it exactly over sub-intervals of single
-    cells. A segment costs its two end cells plus one difference of cum.
+    def cell(k, s0, s1, x, a):
+        c = nodes[k, x, a]
+        return (s1 - s0) * (c + (0.5 * (s0 + s1) / dt - k) * (nodes[k + 1, x, a] - c))
+
+    return _prefix(0.5 * dt * (nodes[:-1] + nodes[1:])), cell
+
+
+def _segment_integrals(T, rate, lo, hi, x, a):
+    """Integral over each segment [lo, hi] in pair state (x, a) of a rate
+    (cum, cell) on the uniform nodes t_k = k T / n, n = len(cum) - 1.
+
+    cum[k, x, a] is the integral from 0 to t_k, and cell(k, s0, s1, x, a)
+    integrates exactly over [s0, s1] inside cell k. A segment costs its
+    two end cells plus one difference of cum.
     """
+    cum, cell = rate
     n, m = cum.shape[0] - 1, lo.size
     k, _ = grid_cell(np.concatenate((lo, hi)), T, n)
     k_lo, k_hi = k[:m], k[m:]
@@ -544,6 +564,7 @@ def _segment_integrals(T, cum, cell, lo, hi, x, a):
     dt = T / n
     # End cells [lo, t_{k_lo + 1}] and [t_{k_hi}, hi]; unsplit, [lo, hi] and [hi, hi].
     ends = cell(
+        k,
         np.concatenate((lo, np.where(split, k_hi * dt, hi))),
         np.concatenate((np.where(split, (k_lo + 1) * dt, hi), hi)),
         np.concatenate((x, x)),
@@ -556,31 +577,20 @@ def _segment_integrals(T, cum, cell, lo, hi, x, a):
 _CHUNK = 1024  # segments per vectorised pass; bounds the temporaries for any batch size
 
 
-def _per_path(batch: PathBatch, integrals) -> np.ndarray:
-    """Per path, the sum of integrals(lo, hi, x, a) over its segments."""
+def _per_path(batch: PathBatch, rate) -> np.ndarray:
+    """Per path, the integral of the rate (cum, cell) over its segments."""
     lo, hi, x, a, owner = _segments(batch)
     incr = [
-        integrals(*(v[i : i + _CHUNK] for v in (lo, hi, x, a)))
+        _segment_integrals(batch.horizon, rate, *(v[i : i + _CHUNK] for v in (lo, hi, x, a)))
         for i in range(0, lo.size, _CHUNK)
     ]
     return np.bincount(owner, weights=np.concatenate([np.empty(0), *incr]), minlength=len(batch))
 
 
-def _cost_integrals(p: Problem, lo, hi, x, a) -> np.ndarray:
-    """int f(s, x, a) ds over each segment; f is linear on each cost cell,
-    so the trapezoid is exact."""
-
-    def cell(s0, s1, x, a):
-        c = cost_layer(p, np.stack((s0, s1)), x, a)
-        return 0.5 * (c[0] + c[1]) * (s1 - s0)
-
-    return _segment_integrals(p.horizon, _sim_tables(p)["cost_cum"], cell, lo, hi, x, a)
-
-
 def _running_costs(p: Problem, paths) -> np.ndarray:
     """Exact integral of f(s, X_s, I_s) ds over [t0, T] along each pair path
     of a list or a PathBatch."""
-    return _per_path(PathBatch.from_paths(paths, p.horizon), lambda *seg: _cost_integrals(p, *seg))
+    return _per_path(PathBatch.from_paths(paths, p.horizon), _sim_tables(p)["cost"])
 
 
 def paths_to_csv(batch: PathBatch, fileobj):

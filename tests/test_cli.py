@@ -382,3 +382,17 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert os.path.exists(os.path.join(out, "summary.json"))
+
+
+def test_runtime_imports_only_numpy():
+    # numpy is the one runtime dependency, and the package must not reach
+    # into the test tools or the benchmark
+    code = (
+        "import sys, jumpcontrol, jumpcontrol.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'hypothesis', 'pytest', 'perfbench'}))"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

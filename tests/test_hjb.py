@@ -79,6 +79,42 @@ class TestPicard:
         with pytest.raises(NonconvergenceError):
             jc.solve_hjb_picard(p, n_steps=2000)
 
+    @pytest.mark.parametrize("n_steps", [200, 2000])
+    def test_underflow_raises_before_iterating(self, n_steps):
+        # L T = 800: exp(-L T) is 0.0, so v(T) would be 0/0 whatever the grid
+        L = 800.0
+        p = jc.Problem(
+            ("0", "1"), ("0", "1"),
+            np.array([[[0.0, L], [0.0, L / 2]], [[L / 3, 0.0], [L, 0.0]]]),
+            np.array([1.0, 1.0]), np.array([[0.1, 0.3], [0.0, 0.2]]), np.array([0.0, 1.0]), 1.0,
+        )
+        with pytest.raises(NonconvergenceError) as exc:
+            jc.solve_hjb_picard(p, n_steps=n_steps)
+        assert exc.value.iterations == 0
+        message = str(exc.value)
+        assert "L*T = 800" in message and "underflows" in message and "n-steps" not in message
+
+    def test_stiff_rate_names_l_t(self):
+        p = jc.Problem(
+            ("0", "1"), ("0",), np.array([[[0.0, 2e6]], [[0.0, 0.0]]]),
+            np.array([1.0]), np.zeros((2, 1)), np.array([0.0, 1.0]), 1.0,
+        )
+        with pytest.raises(NonconvergenceError) as exc:
+            jc.solve_hjb_picard(p, n_steps=2000)
+        assert exc.value.iterations == 0
+        assert "L*T = 2e+06" in str(exc.value) and "underflows" in str(exc.value)
+
+    def test_cell_weight_overflow_names_l_dt(self):
+        # L T = 720 leaves exp(-L T) subnormal, but exp(L dt) overflows at N = 1
+        p = jc.Problem(
+            ("0", "1"), ("0",), np.array([[[0.0, 720.0]], [[0.0, 0.0]]]),
+            np.array([1.0]), np.zeros((2, 1)), np.array([0.0, 1.0]), 1.0,
+        )
+        with pytest.raises(NonconvergenceError) as exc:
+            jc.solve_hjb_picard(p, n_steps=1)
+        assert exc.value.iterations == 0
+        assert "L*dt = 720" in str(exc.value) and "overflows" in str(exc.value)
+
     def test_stiff_model(self):
         # L = 200, L dt = 0.1: the trapezoid rule on the rescaled unknown
         # gave v(0, 0) = 1.1698; exact exponential cell weights fix it

@@ -1,10 +1,12 @@
 import csv
 import math
+import time
 
 import numpy as np
 import pytest
 
 import jumpcontrol as jc
+from jumpcontrol.linear import MAX_RK4_STEPS, _substeps
 from jumpcontrol.model import cost_layer
 from jumpcontrol.simulate import _mean_se
 
@@ -211,3 +213,25 @@ class TestValueGridCSV:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "k,t,state,value"
         assert len(lines) == 1 + 11 * 2  # header + (N + 1) layers x 2 states
+
+
+class TestStepLimit:
+    def test_substep_rule_at_the_limit(self):
+        # N = 2000 over T = 1: a bound of 5e5 needs 500 sub-steps a step, 1e6 in all
+        assert _substeps(2000, 1.0, 5e5, "march") == 500
+        assert 2000 * 500 == MAX_RK4_STEPS
+        with pytest.raises(ValueError, match="march at rate bound 500100 needs 501 RK4 sub-steps"):
+            _substeps(2000, 1.0, 5.001e5, "march")
+
+    def test_kolmogorov_marches_refused_before_marching(self):
+        # rate 2e6 at N = 2000 would need 4e6 sub-steps
+        p = jc.Problem(
+            ("0", "1"), ("0",), np.array([[[0.0, 2e6]], [[0.0, 0.0]]]),
+            np.array([1.0]), np.zeros((2, 1)), np.array([0.0, 1.0]), 1.0,
+        )
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="past the limit"):
+            jc.evaluate_policy(p, jc.constant_policy(p, 0), n_steps=2000)
+        with pytest.raises(ValueError, match="past the limit"):
+            jc.solve_kolmogorov_pair(p, n_steps=2000)
+        assert time.perf_counter() - start < 1.0

@@ -97,6 +97,20 @@ class TestControlledPath:
                 assert path.x_marks.max() < threestate.n_states
 
 
+class TestSeedRequired:
+    """A None seed would draw from OS entropy, so every stream needs a seed."""
+
+    def test_child_rng_rejects_none(self):
+        with pytest.raises(ValueError, match="seed"):
+            jc.child_rng(None, 0)
+
+    def test_samplers_reject_none(self, m2):
+        with pytest.raises(ValueError, match="seed"):
+            jc.simulate_pair_path(m2, 0.0, 0, 1, None)
+        with pytest.raises(ValueError, match="seed"):
+            jc.simulate_pair_sample(m2, None, 0.0, 0, 1, 10, None)
+
+
 class TestPairPath:
     def test_pure_i_component_is_poisson(self, zero_rate):
         # lambda = 0: only I-jumps, count ~ Poisson(lambda0(A) * T) with mass 2
