@@ -75,9 +75,10 @@ def solve_hjb_picard(
     """Fixed-point solve of the HJB equation on the uniform grid.
 
     Convergence is declared when the sup-norm update of the rescaled
-    iterate drops below tol; the reported residual is scaled back to the
-    original unknown. Raises NonconvergenceError past max_iter, and when the
-    solution is not finite because L T is too large for the rescaling.
+    iterate is at most tol times the sup norm of the new iterate; the
+    reported residual is scaled back to the original unknown. Raises
+    NonconvergenceError past max_iter, and when the solution is not finite
+    because L T is too large for the rescaling.
     """
     T = p.horizon
     nS, nA, nK = p.n_states, p.n_actions, n_steps + 1
@@ -136,7 +137,7 @@ def solve_hjb_picard(
         np.subtract(vt_new, vt, out=m)
         np.abs(m, out=m)  # m now holds the update
         vt, vt_new = vt_new, vt
-        if m.max() < tol:
+        if m.max() <= tol * max(vt.max(), -vt.min()):  # relative: vt can be as small as exp(-L T) g
             converged = True
             break
     residual = float((m / scale_down).max())

@@ -3,9 +3,12 @@
 Both equations are linear and smooth in time, so they are marched backward
 with classical 4-stage Runge-Kutta. Every RK4 march, the penalized one too,
 sub-steps to keep the sub-step times its rate bound below 0.5 and refuses
-more than MAX_RK4_STEPS sub-steps in all (_substeps). Their running costs, like
-the penalized family's, are functions of an array of stage times, the cost
-argument of the one marcher (_rk4_march).
+more than MAX_RK4_STEPS sub-steps in all (_substeps). One marcher
+(_rk4_march) walks the sub-steps and tabulates the running cost, a function
+of an array of stage times, once per block of them; the sub-step itself is
+an argument. The Kolmogorov solvers take the classical stage rule
+(_rk4_substep), which the penalized march also takes wherever the sign of
+its penalty's argument changes inside a sub-step.
 """
 from __future__ import annotations
 
@@ -97,21 +100,59 @@ def _substeps(n_steps, T, bound, what) -> int:
     return n_sub
 
 
-def _rk4_march(v_terminal, n_steps, T, deriv, n_sub, cost=None):
-    """March dv/ds = deriv(s, v) - cost(s) backward from T to 0 on the uniform
-    grid by classical RK4, n_sub equal sub-steps per grid step.
+def _rk4_substep(deriv, shape):
+    """The classical RK4 sub-step of dv/ds = deriv(s, v) - c(s), backward by
+    h: step(v, h, s, s_mid, s_end, c) updates v in place, with the stage
+    times s, s - h/2, s - h and the running cost c at them (a sequence of
+    three, each broadcasting against v).
 
-    deriv(s, v, out) writes into out, a stage buffer allocated once, and
-    must not write v. cost, if given, maps an array of stage times to the
-    running cost there (the times' shape leads; the rest broadcasts against
-    v); each call covers a block of sub-steps, one row (s, s - h/2, s - h)
-    per sub-step, of at most _COST_BLOCK entries of v's size.
+    deriv(s, v, out) writes into out, a stage buffer of the given shape
+    allocated once, and must not write v.
+    """
+    k1, k2, k3, k4, w = (np.empty(shape) for _ in range(5))
+
+    def step(v, h, s, s_mid, s_end, c):
+        nonlocal k1, k2, k3, k4, w  # rebound to themselves by the in-place operators
+        deriv(s, v, k1)
+        k1 -= c[0]
+        np.multiply(k1, -0.5 * h, out=w)
+        w += v
+        deriv(s_mid, w, k2)
+        k2 -= c[1]
+        np.multiply(k2, -0.5 * h, out=w)
+        w += v
+        deriv(s_mid, w, k3)
+        k3 -= c[1]
+        np.multiply(k3, -h, out=w)
+        w += v
+        deriv(s_end, w, k4)
+        k4 -= c[2]
+        # v -= h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= h / 6.0
+        v -= k2
+
+    return step
+
+
+def _rk4_march(v_terminal, n_steps, T, n_sub, step, cost=None):
+    """March v backward from T to 0 on the uniform grid, n_sub equal
+    sub-steps of length h per grid step, each taken in place by
+    step(v, h, s, s_mid, s_end, c) (_rk4_substep's signature).
+
+    cost, if given, maps an array of stage times to the running cost there
+    (the times' shape leads; the rest broadcasts against v); each call
+    covers a block of sub-steps, one row (s, s - h/2, s - h) per sub-step,
+    of at most _COST_BLOCK entries of v's size.
     """
     dt = T / n_steps
     h = dt / n_sub
     out = np.empty((n_steps + 1, *np.shape(v_terminal)))
     out[n_steps] = v = np.array(v_terminal, dtype=float, order="C")
-    k1, k2, k3, k4, w = (np.empty_like(v) for _ in range(5))
     block = max(1, _COST_BLOCK // (3 * v.size))
     offsets = np.array([0.0, 0.5 * h, h])
     for top in range(n_steps * n_sub, 0, -block):
@@ -120,28 +161,7 @@ def _rk4_march(v_terminal, n_steps, T, deriv, n_sub, cost=None):
         times = (nodes * dt - (nodes * n_sub - ends) * h)[:, None] - offsets
         costs = itertools.repeat((0.0,) * 3) if cost is None else cost(times)
         for end, (s, s_mid, s_end), c in zip(ends.tolist(), times.tolist(), costs):
-            deriv(s, v, k1)
-            k1 -= c[0]
-            np.multiply(k1, -0.5 * h, out=w)
-            w += v
-            deriv(s_mid, w, k2)
-            k2 -= c[1]
-            np.multiply(k2, -0.5 * h, out=w)
-            w += v
-            deriv(s_mid, w, k3)
-            k3 -= c[1]
-            np.multiply(k3, -h, out=w)
-            w += v
-            deriv(s_end, w, k4)
-            k4 -= c[2]
-            # v -= h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
-            k2 *= 2.0
-            k2 += k1
-            k3 *= 2.0
-            k2 += k3
-            k2 += k4
-            k2 *= h / 6.0
-            v -= k2
+            step(v, h, s, s_mid, s_end, c)
             if (end - 1) % n_sub == 0:
                 out[(end - 1) // n_sub] = v
     return out
@@ -169,7 +189,7 @@ def solve_kolmogorov(
         lam = p.rates[idx, alpha.table[alpha.layer_index(s)]]
         np.subtract(lam.sum(axis=1) * v, lam @ v, out=out)
 
-    return ValueGrid(_rk4_march(g, n_steps, p.horizon, deriv, n_sub, f_running), p.horizon)
+    return ValueGrid(_rk4_march(g, n_steps, p.horizon, n_sub, _rk4_substep(deriv, g.shape), f_running), p.horizon)
 
 
 def evaluate_policy(p: Problem, alpha: FeedbackPolicy, n_steps: int = 2000) -> ValueGrid:
@@ -204,4 +224,4 @@ def solve_kolmogorov_pair(
     def deriv(s, v, out):
         np.dot(v.reshape(-1), neg_gen_t, out=out.reshape(-1))
 
-    return ValueGrid(_rk4_march(g, n_steps, p.horizon, deriv, n_sub, f_pair), p.horizon)
+    return ValueGrid(_rk4_march(g, n_steps, p.horizon, n_sub, _rk4_substep(deriv, g.shape), f_pair), p.horizon)

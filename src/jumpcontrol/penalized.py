@@ -19,18 +19,26 @@ three effects against the primal solver.
 
 All requested levels are marched together as one (levels, n_states *
 n_actions) state on the flat pair index x * n_actions + a, so the family
-costs about as much as a single level. A stage is one product with L_X^a,
-one matrix on that index built once per problem, the positive parts of psi
-in a preallocated buffer, and one batched product with the per-level
-weights n lambda0; f is tabulated at the stage times by one cost_layer call
-per block of steps. The penalty's Lipschitz constant grows like (n + 1) *
-lambda0(A), so every level takes the common sub-step count set by the
-largest level n_max, which keeps dt_eff * (Lambda_pair + (n_max + 1) *
-lambda0(A)) below 0.5; a march of more than MAX_RK4_STEPS steps in all is
-refused before it starts (linear._substeps). Steps use
-classical RK4: the monotonicity and domination checks compare solutions to
-within 1e-9, which a first-order scheme cannot reach at practical grid
-sizes.
+costs about as much as a single level. While the sign pattern of psi(x, a,
+b) = v(x, b) - v(x, a) holds still, the penalty is linear, and each RK4
+sub-step is one affine map per level (_AffineSubsteps): one batched product
+gives the increment and psi at the four stage inputs, and the step is taken
+only when no psi there has left the pattern. A sub-step where psi changes
+sign is the nonlinear one (linear._rk4_substep), whose stages are a
+product with L_X^a, one matrix on the pair index built once per problem,
+the positive parts of psi and one batched product with the per-level
+weights n lambda0; the maps of the levels whose pattern moved are then
+rebuilt. On the fixtures the pattern moves a handful of times in 2000
+sub-steps. Past _MAP_MAX_ENTRIES entries per map, every sub-step is the
+nonlinear one. f is tabulated at the stage times by one cost_layer call
+per block of steps. The penalty's
+Lipschitz constant grows like (n + 1) * lambda0(A), so every level takes
+the common sub-step count set by the largest level n_max, which keeps
+dt_eff * (Lambda_pair + (n_max + 1) * lambda0(A)) below 0.5; a march of
+more than MAX_RK4_STEPS steps in all is refused before it starts
+(linear._substeps). Steps use classical RK4: the monotonicity and
+domination checks compare solutions to within 1e-9, which a first-order
+scheme cannot reach at practical grid sizes.
 """
 from __future__ import annotations
 
@@ -40,7 +48,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linear import MAX_RK4_STEPS, ValueGrid, _rk4_march, _substeps  # MAX_RK4_STEPS: the README names it here
+# MAX_RK4_STEPS: the README names it here
+from .linear import MAX_RK4_STEPS, ValueGrid, _rk4_march, _rk4_substep, _substeps
 from .model import Problem, cost_layer, pair_rate_bound
 from .hjb import HJBSolution, solve_hjb_picard
 from .simulate import _prefix, _trapezoid
@@ -73,11 +82,17 @@ class PenalizedSolution:
     for every constant pair state (x, a), cum holds their exact integrals
     from 0 to each grid node along the piecewise-linear interpolant of v^n,
     and cell integrates them inside one grid cell from its two node layers.
+
+    nonlinear_steps and maps_built count, over the whole march that solved
+    this level with the others, the sub-steps taken by the nonlinear stages
+    and the per-level step maps built (_AffineSubsteps).
     """
 
     level: int
     values: ValueGrid
     n_substeps: int
+    nonlinear_steps: int
+    maps_built: int
     problem: Problem = field(repr=False, compare=False)
 
     @cached_property
@@ -108,18 +123,117 @@ class PenalizedSolution:
         return _trapezoid(self.compensator_rate.values, self.values.horizon / self.values.n_steps)
 
 
-def _march_levels(p: Problem, levels, n_steps: int) -> list:
-    """Solve every level in one backward march; the values are views into
-    one (N+1, levels, n_states, n_actions) array."""
-    if any(n < 0 for n in levels):
-        raise ValueError("penalization level must be nonnegative")
-    lam0 = p.lambda0
-    lipschitz = pair_rate_bound(p) + (max(levels, default=0) + 1) * float(lam0.sum())
-    n_sub = _substeps(n_steps, p.horizon, lipschitz, f"level {max(levels)}")
+# Largest step map, in entries per level, that the march takes sub-steps by.
+# Past it, the products and the rebuilds after sign changes cost more than
+# the nonlinear stages they replace (random models of 8 x 4 and 16 x 2 pair
+# states with f depending on time), so every sub-step is the nonlinear one.
+_MAP_MAX_ENTRIES = 1 << 13
+
+
+def _map_shape(p: Problem):
+    """(rows, columns) of one level's step map: rows for v, then for c at the
+    three stage times if f depends on time, else one constant row; columns
+    for the increment, then for psi at the four stage inputs."""
+    m, nA = p.n_states * p.n_actions, p.n_actions
+    return (4 * m if p.running_cost.ndim == 3 else m + 1), m * (1 + 4 * (nA - 1))
+
+
+def _matmul(a, b):
+    """a @ b over stacks of small matrices, without BLAS: a process's first
+    BLAS matrix-matrix product pages in about 0.3 MB, more than a march that
+    makes no other one needs."""
+    return np.einsum("lij,ljk->lik", a, b)
+
+
+class _AffineSubsteps:
+    """The RK4 sub-step of the penalized family as one affine map per level.
+
+    While the sign pattern sigma = (psi > 0) of a level is fixed, its
+    penalty n sum_b sigma psi_b lambda0[b] is linear, and so is its whole
+    RK4 step: v' - v = v P(h Q) + c C(h Q), with Q the generator plus the
+    frozen penalty, P and C polynomials of degree 4, and c the running cost
+    at the three stage times. The same product gives psi (2 sigma - 1) at
+    the four stage inputs w1 = v, ..., w4, and the step equals the nonlinear
+    RK4 step when all of them are >= 0, up to rounding. Otherwise the sub-step is the
+    nonlinear one, sigma is read again from the new v, and the levels whose
+    sigma changed get new maps.
+    """
+
+    def __init__(self, p: Problem, levels, nonlinear):
+        nS, nA, m = p.n_states, p.n_actions, p.n_states * p.n_actions
+        x, a, b = np.nonzero(np.broadcast_to(~np.eye(nA, dtype=bool), (nS, nA, nA)))
+        self.lo, self.hi = x * nA + a, x * nA + b  # pair j = (x, a, b != a): psi_j = v[hi] - v[lo]
+        self.weights = np.multiply.outer(np.asarray(levels, dtype=float), p.lambda0)[:, b]  # n lambda0[b]
+        self.diff = np.eye(m)[:, self.hi] - np.eye(m)[:, self.lo]  # w @ diff is psi at w
+        self.gen_t = p.x_generator.T
+        self.f_row = None if p.running_cost.ndim == 3 else p.running_cost.reshape(1, m)
+        # A product leaves psi a few ulps of |v| <= |g| + T |f| off, so a psi
+        # that is 0 throughout (actions that agree at a state) reads as either
+        # sign; a check passes down to this floor, at a cost of at most
+        # h n lambda0(A) times it, below 0.5 times it, in the step.
+        scale = np.abs(p.terminal_cost).max() + p.horizon * np.abs(p.running_cost).max()
+        self.floor = -16 * np.finfo(float).eps * scale
+        self.maps = np.empty((len(levels), *_map_shape(p)))
+        self.v_map, self.tail = self.maps[:, :m], self.maps[:, m:]
+        self.out = np.empty((len(levels), 1, self.maps.shape[2]))
+        self.inc, self.checks = self.out[:, 0, :m], self.out[..., m:]
+        self.nonlinear = nonlinear
+        self.sigma = None
+        self.nonlinear_steps = self.maps_built = 0
+
+    def pattern(self, v):
+        return v[:, self.hi] - v[:, self.lo] > 0.0
+
+    def build(self, idx, sigma, h):
+        """The maps of the levels idx at their patterns sigma."""
+        m, n = self.gen_t.shape[0], len(idx)
+        w = h * self.weights[idx] * sigma
+        H = np.repeat(h * self.gen_t[None], n, axis=0)  # h Q, transposed for row vectors
+        H[:, self.hi, self.lo] += w
+        H[:, np.arange(m), np.arange(m)] -= w.reshape(n, m, -1).sum(axis=2)
+        H2 = _matmul(H, H)
+        H3 = _matmul(H2, H)
+        eye, zero = np.broadcast_to(np.eye(m), H.shape), np.zeros(H.shape)
+        # (increment, w1, w2, w3, w4) as functions of v, then of c at s, s - h/2 and s - h
+        v_rows, *c_rows = (np.stack(block, axis=2) for block in (
+            (H + H2 / 2 + H3 / 6 + _matmul(H3, H) / 24, eye, eye + H / 2, eye + H / 2 + H2 / 4, eye + H + H2 / 2 + H3 / 4),
+            (h / 6 * (eye + H + H2 / 2 + H3 / 4), zero, h / 2 * eye, h / 4 * H, h / 4 * H2),
+            (h / 6 * (4 * eye + 2 * H + H2 / 2), zero, zero, h / 2 * eye, h * (eye + H / 2)),
+            (h / 6 * eye, zero, zero, zero, zero),
+        ))
+        if self.f_row is not None:
+            c_rows = [_matmul(self.f_row[None], sum(c_rows).reshape(n, m, -1)).reshape(n, 1, 5, m)]
+        rows = np.concatenate([v_rows, *c_rows], axis=1)
+        signed_diff = self.diff * np.where(self.weights[idx] > 0.0, 2.0 * sigma - 1.0, 0.0)[:, None, :]
+        self.maps[idx, :, :m] = rows[:, :, 0]
+        self.maps[idx, :, m:] = _matmul(rows[:, :, 1:].reshape(n, -1, m), signed_diff).reshape(n, rows.shape[1], -1)
+        self.maps_built += n
+
+    def __call__(self, v, h, s, s_mid, s_end, c):
+        if self.sigma is None:
+            self.sigma = self.pattern(v)
+            self.build(np.arange(len(v)), self.sigma, h)
+        np.matmul(v[:, None, :], self.v_map, out=self.out)
+        self.out += self.tail if self.f_row is not None else np.reshape(c, (1, -1)) @ self.tail
+        if np.minimum.reduce(self.checks, axis=None, initial=0.0) >= self.floor:  # initial: one action, no psi
+            v += self.inc
+            return
+        self.nonlinear(v, h, s, s_mid, s_end, c)
+        self.nonlinear_steps += 1
+        sigma = self.pattern(v)
+        idx = np.flatnonzero((sigma != self.sigma).any(axis=1))
+        if len(idx):
+            self.sigma = sigma
+            self.build(idx, sigma[idx], h)
+
+
+def _substep(p: Problem, levels):
+    """The sub-step of the family's march on a (levels, n_states * n_actions)
+    state: affine up to _MAP_MAX_ENTRIES, else nonlinear."""
     n_lev, nS, nA = len(levels), p.n_states, p.n_actions
     m = nS * nA
     neg_gen_t = -p.x_generator.T
-    neg_weights = -np.multiply.outer(np.asarray(levels, dtype=float), lam0)[:, :, None]
+    neg_weights = -np.multiply.outer(np.asarray(levels, dtype=float), p.lambda0)[:, :, None]
     psi = np.empty((n_lev, nS, nA, nA))
     psi_rows = psi.reshape(n_lev, m, nA)
     pen = np.empty((n_lev, m, 1))
@@ -133,11 +247,27 @@ def _march_levels(p: Problem, levels, n_steps: int) -> list:
         np.matmul(psi_rows, neg_weights, out=pen)
         out += pen_flat
 
-    g = np.broadcast_to(np.repeat(p.terminal_cost, nA), (n_lev, m))
-    vals = _rk4_march(g, n_steps, p.horizon, deriv, n_sub, lambda ts: cost_layer(p, ts).reshape(*ts.shape, m))
-    vals = vals.reshape(n_steps + 1, n_lev, nS, nA)
+    nonlinear = _rk4_substep(deriv, (n_lev, m))
+    if np.prod(_map_shape(p)) > _MAP_MAX_ENTRIES:
+        return nonlinear
+    return _AffineSubsteps(p, levels, nonlinear)
+
+
+def _march_levels(p: Problem, levels, n_steps: int) -> list:
+    """Solve every level in one backward march; the values are views into
+    one (N+1, levels, n_states, n_actions) array."""
+    if any(n < 0 for n in levels):
+        raise ValueError("penalization level must be nonnegative")
+    lipschitz = pair_rate_bound(p) + (max(levels, default=0) + 1) * float(p.lambda0.sum())
+    n_sub = _substeps(n_steps, p.horizon, lipschitz, f"level {max(levels)}")
+    nS, nA = p.n_states, p.n_actions
+    step = _substep(p, levels)
+    g = np.broadcast_to(np.repeat(p.terminal_cost, nA), (len(levels), nS * nA))
+    vals = _rk4_march(g, n_steps, p.horizon, n_sub, step, lambda ts: cost_layer(p, ts).reshape(*ts.shape, nS * nA))
+    vals = vals.reshape(n_steps + 1, len(levels), nS, nA)
+    counts = (step.nonlinear_steps, step.maps_built) if isinstance(step, _AffineSubsteps) else (n_steps * n_sub, 0)
     return [
-        PenalizedSolution(int(n), ValueGrid(vals[:, i], p.horizon), n_sub, p)
+        PenalizedSolution(int(n), ValueGrid(vals[:, i], p.horizon), n_sub, *counts, p)
         for i, n in enumerate(levels)
     ]
 

@@ -57,7 +57,7 @@ def solve_hjb_picard(
         update = np.abs(vt_new - vt).max()
         residual = float(np.abs((vt_new - vt) / scale_down).max())
         vt = vt_new
-        if update < tol:
+        if update <= tol * np.abs(vt).max():
             converged = True
             break
     if not converged:

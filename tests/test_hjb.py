@@ -94,6 +94,19 @@ class TestPicard:
         message = str(exc.value)
         assert "L*T = 800" in message and "underflows" in message and "n-steps" not in message
 
+    @pytest.mark.parametrize("L", [30.0, 100.0, 200.0])
+    def test_terminal_only_source_below_tol_converges(self, L):
+        # exp(-L T) g is below tol everywhere, so an absolute stopping test
+        # would stop after one sweep near 0; jump 0 -> 1 at rate L, state 1
+        # absorbing with g = 1: v(0, .) = (1 - exp(-L), 1)
+        p = jc.Problem(
+            ("0", "1"), ("a",), np.array([[[0.0, L]], [[0.0, 0.0]]]),
+            np.array([1.0]), np.zeros((2, 1)), np.array([0.0, 1.0]), 1.0,
+        )
+        sol = jc.solve_hjb_picard(p, n_steps=2000)
+        assert sol.iterations > 1
+        assert np.abs(sol.values.values[0] - [1.0 - math.exp(-L), 1.0]).max() <= 1e-9
+
     def test_stiff_rate_names_l_t(self):
         p = jc.Problem(
             ("0", "1"), ("0",), np.array([[[0.0, 2e6]], [[0.0, 0.0]]]),

@@ -6,7 +6,9 @@ import pytest
 import einsum_penalized
 import jumpcontrol as jc
 from einsum_penalized import penalty_layer, penalty_term
-from jumpcontrol.penalized import _march_levels
+from jumpcontrol import penalized
+from jumpcontrol.model import cost_layer
+from jumpcontrol.penalized import _march_levels, _substep
 from test_hjb import random_problem
 
 ALL_LEVELS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -127,6 +129,102 @@ class TestMatchesEinsumReference:
         p = random_problem(7, 4, 3, 5.0, 6)
         assert p.running_cost.ndim == 3
         self.assert_agrees(p, [0, 3, 50], 300)
+
+
+class TestAffineSubsteps:
+    """The march takes sub-steps by one affine map per sign pattern of psi
+    where it is small enough, and nonlinear ones where psi changes sign."""
+
+    @pytest.mark.parametrize("name", ["m2", "threestate", "aflat"])
+    def test_family_takes_the_maps(self, name, request):
+        # aflat: psi is 0 throughout, and its rounding must not send every step to the nonlinear stages
+        sols = _march_levels(request.getfixturevalue(name), ALL_LEVELS, 2000)
+        assert sols[0].n_substeps == 1
+        assert all(s.nonlinear_steps <= 12 for s in sols)
+        assert all(s.maps_built >= len(ALL_LEVELS) for s in sols)
+
+    @pytest.mark.parametrize("shape", [(8, 4, 8.0, 5), (16, 2, 10.0, 9)])
+    def test_churn_heavy_shapes_with_the_maps_forced(self, shape, monkeypatch):
+        monkeypatch.setattr(penalized, "_MAP_MAX_ENTRIES", 1 << 30)
+        p = random_problem(5, *shape)
+        n_sub = TestMatchesEinsumReference().assert_agrees(p, (1, 8, 64), 500)
+        sol = _march_levels(p, (1, 8, 64), 500)[0]
+        assert 0 < sol.nonlinear_steps < 500 * n_sub
+        assert sol.maps_built > 3 * 10  # many sign changes, each rebuilding its level
+
+    @pytest.mark.parametrize("shape", [(8, 4, 8.0, 5), (16, 2, 10.0, 9)])
+    def test_above_the_size_rule_every_substep_is_nonlinear(self, shape):
+        p = random_problem(5, *shape)
+        rows, cols = penalized._map_shape(p)
+        assert rows * cols > penalized._MAP_MAX_ENTRIES
+        n_sub = TestMatchesEinsumReference().assert_agrees(p, (1, 8, 64), 500)
+        sol = _march_levels(p, (1, 8, 64), 500)[0]
+        assert (sol.nonlinear_steps, sol.maps_built) == (500 * n_sub, 0)
+
+    def test_level_zero_never_falls_back(self, threestate):
+        sol = _march_levels(threestate, [0], 500)[0]
+        assert (sol.nonlinear_steps, sol.maps_built) == (0, 1)
+
+    @pytest.mark.parametrize("f_nodes", [0, 6])
+    def test_map_is_the_linear_step_and_its_stage_checks(self, f_nodes):
+        # against RK4 written out for the penalty frozen at a random pattern:
+        # the increment, and psi (2 sigma - 1) at w1 = v, w2, w3 and w4
+        p = random_problem(7, 4, 3, 5.0, 6)
+        if not f_nodes:
+            p = jc.Problem(p.states, p.actions, p.rates, p.lambda0, p.running_cost[0], p.terminal_cost, p.horizon)
+        rng = np.random.default_rng(f_nodes)
+        levels, h, m = [0, 8], 1e-3, p.n_states * p.n_actions
+        step = _substep(p, levels)
+        sigma = rng.random(step.weights.shape) < 0.5
+        step.build(np.arange(2), sigma, h)
+        v = rng.normal(size=(2, m))
+        c = rng.normal(size=(3, m)) if f_nodes else np.broadcast_to(p.running_cost.reshape(-1), (3, m))
+
+        def deriv(w):
+            pen = np.zeros_like(w)
+            np.add.at(pen, (slice(None), step.lo), step.weights * sigma * (w[:, step.hi] - w[:, step.lo]))
+            return -(w @ p.x_generator.T + pen)
+
+        k1 = deriv(v) - c[0]
+        w2 = v - 0.5 * h * k1
+        k2 = deriv(w2) - c[1]
+        w3 = v - 0.5 * h * k2
+        k3 = deriv(w3) - c[1]
+        w4 = v - h * k3
+        k4 = deriv(w4) - c[2]
+        sign = np.where(step.weights > 0.0, 2.0 * sigma - 1.0, 0.0)
+        expect = np.concatenate(
+            [-h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)] + [(w[:, step.hi] - w[:, step.lo]) * sign for w in (v, w2, w3, w4)],
+            axis=1,
+        )
+        got = (v[:, None, :] @ step.v_map)[:, 0]
+        got += (c.reshape(1, -1) @ step.tail)[:, 0] if f_nodes else step.tail[:, 0]
+        assert np.abs(got - expect).max() <= 1e-13
+
+    @pytest.mark.parametrize("name", ["threestate", "random"])
+    def test_sign_change_inside_a_substep_falls_back(self, name, request):
+        p = random_problem(7, 4, 3, 5.0, 6) if name == "random" else request.getfixturevalue(name)
+        levels, h = [8], 1.0 / 2000
+        lam0, x_gen = p.lambda0, einsum_penalized.pair_x_generator(p)
+
+        def deriv(s, v):
+            psi = v[..., None, :] - v[..., :, None]
+            return -(x_gen(v) + cost_layer(p, s) + 8.0 * (np.maximum(psi, 0.0) @ lam0))
+
+        def psi_max(v):
+            return (v[..., None, :] - v[..., :, None]).max()
+
+        v = np.broadcast_to(p.terminal_cost[:, None], (1, p.n_states, p.n_actions))
+        assert psi_max(v) <= 0.0 < psi_max(v - 0.5 * h * deriv(h, v))  # psi turns positive at w2
+        step = _substep(p, levels)
+        costs = cost_layer(p, np.array([h, 0.5 * h, 0.0])).reshape(3, -1)
+        for _ in range(2):  # the first step falls back; the second takes the rebuilt map
+            ref = einsum_penalized.rk4_march(v, 1, h, deriv, 1)[0]  # one RK4 step from h down to 0
+            flat = v.reshape(1, -1).copy()
+            step(flat, h, h, 0.5 * h, 0.0, costs)
+            assert step.nonlinear_steps == 1
+            assert np.abs(flat.reshape(v.shape) - ref).max() <= 1e-13
+            v = ref
 
 
 class TestConvergenceReport:
