@@ -139,9 +139,9 @@ def _map_shape(p: Problem):
 
 
 def _matmul(a, b):
-    """a @ b over stacks of small matrices, without BLAS: a process's first
-    BLAS matrix-matrix product pages in about 0.3 MB, more than a march that
-    makes no other one needs."""
+    """a @ b over stacks of small matrices, without BLAS: the first BLAS
+    matrix-matrix product of a process pages in about 0.3 MB, which a
+    single-level march would otherwise add to its peak memory."""
     return np.einsum("lij,ljk->lik", a, b)
 
 
@@ -154,9 +154,9 @@ class _AffineSubsteps:
     frozen penalty, P and C polynomials of degree 4, and c the running cost
     at the three stage times. The same product gives psi (2 sigma - 1) at
     the four stage inputs w1 = v, ..., w4, and the step equals the nonlinear
-    RK4 step when all of them are >= 0, up to rounding. Otherwise the sub-step is the
-    nonlinear one, sigma is read again from the new v, and the levels whose
-    sigma changed get new maps.
+    RK4 step when all of them are >= 0, up to rounding. Otherwise the
+    sub-step is the nonlinear one, sigma is read again from the new v, and
+    the levels whose sigma changed get new maps.
     """
 
     def __init__(self, p: Problem, levels, nonlinear):
