@@ -55,17 +55,6 @@ class HJBSolution:
     residual: float
 
 
-def _action_values(p: Problem, v, cost) -> np.ndarray:
-    """Generator plus running cost, q[..., x, a], for layers v[..., x].
-
-    Built in place, so that all nodes at once cost one extra (k, x, a) array.
-    """
-    q = np.einsum("xay,...y->...xa", p.rates, v)
-    q -= p.row_sums * v[..., None]
-    q += cost
-    return q
-
-
 def solve_hjb_picard(
     p: Problem,
     n_steps: int = 2000,
@@ -88,7 +77,6 @@ def solve_hjb_picard(
     dt = T / n_steps
     ts = np.linspace(0.0, T, nK)
     scale_down = np.exp(-lam * ts)[:, None]
-    cost = cost_layer(p, ts)  # (k, x, a)
     # The rate matrix with the slack folded in, rows y and columns (a, x):
     # B[y, a, x] = lambda(x, a, y) + [y = x] (L - lambda(x, a, E)).
     rates_slack = p.rates.transpose(2, 1, 0).copy()
@@ -98,7 +86,7 @@ def solve_hjb_picard(
     # gamma's cost term carries the same exp(-L s) factor as the unknown;
     # stored in gamma's (k, a, x) layout.
     f_scaled = np.empty((nK, nA, nS))
-    np.multiply(cost.transpose(0, 2, 1), scale_down[:, :, None], out=f_scaled)
+    np.multiply(cost_layer(p, ts).transpose(0, 2, 1), scale_down[:, :, None], out=f_scaled)
     f_scaled = f_scaled.reshape(nK, nA * nS)
     g_term = math.exp(-lam * T) * p.terminal_cost
     # Over a cell, int exp(-L s) h(s) ds = w0 m_k + w1 m_{k+1} for h linear
@@ -144,13 +132,17 @@ def solve_hjb_picard(
     if not converged:
         raise NonconvergenceError(residual, iterations)
 
-    del gamma, gamma3, f_scaled, m, vt_new  # the argmax pass needs none of them
+    # One more sweep of the converged iterate: gamma = exp(-L s) (generator
+    # + running cost + L v), so its argmax over actions is the feedback.
+    np.matmul(vt, rates_slack, out=gamma)
+    gamma += f_scaled
+    del f_scaled, m, vt_new
+    argmax = gamma3.argmax(axis=1)
     v = vt
     v /= scale_down
     if not np.all(np.isfinite(v)):
         # exp(-L t) underflows once L t passes about 745: no finite solution to return.
         raise NonconvergenceError(residual, iterations)
-    argmax = _action_values(p, v, cost).argmax(axis=2)
     return HJBSolution(ValueGrid(v, T), argmax, iterations, residual)
 
 

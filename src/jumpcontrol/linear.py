@@ -6,9 +6,11 @@ sub-steps to keep the sub-step times its rate bound below 0.5 and refuses
 more than MAX_RK4_STEPS sub-steps in all (_substeps). One marcher
 (_rk4_march) walks the sub-steps and tabulates the running cost, a function
 of an array of stage times, once per block of them; the sub-step itself is
-an argument. The Kolmogorov solvers take the classical stage rule
-(_rk4_substep), which the penalized march also takes wherever the sign of
-its penalty's argument changes inside a sub-step.
+an argument. Both Kolmogorov solvers are one linear march (_linear_march)
+of the classical stage rule (_rk4_substep) with one generator per uniform
+layer, every layer edge a sub-step boundary; the penalized march takes the
+same stage rule wherever the sign of its penalty's argument changes inside
+a sub-step.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Problem, _interp, cost_layer, pair_rate_bound, rate_bound
-from .simulate import FeedbackPolicy
+from .simulate import FeedbackPolicy, _check_horizon, _layer
 
 _STABILITY = 0.5
 # Largest n_steps * n_sub of one march. Far above the 2000 steps of a
@@ -88,10 +90,13 @@ def write_csv_rows(fileobj, header, rows):
         fileobj.write(text)
 
 
-def _substeps(n_steps, T, bound, what) -> int:
-    """Sub-steps per grid step that keep h * bound below _STABILITY; a march
-    past MAX_RK4_STEPS sub-steps in all raises ValueError naming `what`."""
-    n_sub = max(1, math.ceil(T / n_steps * bound / _STABILITY))
+def _substeps(n_steps, T, bound, what, layers=1) -> int:
+    """Sub-steps per grid step that keep h * bound below _STABILITY, rounded
+    up to a multiple of layers // gcd(n_steps, layers) so that every edge of
+    `layers` uniform layers over [0, T] is a sub-step boundary; a march past
+    MAX_RK4_STEPS sub-steps in all raises ValueError naming `what`."""
+    align = layers // math.gcd(n_steps, layers)
+    n_sub = -(-max(1, math.ceil(T / n_steps * bound / _STABILITY)) // align) * align
     if n_steps * n_sub > MAX_RK4_STEPS:
         raise ValueError(
             f"{what} at rate bound {bound:g} needs {n_sub} RK4 sub-steps per grid step, "
@@ -167,6 +172,23 @@ def _rk4_march(v_terminal, n_steps, T, n_sub, step, cost=None):
     return out
 
 
+def _linear_march(g, gens, layer, n_steps, T, bound, what, cost=None) -> ValueGrid:
+    """March dv/ds + G v + c = 0 backward from v(T) = g, G = gens[layer[j]] on
+    the j-th of len(layer) uniform layers, acting on g's flat index; cost is
+    as in _rk4_march. Every layer edge is a sub-step boundary (_substeps), so
+    each sub-step reads the one generator of the layer holding its midpoint."""
+    n_sub = _substeps(n_steps, T, bound, what, len(layer))
+    neg_gens, layer = -np.asarray(gens), np.asarray(layer).tolist()
+    current = [None]  # -G of the sub-step being taken, set by step
+    rk4 = _rk4_substep(lambda s, v, out: np.dot(current[0], v.reshape(-1), out=out.reshape(-1)), g.shape)
+
+    def step(v, h, s, s_mid, s_end, c):
+        current[0] = neg_gens[layer[_layer(s_mid, T, len(layer))]]
+        rk4(v, h, s, s_mid, s_end, c)
+
+    return ValueGrid(_rk4_march(g, n_steps, T, n_sub, step, cost), T)
+
+
 def solve_kolmogorov(
     p: Problem,
     alpha: FeedbackPolicy,
@@ -176,28 +198,29 @@ def solve_kolmogorov(
 ) -> ValueGrid:
     """Solve the backward equation dv/ds + L_s v + f = 0, v(T) = g.
 
-    L_s is the generator of X under the feedback law alpha; f_running maps
-    an array of stage times to the running cost there, of shape
-    times.shape + (n_states,), or is None for zero running cost. The value
-    of the policy from (t, x) is the grid entry at (t, x).
+    L_s is the generator of X under the feedback law alpha, taken from
+    Problem.x_generator once per distinct action row. With L policy layers on
+    N steps the sub-step count is a multiple of L / gcd(N, L), so that each
+    sub-step, and each row of the stage times handed to f_running, lies in
+    one layer. f_running maps such an array to the running cost there, of
+    shape times.shape + (n_states,), or is None for zero running cost. The
+    value of the policy from (t, x) is the grid entry at (t, x). Raises
+    ValueError for a policy of another horizon or a march past MAX_RK4_STEPS.
     """
+    _check_horizon(alpha, p)
     g = p.terminal_cost if g_vec is None else np.asarray(g_vec, dtype=float)
-    idx = np.arange(p.n_states)
-    n_sub = _substeps(n_steps, p.horizon, rate_bound(p), "solve_kolmogorov")
-
-    def deriv(s, v, out):
-        lam = p.rates[idx, alpha.table[alpha.layer_index(s)]]
-        np.subtract(lam.sum(axis=1) * v, lam @ v, out=out)
-
-    return ValueGrid(_rk4_march(g, n_steps, p.horizon, n_sub, _rk4_substep(deriv, g.shape), f_running), p.horizon)
+    n_layers, nS, nA = max(alpha.n_layers, 1), p.n_states, p.n_actions
+    rows, layer = np.unique(alpha.table[:n_layers], axis=0, return_inverse=True)
+    gens = p.x_generator.reshape(nS, nA, nS, nA)[np.arange(nS), rows, :, rows]  # L_X under each distinct row
+    what = f"solve_kolmogorov of a {n_layers}-layer policy"
+    return _linear_march(g, gens, layer, n_steps, p.horizon, rate_bound(p), what, f_running)
 
 
 def evaluate_policy(p: Problem, alpha: FeedbackPolicy, n_steps: int = 2000) -> ValueGrid:
     """Gain J(t, x, alpha) on the whole grid (problem costs, terminal g)."""
-    idx = np.arange(p.n_states)
 
-    def f_running(ts):  # f(s, x, alpha(s, x)) at every stage time s and state x
-        return cost_layer(p, ts[..., None], idx, alpha.table[alpha.layer_index(ts)])
+    def f_running(ts):  # f(s, x, alpha(s, x)), alpha read at each sub-step's middle stage time
+        return cost_layer(p, ts[..., None], np.arange(p.n_states), alpha.table[alpha.layer_index(ts[:, 1:2])])
 
     return solve_kolmogorov(p, alpha, g_vec=p.terminal_cost, f_running=f_running, n_steps=n_steps)
 
@@ -217,11 +240,5 @@ def solve_kolmogorov_pair(
         g_pair = p.terminal_cost
     nS, nA = p.n_states, p.n_actions
     g = np.broadcast_to(np.reshape(g_pair, (nS, -1)), (nS, nA))
-    coupling = np.kron(np.eye(nS), p.lambda0 - p.lambda0.sum() * np.eye(nA))
-    neg_gen_t = -(p.x_generator + coupling).T
-    n_sub = _substeps(n_steps, p.horizon, pair_rate_bound(p), "solve_kolmogorov_pair")
-
-    def deriv(s, v, out):
-        np.dot(v.reshape(-1), neg_gen_t, out=out.reshape(-1))
-
-    return ValueGrid(_rk4_march(g, n_steps, p.horizon, n_sub, _rk4_substep(deriv, g.shape), f_pair), p.horizon)
+    gen = p.x_generator + np.kron(np.eye(nS), p.lambda0 - p.lambda0.sum() * np.eye(nA))
+    return _linear_march(g, [gen], [0], n_steps, p.horizon, pair_rate_bound(p), "solve_kolmogorov_pair", f_pair)

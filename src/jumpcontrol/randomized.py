@@ -31,6 +31,9 @@ from .simulate import (
     constant_control, simulate_pair_sample,
 )
 
+# Allowance for the grid schemes' error in both bands of dual_value_check.
+_DUAL_TOLERANCE = 1e-2
+
 
 class ImpossibleMarkError(ValueError):
     pass
@@ -199,39 +202,26 @@ def dual_value_check(
     x: int,
     primal_value: float,
     vn: PenalizedSolution,
-    controls: list | None = None,
     n_paths: int = 20_000,
     master_seed: int = 0,
-    tolerance: float = 1e-2,
-    start_actions=None,
 ) -> DualCheckReport:
     """Weak-duality and near-attainment check for the dual problem.
 
-    Every candidate gain must stay below the primal value (up to 3 SE plus
-    the scheme tolerance); the greedy control synthesized from v^n must
-    reach v^n(t, x, a) from every start action (down to 3 SE plus the
-    tolerance). A NaN estimate or standard error fails its check.
+    The gains of nu = 1 and of the greedy control synthesized from v^n, from
+    every start action, must stay below the primal value (up to 3 SE plus
+    _DUAL_TOLERANCE); the greedy gain must reach v^n(t, x, a) (down to 3 SE
+    plus the same tolerance). A NaN estimate or standard error fails its check.
     """
-    if controls is None:
-        controls = []
-    candidates = [("nu=1", constant_control(p, 1.0))] + list(controls)
-    greedy = greedy_control_from_vn(p, vn)
-    candidates.append(("greedy", greedy))
-    if start_actions is None:
-        start_actions = range(p.n_actions)
-    rows = []
-    all_below = True
-    greedy_ok = True
-    greedy_targets = {}
-    for a in start_actions:
-        greedy_targets[int(a)] = vn.values.value_at(t, x, int(a))
+    candidates = [("nu=1", constant_control(p, 1.0)), ("greedy", greedy_control_from_vn(p, vn))]
+    rows, all_below, greedy_ok = [], True, True
+    greedy_targets = {a: vn.values.value_at(t, x, a) for a in range(p.n_actions)}
     for cid, nu in candidates:
-        for a in start_actions:
-            est, se = dual_gain_direct(p, nu, t, x, int(a), n_paths, master_seed)
-            rows.append(DualCheckRow(cid, int(a), "direct", est, se, n_paths))
+        for a in range(p.n_actions):
+            est, se = dual_gain_direct(p, nu, t, x, a, n_paths, master_seed)
+            rows.append(DualCheckRow(cid, a, "direct", est, se, n_paths))
             # Written as "passes iff inside the band", so a NaN fails.
-            if not est <= primal_value + 3.0 * se + tolerance:
+            if not est <= primal_value + 3.0 * se + _DUAL_TOLERANCE:
                 all_below = False
-            if cid == "greedy" and not est >= greedy_targets[int(a)] - 3.0 * se - tolerance:
+            if cid == "greedy" and not est >= greedy_targets[a] - 3.0 * se - _DUAL_TOLERANCE:
                 greedy_ok = False
     return DualCheckReport(rows, primal_value, greedy_targets, all_below, greedy_ok)

@@ -5,7 +5,9 @@ the slack term (L - lambda(x, a, E)) vt(s, x) and the scaled running cost
 as separate temporaries, and recomputes the scaled residual. The math and
 the stopping rule are those of jumpcontrol.hjb.solve_hjb_picard, which
 folds the slack into one rate matrix and does a single matrix product per
-sweep; the tests compare the two.
+sweep; the tests compare the two. Its argmax pass builds the action
+values q[k, x, a] from v itself (_action_values), where the solver takes
+the argmax of one more sweep of the rescaled iterate.
 """
 from __future__ import annotations
 
@@ -13,9 +15,17 @@ import math
 
 import numpy as np
 
-from jumpcontrol.hjb import HJBSolution, NonconvergenceError, _action_values
+from jumpcontrol.hjb import HJBSolution, NonconvergenceError
 from jumpcontrol.linear import ValueGrid
 from jumpcontrol.model import Problem, cost_layer, rate_bound
+
+
+def _action_values(p: Problem, v, cost) -> np.ndarray:
+    """Generator plus running cost, q[..., x, a], for layers v[..., x]."""
+    q = np.einsum("xay,...y->...xa", p.rates, v)
+    q -= p.row_sums * v[..., None]
+    q += cost
+    return q
 
 
 def solve_hjb_picard(

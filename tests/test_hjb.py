@@ -5,7 +5,7 @@ import pytest
 
 import einsum_picard
 import jumpcontrol as jc
-from jumpcontrol.hjb import NonconvergenceError, _action_values
+from jumpcontrol.hjb import NonconvergenceError
 from jumpcontrol.model import cost_layer
 from jumpcontrol.oracle import oracle_value
 
@@ -14,7 +14,7 @@ def hamiltonian(p, t, v_layer):
     """Per-state max over actions of (generator + running cost) at time t,
     and the maximizing actions; ties break to the lowest action index, as
     np.argmax does."""
-    q = _action_values(p, np.asarray(v_layer, dtype=float), cost_layer(p, t))
+    q = einsum_picard._action_values(p, np.asarray(v_layer, dtype=float), cost_layer(p, t))
     am = q.argmax(axis=1)
     return q[np.arange(p.n_states), am], am
 

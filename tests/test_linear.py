@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import jumpcontrol as jc
 from jumpcontrol.linear import MAX_RK4_STEPS, _substeps
@@ -142,6 +143,39 @@ class TestKolmogorov:
         assert abs(vals.mean() - grid.values[0, 1, 0]) <= 3.0 * se
 
 
+def layered_policy_gain(p, table):
+    """Exact gain at t = 0 of a policy that is constant on each of the
+    len(table) - 1 uniform layers, for a running cost constant in time: one
+    matrix exponential per layer of the generator augmented by a cost column."""
+    idx = np.arange(p.n_states)
+    n_layers, n = len(table) - 1, p.n_states
+    v = p.terminal_cost.copy()
+    for acts in table[n_layers - 1::-1]:
+        aug = np.zeros((n + 1, n + 1))
+        aug[:n, :n] = p.rates[idx, acts] - np.diag(p.row_sums[idx, acts])
+        aug[:n, n] = p.running_cost[idx, acts]
+        v = (expm(aug * (p.horizon / n_layers)) @ np.append(v, 1.0))[:n]
+    return v
+
+
+class TestLayeredPolicy:
+    @pytest.mark.parametrize("n_steps", [400, 500, 2000])
+    def test_forty_layers_fourth_order(self, threestate, n_steps):
+        # the policy switches on its 40 layer edges; each RK4 sub-step lies
+        # in one layer, so the march keeps its fourth order there
+        table = np.random.default_rng(3).integers(0, threestate.n_actions, (41, threestate.n_states))
+        alpha = jc.FeedbackPolicy(table, threestate.horizon)
+        got = jc.evaluate_policy(threestate, alpha, n_steps=n_steps).values[0]
+        assert np.abs(got - layered_policy_gain(threestate, table)).max() <= 1e-11
+
+    def test_rejects_policy_of_another_horizon(self, threestate):
+        alpha = jc.FeedbackPolicy(np.zeros((4, threestate.n_states)), 3.0)
+        with pytest.raises(ValueError, match="horizons differ"):
+            jc.evaluate_policy(threestate, alpha, n_steps=100)
+        with pytest.raises(ValueError, match="horizons differ"):
+            jc.solve_kolmogorov(threestate, alpha, n_steps=100)
+
+
 class TestPairKolmogorov:
     def test_matches_scalar_when_lambda0_tiny(self, m2):
         # with negligible action switching the pair value at (x, a) is close
@@ -222,6 +256,22 @@ class TestStepLimit:
         assert 2000 * 500 == MAX_RK4_STEPS
         with pytest.raises(ValueError, match="march at rate bound 500100 needs 501 RK4 sub-steps"):
             _substeps(2000, 1.0, 5.001e5, "march")
+
+    def test_substeps_put_layer_edges_on_boundaries(self):
+        # 40 layers on 500 steps: a layer is 12.5 steps, so 2 sub-steps a step
+        assert _substeps(500, 1.0, 1.0, "march", 40) == 2
+        assert _substeps(2000, 1.0, 1.0, "march", 40) == 1
+        assert _substeps(500, 1.0, 500.0, "march", 40) == 2
+        assert _substeps(500, 1.0, 501.0, "march", 40) == 4
+        assert _substeps(199, 1.0, 1.0, "march", 200) == 200
+
+    def test_misaligned_policy_refused_before_marching(self, threestate):
+        # a 2000-layer policy on 1999 steps needs 2000 sub-steps a step
+        alpha = jc.extract_feedback(jc.solve_hjb_picard(threestate, n_steps=2000))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="past the limit"):
+            jc.evaluate_policy(threestate, alpha, n_steps=1999)
+        assert time.perf_counter() - start < 1.0
 
     def test_kolmogorov_marches_refused_before_marching(self):
         # rate 2e6 at N = 2000 would need 4e6 sub-steps
