@@ -5,12 +5,12 @@ with classical 4-stage Runge-Kutta. Every RK4 march, the penalized one too,
 sub-steps to keep the sub-step times its rate bound below 0.5 and refuses
 more than MAX_RK4_STEPS sub-steps in all (_substeps). One marcher
 (_rk4_march) walks the sub-steps and tabulates the running cost, a function
-of an array of stage times, once per block of them; the sub-step itself is
-an argument. Both Kolmogorov solvers are one linear march (_linear_march)
-of the classical stage rule (_rk4_substep) with one generator per uniform
-layer, every layer edge a sub-step boundary; the penalized march takes the
-same stage rule wherever the sign of its penalty's argument changes inside
-a sub-step.
+of an array of stage times, once per block of them; the step is an
+argument, and takes one or more sub-steps per call. Both Kolmogorov
+solvers are one linear march (_linear_march) of the classical stage rule
+(_rk4_substep) with one generator per uniform layer, every layer edge a
+sub-step boundary; the penalized march takes the same stage rule
+wherever the sign of its penalty's argument changes inside a sub-step.
 """
 from __future__ import annotations
 
@@ -107,17 +107,19 @@ def _substeps(n_steps, T, bound, what, layers=1) -> int:
 
 def _rk4_substep(deriv, shape):
     """The classical RK4 sub-step of dv/ds = deriv(s, v) - c(s), backward by
-    h: step(v, h, s, s_mid, s_end, c) updates v in place, with the stage
-    times s, s - h/2, s - h and the running cost c at them (a sequence of
-    three, each broadcasting against v).
+    h, as a step of _rk4_march: step(v, h, rows, costs, i) takes sub-step i
+    alone, in place, with the stage times rows[i] = (s, s - h/2, s - h) and
+    the running cost costs[i] at them (a sequence of three, each
+    broadcasting against v), and returns None.
 
     deriv(s, v, out) writes into out, a stage buffer of the given shape
     allocated once, and must not write v.
     """
     k1, k2, k3, k4, w = (np.empty(shape) for _ in range(5))
 
-    def step(v, h, s, s_mid, s_end, c):
+    def step(v, h, rows, costs, i):
         nonlocal k1, k2, k3, k4, w  # rebound to themselves by the in-place operators
+        (s, s_mid, s_end), c = rows[i], costs[i]
         deriv(s, v, k1)
         k1 -= c[0]
         np.multiply(k1, -0.5 * h, out=w)
@@ -146,13 +148,16 @@ def _rk4_substep(deriv, shape):
 
 def _rk4_march(v_terminal, n_steps, T, n_sub, step, cost=None):
     """March v backward from T to 0 on the uniform grid, n_sub equal
-    sub-steps of length h per grid step, each taken in place by
-    step(v, h, s, s_mid, s_end, c) (_rk4_substep's signature).
+    sub-steps of length h per grid step.
 
-    cost, if given, maps an array of stage times to the running cost there
-    (the times' shape leads; the rest broadcasts against v); each call
-    covers a block of sub-steps, one row (s, s - h/2, s - h) per sub-step,
-    of at most _COST_BLOCK entries of v's size.
+    The sub-steps are walked a block at a time: rows[i] = (s, s - h/2, s - h)
+    are the stage times of the block's i-th sub-step and costs[i] the
+    running cost there, zero if cost is None. cost maps an array of stage
+    times to the running cost (the times' shape leads; the rest broadcasts
+    against v), once per block of at most _COST_BLOCK entries of v's size.
+    step(v, h, rows, costs, i) takes one or more sub-steps from the i-th
+    on, none past the block's end, in place on v. It returns None after
+    one, or the values after each, stacked; the march keeps the grid nodes.
     """
     dt = T / n_steps
     h = dt / n_sub
@@ -164,11 +169,19 @@ def _rk4_march(v_terminal, n_steps, T, n_sub, step, cost=None):
         ends = np.arange(top, max(top - block, 0), -1)
         nodes = -(-ends // n_sub)  # sub-step i below node k starts at t_k - i h
         times = (nodes * dt - (nodes * n_sub - ends) * h)[:, None] - offsets
-        costs = itertools.repeat((0.0,) * 3) if cost is None else cost(times)
-        for end, (s, s_mid, s_end), c in zip(ends.tolist(), times.tolist(), costs):
-            step(v, h, s, s_mid, s_end, c)
-            if (end - 1) % n_sub == 0:
-                out[(end - 1) // n_sub] = v
+        costs = ((0.0,) * 3,) * len(ends) if cost is None else cost(times)
+        rows, i = times.tolist(), 0
+        while i < len(rows):
+            states = step(v, h, rows, costs, i)
+            if states is None:  # sub-step e ends at (e - 1) h, on node (e - 1) / n_sub if that is whole
+                i += 1
+                if (top - i) % n_sub == 0:
+                    out[(top - i) // n_sub] = v
+                continue
+            node, first = divmod(top - i - 1, n_sub)  # the first node among them, and its sub-step
+            kept = states[first::n_sub]
+            out[node + 1 - len(kept) : node + 1] = kept[::-1]
+            i += len(states)
     return out
 
 
@@ -182,9 +195,9 @@ def _linear_march(g, gens, layer, n_steps, T, bound, what, cost=None) -> ValueGr
     current = [None]  # -G of the sub-step being taken, set by step
     rk4 = _rk4_substep(lambda s, v, out: np.dot(current[0], v.reshape(-1), out=out.reshape(-1)), g.shape)
 
-    def step(v, h, s, s_mid, s_end, c):
-        current[0] = neg_gens[layer[_layer(s_mid, T, len(layer))]]
-        rk4(v, h, s, s_mid, s_end, c)
+    def step(v, h, rows, costs, i):
+        current[0] = neg_gens[layer[_layer(rows[i][1], T, len(layer))]]
+        rk4(v, h, rows, costs, i)
 
     return ValueGrid(_rk4_march(g, n_steps, T, n_sub, step, cost), T)
 

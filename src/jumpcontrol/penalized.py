@@ -21,19 +21,21 @@ All requested levels are marched together as one (levels, n_states *
 n_actions) state on the flat pair index x * n_actions + a, so the family
 costs about as much as a single level. While the sign pattern of psi(x, a,
 b) = v(x, b) - v(x, a) holds still, the penalty is linear, and each RK4
-sub-step is one affine map per level (_AffineSubsteps): one batched product
-gives the increment and psi at the four stage inputs, and the step is taken
-only when no psi there has left the pattern. A sub-step where psi changes
-sign is the nonlinear one (linear._rk4_substep), whose stages are a
-product with L_X^a, one matrix on the pair index built once per problem,
-the positive parts of psi and one batched product with the per-level
-weights n lambda0; the maps of the levels whose pattern moved are then
-rebuilt. On the fixtures the pattern moves a handful of times in 2000
-sub-steps. Past _MAP_MAX_ENTRIES entries per map, every sub-step is the
-nonlinear one. f is tabulated at the stage times by one cost_layer call
-per block of steps. The penalty's
-Lipschitz constant grows like (n + 1) * lambda0(A), so every level takes
-the common sub-step count set by the largest level n_max, which keeps
+sub-step is one affine map per level (_AffineSubsteps). With f constant in
+time, one batched product with the stacked powers of that map takes a block
+of sub-steps (_BLOCK_MAX_STEPS, _BLOCK_MAX_ENTRIES): it gives the values
+after each and psi at their four stage inputs, and the sub-steps are taken
+up to the first where a psi has left the pattern. That sub-step is the
+nonlinear one (linear._rk4_substep), whose stages are a product with L_X^a,
+one matrix on the pair index built once per problem, the positive parts of
+psi and one batched product with the per-level weights n lambda0; the maps
+of the levels whose pattern moved are then rebuilt. On the fixtures the
+pattern moves a handful of times in 2000 sub-steps. With f depending on
+time a block is one sub-step; past _MAP_MAX_ENTRIES entries per map, every
+sub-step is the nonlinear one. f is tabulated at the stage times by one
+cost_layer call per block of steps. The penalty's Lipschitz constant grows
+like (n + 1) * lambda0(A), so every level takes the common sub-step count
+set by the largest level n_max, which keeps
 dt_eff * (Lambda_pair + (n_max + 1) * lambda0(A)) below 0.5; a march of
 more than MAX_RK4_STEPS steps in all is refused before it starts
 (linear._substeps). Steps use classical RK4: the monotonicity and
@@ -83,9 +85,10 @@ class PenalizedSolution:
     from 0 to each grid node along the piecewise-linear interpolant of v^n,
     and cell integrates them inside one grid cell from its two node layers.
 
-    nonlinear_steps and maps_built count, over the whole march that solved
-    this level with the others, the sub-steps taken by the nonlinear stages
-    and the per-level step maps built (_AffineSubsteps).
+    nonlinear_steps, maps_built and block_products count, over the whole
+    march that solved this level with the others, the sub-steps taken by
+    the nonlinear stages, the per-level step maps built and the block
+    products taken (_AffineSubsteps).
     """
 
     level: int
@@ -93,6 +96,7 @@ class PenalizedSolution:
     n_substeps: int
     nonlinear_steps: int
     maps_built: int
+    block_products: int
     problem: Problem = field(repr=False, compare=False)
 
     @cached_property
@@ -103,10 +107,14 @@ class PenalizedSolution:
         psi = v[..., None, :] - v[..., :, None]  # psi[k, x, a, b]
 
         def cell(k, s0, s1, x, a):
-            w = (np.stack((s0, s1)) / dt - k)[..., None]
-            layer = (1.0 - w) * v[k, x] + w * v[k + 1, x]  # v^n(s, x, .) at s0 and s1
-            psi_s = layer - np.take_along_axis(layer, a[None, :, None], axis=2)  # psi at s0 and s1
-            return penalty_integral(psi_s[0], psi_s[1], (s1 - s0)[:, None], lam0, n)
+            v0, v1, at_a = v[k, x], v[k + 1, x], (np.arange(len(a)), a)
+
+            def psi_at(s):
+                w = (s / dt - k)[:, None]
+                layer = (1.0 - w) * v0 + w * v1  # v^n(s, x, .)
+                return layer - layer[at_a][:, None]
+
+            return penalty_integral(psi_at(s0), psi_at(s1), (s1 - s0)[:, None], lam0, n)
 
         return _prefix(penalty_integral(psi[:-1], psi[1:], dt, lam0, n)), cell
 
@@ -128,6 +136,15 @@ class PenalizedSolution:
 # the nonlinear stages they replace (random models of 8 x 4 and 16 x 2 pair
 # states with f depending on time), so every sub-step is the nonlinear one.
 _MAP_MAX_ENTRIES = 1 << 13
+# Most sub-steps of one product: blocks of 32 and 64 were slower on the
+# fixtures, as the rebuilds after sign changes grow with the block.
+_BLOCK_MAX_STEPS = 16
+# Most entries per level of the block map, which a map of e entries fills
+# with _BLOCK_MAX_ENTRIES // e sub-steps, at least one. On constant-f random
+# models of 4 to 32 pair states that came within 6 % of one sub-step per
+# product where psi changed sign in up to 5 % of the sub-steps, and was faster
+# elsewhere; at 1 << 14, maps of 810 to 5400 entries were up to a third slower.
+_BLOCK_MAX_ENTRIES = 1 << 12
 
 
 def _map_shape(p: Problem):
@@ -139,14 +156,15 @@ def _map_shape(p: Problem):
 
 
 def _matmul(a, b):
-    """a @ b over stacks of small matrices, without BLAS: the first BLAS
-    matrix-matrix product of a process pages in about 0.3 MB, which a
-    single-level march would otherwise add to its peak memory."""
-    return np.einsum("lij,ljk->lik", a, b)
+    """a @ b over stacks of small matrices, the last axis of a against the
+    rows of b, without BLAS: the first BLAS matrix-matrix product of a
+    process pages in about 0.3 MB, which a single-level march would
+    otherwise add to its peak memory."""
+    return np.einsum("l...j,ljk->l...k", a, b)
 
 
 class _AffineSubsteps:
-    """The RK4 sub-step of the penalized family as one affine map per level.
+    """The RK4 sub-steps of the penalized family as affine maps per level.
 
     While the sign pattern sigma = (psi > 0) of a level is fixed, its
     penalty n sum_b sigma psi_b lambda0[b] is linear, and so is its whole
@@ -154,9 +172,17 @@ class _AffineSubsteps:
     frozen penalty, P and C polynomials of degree 4, and c the running cost
     at the three stage times. The same product gives psi (2 sigma - 1) at
     the four stage inputs w1 = v, ..., w4, and the step equals the nonlinear
-    RK4 step when all of them are >= 0, up to rounding. Otherwise the
-    sub-step is the nonlinear one, sigma is read again from the new v, and
-    the levels whose sigma changed get new maps.
+    RK4 step when all of them are >= 0, up to rounding.
+
+    With f constant in time, c C is one row t, and one product with the
+    block map of the map's powers takes B sub-steps: after j of them,
+    v_j - v = v D_j + e_j with D_j = (I + P)^j - I, D_1 = P and e_1 = t.
+    Both are built in increment form, never through I + P, by doubling:
+    (D; e)_{i+j} = (D; e)_i + (D; e)_j + (D; e)_i D_j. The psi checks of
+    sub-step j are the map's check columns at v_{j-1}. The march takes the
+    sub-steps up to the first whose checks fail; that one is the nonlinear
+    sub-step, sigma is read again from the new v, and the levels whose sigma
+    changed get new maps.
     """
 
     def __init__(self, p: Problem, levels, nonlinear):
@@ -173,13 +199,19 @@ class _AffineSubsteps:
         # h n lambda0(A) times it, below 0.5 times it, in the step.
         scale = np.abs(p.terminal_cost).max() + p.horizon * np.abs(p.running_cost).max()
         self.floor = -16 * np.finfo(float).eps * scale
-        self.maps = np.empty((len(levels), *_map_shape(p)))
+        rows, cols = _map_shape(p)
+        # a block of one where f depends on time: its stage costs change from sub-step to sub-step
+        self.block = 1 if self.f_row is None else max(1, min(_BLOCK_MAX_STEPS, _BLOCK_MAX_ENTRIES // (rows * cols)))
+        self.blocks = np.empty((len(levels), rows, self.block, cols))  # blocks[level, :, j]: sub-step j + 1
+        self.maps = self.blocks.reshape(len(levels), rows, -1)
         self.v_map, self.tail = self.maps[:, :m], self.maps[:, m:]
         self.out = np.empty((len(levels), 1, self.maps.shape[2]))
-        self.inc, self.checks = self.out[:, 0, :m], self.out[..., m:]
+        steps = self.out.reshape(len(levels), self.block, cols)
+        self.inc, self.checks = steps[..., :m].swapaxes(0, 1), steps[..., m:]  # inc[j, level]
+        self.first = self.inc[0]
         self.nonlinear = nonlinear
         self.sigma = None
-        self.nonlinear_steps = self.maps_built = 0
+        self.nonlinear_steps = self.maps_built = self.block_products = 0
 
     def pattern(self, v):
         return v[:, self.hi] - v[:, self.lo] > 0.0
@@ -205,26 +237,47 @@ class _AffineSubsteps:
             c_rows = [_matmul(self.f_row[None], sum(c_rows).reshape(n, m, -1)).reshape(n, 1, 5, m)]
         rows = np.concatenate([v_rows, *c_rows], axis=1)
         signed_diff = self.diff * np.where(self.weights[idx] > 0.0, 2.0 * sigma - 1.0, 0.0)[:, None, :]
-        self.maps[idx, :, :m] = rows[:, :, 0]
-        self.maps[idx, :, m:] = _matmul(rows[:, :, 1:].reshape(n, -1, m), signed_diff).reshape(n, rows.shape[1], -1)
+        checks = _matmul(rows[:, :, 1:].reshape(n, -1, m), signed_diff).reshape(n, rows.shape[1], -1)
+        # Sub-step j + 1 of a block: inc[:, :, j] = (D_{j+1}; e_{j+1}), and
+        # its checks at v_j, checks + inc[:, :, j - 1] C with C = checks[:, :m].
+        inc = rows[:, :, None, 0]
+        while inc.shape[2] < self.block:  # inc[J + j] = inc[j] + inc[J] + inc[j] D_J, D_J = inc[J][:m]
+            last = inc[:, :, -1]
+            inc = np.concatenate((inc, inc + last[:, :, None] + _matmul(inc, last[:, :m])), axis=2)
+        self.blocks[idx, :, :, :m] = inc[:, :, : self.block]
+        self.blocks[idx, :, :, m:] = checks[:, :, None]
+        if self.block > 1:
+            self.blocks[idx, :, 1:, m:] += _matmul(inc[:, :, : self.block - 1], checks[:, :m])
         self.maps_built += n
 
-    def __call__(self, v, h, s, s_mid, s_end, c):
+    def __call__(self, v, h, rows, costs, i):
         if self.sigma is None:
             self.sigma = self.pattern(v)
             self.build(np.arange(len(v)), self.sigma, h)
         np.matmul(v[:, None, :], self.v_map, out=self.out)
-        self.out += self.tail if self.f_row is not None else np.reshape(c, (1, -1)) @ self.tail
-        if np.minimum.reduce(self.checks, axis=None, initial=0.0) >= self.floor:  # initial: one action, no psi
-            v += self.inc
-            return
-        self.nonlinear(v, h, s, s_mid, s_end, c)
+        self.out += self.tail if self.f_row is not None else np.reshape(costs[i], (1, -1)) @ self.tail
+        self.block_products += 1
+        passed = np.minimum.reduce(self.checks, axis=None, initial=0.0) >= self.floor  # initial: one action, no psi
+        if passed and self.block == 1:  # one sub-step, in place, as by the classical rule
+            v += self.first
+            return None
+        k = n = min(self.block, len(rows) - i)  # none past the rows
+        if not passed:  # up to the first failing sub-step
+            k = 0 if self.block == 1 else min(n, int(np.argmin(np.minimum.reduce(self.checks, axis=(0, 2)) >= self.floor)))
+        states = v + self.inc[: min(k + 1, n)]  # after each sub-step taken, and a row for the nonlinear one
+        if k:
+            v[...] = states[k - 1]
+        if k == n:
+            return states
+        self.nonlinear(v, h, rows, costs, i + k)
         self.nonlinear_steps += 1
         sigma = self.pattern(v)
         idx = np.flatnonzero((sigma != self.sigma).any(axis=1))
         if len(idx):
             self.sigma = sigma
             self.build(idx, sigma[idx], h)
+        states[k] = v
+        return states
 
 
 def _substep(p: Problem, levels):
@@ -256,16 +309,17 @@ def _substep(p: Problem, levels):
 def _march_levels(p: Problem, levels, n_steps: int) -> list:
     """Solve every level in one backward march; the values are views into
     one (N+1, levels, n_states, n_actions) array."""
-    if any(n < 0 for n in levels):
-        raise ValueError("penalization level must be nonnegative")
-    lipschitz = pair_rate_bound(p) + (max(levels, default=0) + 1) * float(p.lambda0.sum())
+    if not len(levels) or not all(float(n).is_integer() and n >= 0 for n in levels):
+        raise ValueError(f"penalization levels must be one or more nonnegative integers, got {list(levels)}")
+    lipschitz = pair_rate_bound(p) + (max(levels) + 1) * float(p.lambda0.sum())
     n_sub = _substeps(n_steps, p.horizon, lipschitz, f"level {max(levels)}")
     nS, nA = p.n_states, p.n_actions
     step = _substep(p, levels)
     g = np.broadcast_to(np.repeat(p.terminal_cost, nA), (len(levels), nS * nA))
     vals = _rk4_march(g, n_steps, p.horizon, n_sub, step, lambda ts: cost_layer(p, ts).reshape(*ts.shape, nS * nA))
     vals = vals.reshape(n_steps + 1, len(levels), nS, nA)
-    counts = (step.nonlinear_steps, step.maps_built) if isinstance(step, _AffineSubsteps) else (n_steps * n_sub, 0)
+    affine = isinstance(step, _AffineSubsteps)
+    counts = (step.nonlinear_steps, step.maps_built, step.block_products) if affine else (n_steps * n_sub, 0, 0)
     return [
         PenalizedSolution(int(n), ValueGrid(vals[:, i], p.horizon), n_sub, *counts, p)
         for i, n in enumerate(levels)
@@ -316,16 +370,18 @@ def convergence_report(
     primal: HJBSolution | None = None,
 ) -> ConvergenceReport:
     """Monotonicity / domination / a-flattening diagnostics across levels."""
-    levels = [int(n) for n in levels]
+    levels = list(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
+    sols = _march_levels(p, levels, n_steps)
     if primal is None:
         primal = solve_hjb_picard(p, n_steps=n_steps)
     v = primal.values.values  # (N+1, nS)
     rows = []
     solutions = {}
     prev = None
-    for n, sol in zip(levels, _march_levels(p, levels, n_steps)):
+    for sol in sols:
+        n = sol.level
         solutions[n] = sol
         vn = sol.values.values  # (N+1, nS, nA)
         sigma = float((vn.max(axis=2) - vn.min(axis=2)).max())

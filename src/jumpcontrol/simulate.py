@@ -525,14 +525,15 @@ def _segments(batch: PathBatch):
     n, horizon = len(batch), batch.horizon
     check_times(batch.t0, horizon)  # the rates' cells do not extrapolate
     inner = batch.times < horizon
-    jumps = np.bincount(batch.owner[inner], minlength=n)
-    after = np.cumsum(jumps)  # index just past each path's inner jumps
-    before = after - jumps
-    lo = np.insert(batch.times[inner], before, batch.t0)
-    hi = np.insert(batch.times[inner], after, horizon)
-    x = np.insert(batch.x_marks[inner], before, batch.x0)
-    a = np.insert(batch.a_marks[inner], before, batch.a0)
-    owner = np.repeat(np.arange(n), jumps + 1)
+    owner = np.concatenate((np.arange(n), batch.owner[inner]))
+    order = np.argsort(owner, kind="stable")  # each path's start, then its inner jumps in time order
+    owner = owner[order]
+    lo, x, a = (np.concatenate(parts)[order] for parts in (
+        (batch.t0, batch.times[inner]), (batch.x0, batch.x_marks[inner]), (batch.a0, batch.a_marks[inner])
+    ))
+    hi = np.empty_like(lo)
+    hi[:-1] = lo[1:]
+    hi[np.diff(owner, append=n) != 0] = horizon  # a path's last segment ends at the horizon
     return lo, hi, x, a, owner
 
 

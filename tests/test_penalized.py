@@ -7,6 +7,7 @@ import einsum_penalized
 import jumpcontrol as jc
 from einsum_penalized import penalty_layer, penalty_term
 from jumpcontrol import penalized
+from jumpcontrol.linear import _rk4_march
 from jumpcontrol.model import cost_layer
 from jumpcontrol.penalized import _march_levels, _substep
 from test_hjb import random_problem
@@ -64,6 +65,12 @@ class TestSolvePenalized:
     def test_rejects_negative_level(self, m2):
         with pytest.raises(ValueError):
             jc.solve_penalized(m2, -1)
+
+    @pytest.mark.parametrize("level", [2.5, float("nan")])
+    def test_rejects_fractional_level(self, threestate, level):
+        # 2.5 would march at 2.5 lambda0 and be read back as level 2 by K and the residual
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            jc.solve_penalized(threestate, level)
 
     def test_level_zero_is_linear_pair_equation(self, threestate):
         # n = 0 keeps only the -psi coupling, which cancels against nothing:
@@ -166,40 +173,48 @@ class TestAffineSubsteps:
         assert (sol.nonlinear_steps, sol.maps_built) == (0, 1)
 
     @pytest.mark.parametrize("f_nodes", [0, 6])
-    def test_map_is_the_linear_step_and_its_stage_checks(self, f_nodes):
+    def test_map_is_the_linear_step_and_its_stage_checks(self, f_nodes, monkeypatch):
         # against RK4 written out for the penalty frozen at a random pattern:
-        # the increment, and psi (2 sigma - 1) at w1 = v, w2, w3 and w4
+        # the increment, and psi (2 sigma - 1) at w1 = v, w2, w3 and w4; with
+        # f constant, for every sub-step of a block, from the block's start
+        monkeypatch.setattr(penalized, "_BLOCK_MAX_ENTRIES", 1 << 30)
         p = random_problem(7, 4, 3, 5.0, 6)
         if not f_nodes:
             p = jc.Problem(p.states, p.actions, p.rates, p.lambda0, p.running_cost[0], p.terminal_cost, p.horizon)
         rng = np.random.default_rng(f_nodes)
         levels, h, m = [0, 8], 1e-3, p.n_states * p.n_actions
         step = _substep(p, levels)
+        assert step.block == (1 if f_nodes else penalized._BLOCK_MAX_STEPS)
         sigma = rng.random(step.weights.shape) < 0.5
         step.build(np.arange(2), sigma, h)
         v = rng.normal(size=(2, m))
         c = rng.normal(size=(3, m)) if f_nodes else np.broadcast_to(p.running_cost.reshape(-1), (3, m))
+        sign = np.where(step.weights > 0.0, 2.0 * sigma - 1.0, 0.0)
 
         def deriv(w):
             pen = np.zeros_like(w)
             np.add.at(pen, (slice(None), step.lo), step.weights * sigma * (w[:, step.hi] - w[:, step.lo]))
             return -(w @ p.x_generator.T + pen)
 
-        k1 = deriv(v) - c[0]
-        w2 = v - 0.5 * h * k1
-        k2 = deriv(w2) - c[1]
-        w3 = v - 0.5 * h * k2
-        k3 = deriv(w3) - c[1]
-        w4 = v - h * k3
-        k4 = deriv(w4) - c[2]
-        sign = np.where(step.weights > 0.0, 2.0 * sigma - 1.0, 0.0)
-        expect = np.concatenate(
-            [-h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)] + [(w[:, step.hi] - w[:, step.lo]) * sign for w in (v, w2, w3, w4)],
-            axis=1,
-        )
+        def rk4(w1):
+            k1 = deriv(w1) - c[0]
+            w2 = w1 - 0.5 * h * k1
+            k2 = deriv(w2) - c[1]
+            w3 = w1 - 0.5 * h * k2
+            k3 = deriv(w3) - c[1]
+            w4 = w1 - h * k3
+            k4 = deriv(w4) - c[2]
+            return w1 - h / 6 * (k1 + 2 * k2 + 2 * k3 + k4), (w1, w2, w3, w4)
+
         got = (v[:, None, :] @ step.v_map)[:, 0]
         got += (c.reshape(1, -1) @ step.tail)[:, 0] if f_nodes else step.tail[:, 0]
-        assert np.abs(got - expect).max() <= 1e-13
+        got = got.reshape(2, step.block, -1)  # got[:, j]: sub-step j + 1 of the block
+        w = v
+        for j in range(step.block):
+            w_next, stages = rk4(w)
+            expect = np.concatenate([w_next - v] + [(s[:, step.hi] - s[:, step.lo]) * sign for s in stages], axis=1)
+            assert np.abs(got[:, j] - expect).max() <= 1e-13
+            w = w_next
 
     @pytest.mark.parametrize("name", ["threestate", "random"])
     def test_sign_change_inside_a_substep_falls_back(self, name, request):
@@ -221,16 +236,88 @@ class TestAffineSubsteps:
         for _ in range(2):  # the first step falls back; the second takes the rebuilt map
             ref = einsum_penalized.rk4_march(v, 1, h, deriv, 1)[0]  # one RK4 step from h down to 0
             flat = v.reshape(1, -1).copy()
-            step(flat, h, h, 0.5 * h, 0.0, costs)
+            step(flat, h, [[h, 0.5 * h, 0.0]], [costs], 0)
             assert step.nonlinear_steps == 1
             assert np.abs(flat.reshape(v.shape) - ref).max() <= 1e-13
             v = ref
+
+
+class TestBlockSubsteps:
+    """With f constant in time, one product takes a block of sub-steps by the
+    stacked powers of the step map; a block of one is the map itself."""
+
+    @staticmethod
+    def constant_f(p):
+        return jc.Problem(p.states, p.actions, p.rates, p.lambda0, p.running_cost[0], p.terminal_cost, p.horizon)
+
+    @pytest.mark.parametrize("name", ["m2", "threestate", "aflat", "zero_rate"])
+    @pytest.mark.parametrize("n_steps", [100, 2000])
+    def test_block_march_matches_one_substep_per_product(self, name, n_steps, request, monkeypatch):
+        p = request.getfixturevalue(name)
+        blocks = _march_levels(p, ALL_LEVELS, n_steps)
+        monkeypatch.setattr(penalized, "_BLOCK_MAX_STEPS", 1)
+        singles = _march_levels(p, ALL_LEVELS, n_steps)
+        assert n_steps == 2000 or singles[0].n_substeps > 1
+        for b, s in zip(blocks, singles):
+            assert (b.nonlinear_steps, b.maps_built) == (s.nonlinear_steps, s.maps_built)
+            assert np.abs(b.values.values - s.values.values).max() <= 1e-14
+        assert singles[0].block_products == n_steps * singles[0].n_substeps
+        assert blocks[0].block_products <= singles[0].block_products / 8
+
+    @pytest.mark.parametrize("name", ["threestate", "random"])
+    def test_sign_change_inside_a_block_falls_back_at_the_same_substep(self, name, request, monkeypatch):
+        p = self.constant_f(random_problem(5, 2, 2, 3.0, 1)) if name == "random" else request.getfixturevalue(name)
+        g = np.repeat(p.terminal_cost, p.n_actions)[None]
+
+        def fallbacks():
+            step, seen = _substep(p, [8]), []
+
+            def recording(v, h, rows, costs, i):
+                before = step.nonlinear_steps
+                states = step(v, h, rows, costs, i)
+                if step.nonlinear_steps > before:  # (first sub-step of the call, the nonlinear one)
+                    seen.append((i, i if states is None else i + len(states) - 1))
+                return states
+
+            _rk4_march(g, 2000, p.horizon, 1, recording, lambda ts: cost_layer(p, ts).reshape(*ts.shape, -1))
+            return step.block, seen
+
+        block, in_blocks = fallbacks()
+        monkeypatch.setattr(penalized, "_BLOCK_MAX_STEPS", 1)
+        one, singly = fallbacks()
+        assert (block, one) == (16, 1)
+        assert [j for _, j in in_blocks] == [j for _, j in singly]
+        assert any(j > i for i, j in in_blocks)  # past the first sub-step of its block
+
+    def test_block_length_rule(self, request):
+        for name in ("m2", "threestate", "aflat", "zero_rate"):
+            step = _substep(request.getfixturevalue(name), ALL_LEVELS)
+            assert step.block == 16
+            assert step.maps[0].size <= penalized._BLOCK_MAX_ENTRIES
+        # pair spaces of 9, 12 and 38 states: 810, 1404 and 7410 entries per map
+        for shape, block in (((3, 3), 5), ((4, 3), 2), ((19, 2), 1)):
+            p = self.constant_f(random_problem(5, *shape, 5.0, 1))
+            step = _substep(p, (1, 8))
+            assert step.block == block
+            assert step.block == 1 or step.maps[0].size <= penalized._BLOCK_MAX_ENTRIES
+        assert 0.9 * penalized._MAP_MAX_ENTRIES < np.prod(penalized._map_shape(p)) <= penalized._MAP_MAX_ENTRIES
+        # f depending on time: the stage costs change from sub-step to sub-step
+        assert _substep(random_problem(7, 4, 3, 5.0, 6), (1, 8)).block == 1
 
 
 class TestConvergenceReport:
     def test_rejects_nonincreasing_levels(self, m2):
         with pytest.raises(ValueError):
             jc.convergence_report(m2, [1, 4, 4])
+
+    @pytest.mark.parametrize("levels", [[], [1, 2.5], [0.5]])
+    def test_rejects_empty_and_fractional_levels(self, m2, levels):
+        with pytest.raises(ValueError, match="penalization level"):
+            jc.convergence_report(m2, levels, n_steps=100)
+
+    def test_accepts_a_generator_of_levels(self, m2):
+        report = jc.convergence_report(m2, (2**k for k in range(3)), n_steps=100)
+        assert [r.level for r in report.rows] == [1, 2, 4]
 
     def test_m2_report_structure(self, m2):
         report = jc.convergence_report(m2, [1, 2, 4, 8], n_steps=500)

@@ -6,7 +6,7 @@ from scipy import stats
 
 import jumpcontrol as jc
 import path_loops
-from jumpcontrol.simulate import ExplosionError, NU_MIN
+from jumpcontrol.simulate import ExplosionError, NU_MIN, _segments
 
 
 def binom_se(p_hat, n):
@@ -232,6 +232,38 @@ class TestPathBatch:
             assert getattr(again, field).tobytes() == getattr(batch, field).tobytes()
         for s in (0.2, 0.5, threestate.horizon):
             assert batch.states_at(s).tolist() == [batch.path(i).state_at(s) for i in range(50)]
+
+    def test_segments_match_each_path_written_out(self, threestate):
+        # per path: its start, then its jumps before T, each segment ending
+        # where the next begins and the last at T; compared bit for bit
+        T = threestate.horizon
+
+        def written_out(paths):
+            columns = [[], [], [], [], []]
+            for i, q in enumerate(paths):
+                inner = q.times < T
+                starts = np.concatenate(([q.t0], q.times[inner]))
+                for column, values in zip(columns, (
+                    starts, np.append(starts[1:], T), np.concatenate(([q.x0], q.x_marks[inner])),
+                    np.concatenate(([q.a0], q.a_marks[inner])), np.full(starts.size, i),
+                )):
+                    column.append(values)
+            return [np.concatenate(c) for c in columns]
+
+        edges = [
+            jc.Path(0.0, 0, 1, [], [], [], T),  # no jumps
+            jc.Path(0.1, 1, 1, [0.4 * T, T], [0, 1], [0, 0], T),  # last jump at T
+            jc.Path(T, 2, 0, [], [], [], T),  # start at T
+            jc.Path(0.0, 1, 0, [T], [2], [1], T),  # only a jump at T
+        ]
+        sampled = [
+            jc.simulate_pair_path(threestate, 0.1 * (i % 3), i % 3, i % 2, None, rng=jc.child_rng(83, i))
+            for i in range(20)
+        ]
+        for paths in (edges, sampled[:3] + edges + sampled[3:], edges[2:3]):
+            for got, ref in zip(_segments(jc.PathBatch.from_paths(paths, T)), written_out(paths)):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert [v.size for v in _segments(jc.PathBatch.from_paths([], T))] == [0] * 5
 
 
 class TestPairMatchesLoop:
