@@ -13,6 +13,8 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from . import bsde, hjb, linear, model, penalized, randomized, simulate
 
 EXIT_PARSE = 2
@@ -100,15 +102,11 @@ def cmd_solve(args):
     )
 
     def emit_policy(fh):
-        ts = [repr(t) for t in sol.values.times.tolist()]
-        fields = [linear.csv_field(s) for s in p.states]
         labels = [linear.csv_field(a) for a in p.actions]
-        rows = (
-            f"{k},{t},{sx},{labels[a]}\r\n"
-            for k, (t, acts) in enumerate(zip(ts, sol.argmax))
-            for sx, a in zip(fields, acts.tolist())
-        )
-        linear.write_csv_rows(fh, "k,t,state,action_label\r\n", rows)
+        table = [f"{linear.csv_field(s)},{label}\r\n" for s in p.states for label in labels]
+        index = (sol.argmax + p.n_actions * np.arange(p.n_states)).tolist()
+        tails = ([table[i] for i in layer] for layer in index)
+        linear.write_grid_csv(fh, "k,t,state,action_label\r\n", sol.values.times, tails, p.n_states)
 
     _atomic_write(os.path.join(args.out_dir, "policy.csv"), emit_policy)
     summary = {

@@ -5,24 +5,28 @@ The dynamic programming equation
     -dv/dt(t, x) = max_a [ sum_y (v(t, y) - v(t, x)) lambda(x, a, y) + f(t, x, a) ],
     v(T, x) = g(x),
 
-is solved by iterating, on the rescaled unknown vt(t, x) = exp(-L t) v(t, x)
-with L the uniform rate bound,
+is solved backward over time blocks [t_k0, t_k1], the last first, each by
+iterating on the rescaled unknown vt(t, x) = exp(-L (t - t_k0)) v(t, x),
+with L the uniform rate bound and v(t_k1) from the block after it (g last),
 
-    vt <- exp(-L T) g + Gamma[vt],
-    Gamma[vt](t, x) = int_t^T max_a gamma[vt](s, x, a) ds,
-    gamma[vt](s, x, a) = sum_y vt(s, y) B(y, a, x) + exp(-L s) f(s, x, a),
+    vt <- exp(-L (t_k1 - t_k0)) v(t_k1) + Gamma[vt],
+    Gamma[vt](t, x) = int_t^t_k1 max_a gamma[vt](s, x, a) ds,
+    gamma[vt](s, x, a) = sum_y vt(s, y) B(y, a, x) + exp(-L (s - t_k0)) f(s, x, a),
     B(y, a, x) = lambda(x, a, y) + [y = x] (L - lambda(x, a, E)).
 
 The rescaling makes every entry of B nonnegative and the map a contraction
-in sup norm, so the iteration converges from any start. With the slack
-folded into B, one sweep over all grid nodes is a single matrix product of
-the (nodes, states) iterate with B as a (states, actions x states) matrix,
-then a max over actions and a cumulative sum of cell integrals, all in
-preallocated buffers. Each cell integrates the linear interpolant of the
-unscaled maximum exactly against exp(-L s); the trapezoid rule would treat
-exp(-L s) as linear, an error like L^3 T dt^2. The brute-force oracle
-(oracle.oracle_value), a first-order explicit scheme, is the independent
-cross-check.
+in sup norm, so the iteration converges from any start, about as
+(L tau)^k / k! after k sweeps over a block of length tau: blocks of L tau
+near 1 (_picard_blocks) keep the sweep count from growing with L T. Each
+block stops on its own relative update test. One sweep over a block is a
+single matrix product of the (nodes, states) iterate with B as a (states,
+actions x states) matrix, then a max over actions and a cumulative sum of
+cell integrals, in preallocated buffers. Each cell integrates the linear
+interpolant of the unscaled maximum exactly against exp(-L s), not by the
+trapezoid rule (an error like L^3 T dt^2); these weights depend only on
+dt, so the blocks solve the discrete equations of one block over [0, T].
+The brute-force oracle (oracle.oracle_value), a first-order explicit
+scheme, is the independent cross-check.
 """
 from __future__ import annotations
 
@@ -51,8 +55,26 @@ class HJBSolution:
 
     values: ValueGrid
     argmax: np.ndarray
-    iterations: int
-    residual: float
+    iterations: int  # the most sweeps of any time block
+    residual: float  # the largest last update of any block, scaled back to v
+    blocks: int
+
+
+# A block spans about _BLOCK_L_TAU / L, and at least _MIN_BLOCK_CELLS cells
+# so that its sweeps outweigh their per-call overhead. Measured against
+# L tau of 0.25, 0.5 and 1.5 and floors of 64 and 128 (BENCH_19.json).
+_BLOCK_L_TAU = 1.0
+_MIN_BLOCK_CELLS = 256
+
+
+def _picard_blocks(n_steps: int, x: float) -> list:
+    """Nodes that bound the time blocks, 0 to n_steps: the fewest near-equal
+    blocks of at most max(_MIN_BLOCK_CELLS, ceil(_BLOCK_L_TAU / x)) cells,
+    x = L dt; one block when L T <= _BLOCK_L_TAU."""
+    if x * n_steps <= _BLOCK_L_TAU:
+        return [0, n_steps]
+    n_blocks = -(-n_steps // max(_MIN_BLOCK_CELLS, math.ceil(_BLOCK_L_TAU / x)))
+    return [i * n_steps // n_blocks for i in range(n_blocks + 1)]
 
 
 def solve_hjb_picard(
@@ -63,32 +85,29 @@ def solve_hjb_picard(
 ) -> HJBSolution:
     """Fixed-point solve of the HJB equation on the uniform grid.
 
-    Convergence is declared when the sup-norm update of the rescaled
-    iterate is at most tol times the sup norm of the new iterate; the
-    reported residual is scaled back to the original unknown. Raises
-    NonconvergenceError past max_iter, and when the solution is not finite
-    because L T is too large for the rescaling.
+    A block has converged when the sup-norm update of its rescaled iterate
+    is at most tol times the sup norm of the new iterate. `iterations` is the
+    most sweeps of any block, `residual` the largest last update of any
+    block, scaled back to v. Raises ValueError for a tol not below 1, which
+    any sweep passes; NonconvergenceError when a block passes max_iter, and
+    when the solution cannot be finite.
     """
+    if not tol < 1.0:  # NaN and inf too: a relative update below 1 holds after any sweep
+        raise ValueError(f"tol must be finite and below 1, got {tol!r}")
     T = p.horizon
     nS, nA, nK = p.n_states, p.n_actions, n_steps + 1
     lam = rate_bound(p)
-    if math.exp(-lam * T) == 0.0:  # v(T) = (exp(-L T) g) / exp(-L T) would be 0/0
+    # Refused although blocks would not underflow: a coarse grid then returns a wrong finite value.
+    if math.exp(-lam * T) == 0.0:
         raise NonconvergenceError(math.inf, 0, f"no finite solution: exp(-L t) underflows to 0 at L*T = {lam * T:g}")
     dt = T / n_steps
     ts = np.linspace(0.0, T, nK)
-    scale_down = np.exp(-lam * ts)[:, None]
     # The rate matrix with the slack folded in, rows y and columns (a, x):
     # B[y, a, x] = lambda(x, a, y) + [y = x] (L - lambda(x, a, E)).
     rates_slack = p.rates.transpose(2, 1, 0).copy()
     diag = np.arange(nS)
     rates_slack[diag, :, diag] += lam - p.row_sums
     rates_slack = rates_slack.reshape(nS, nA * nS)
-    # gamma's cost term carries the same exp(-L s) factor as the unknown;
-    # stored in gamma's (k, a, x) layout.
-    f_scaled = np.empty((nK, nA, nS))
-    np.multiply(cost_layer(p, ts).transpose(0, 2, 1), scale_down[:, :, None], out=f_scaled)
-    f_scaled = f_scaled.reshape(nK, nA * nS)
-    g_term = math.exp(-lam * T) * p.terminal_cost
     # Over a cell, int exp(-L s) h(s) ds = w0 m_k + w1 m_{k+1} for h linear
     # and m = exp(-L t) h at the nodes; Taylor forms where the closed forms cancel.
     x = lam * dt
@@ -100,50 +119,59 @@ def solve_hjb_picard(
         except OverflowError:  # exp(L dt) past L dt = 709.78
             raise NonconvergenceError(math.inf, 0, f"exp(L dt) overflows the cell weights at L*dt = {x:g}") from None
 
-    gamma = np.empty((nK, nA * nS))
-    gamma3 = gamma.reshape(nK, nA, nS)
-    m = np.empty((nK, nS))
-    vt = np.repeat(g_term[None, :], nK, axis=0)
-    vt_new = vt.copy()  # the terminal layer g_term is never overwritten
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        np.matmul(vt, rates_slack, out=gamma)
-        gamma += f_scaled
-        # Max over actions, one action slice at a time: np.max over the
-        # short middle axis costs several times more.
-        m[...] = gamma3[:, 0]
-        for a in range(1, nA):
-            np.maximum(m, gamma3[:, a], out=m)
-        # Integral of the maximum over [t_k, T], accumulated from the end;
-        # m is free to scale, as it is overwritten by the update below.
-        head = vt_new[:-1]
-        np.multiply(m[1:], w1, out=head)
-        m[:-1] *= w0
-        head += m[:-1]
-        np.cumsum(head[::-1], axis=0, out=head[::-1])
-        head += g_term
-        np.subtract(vt_new, vt, out=m)
-        np.abs(m, out=m)  # m now holds the update
-        vt, vt_new = vt_new, vt
-        if m.max() <= tol * max(vt.max(), -vt.min()):  # relative: vt can be as small as exp(-L T) g
-            converged = True
-            break
-    residual = float((m / scale_down).max())
-    if not converged:
+    edges = _picard_blocks(n_steps, x)
+    rows = max(b - a for a, b in zip(edges, edges[1:])) + 1
+    gamma_buf = np.empty((rows, nA * nS))
+    m_buf, vt_buf, new_buf = np.empty((3, rows, nS))
+    v = np.empty((nK, nS))
+    argmax = np.empty((nK, nS), dtype=np.intp)
+    v_end = p.terminal_cost  # v at the end of the block being solved
+    iterations, residual = 0, 0.0
+    for k0, k1 in reversed(list(zip(edges, edges[1:]))):
+        n = k1 - k0 + 1
+        gamma, m = gamma_buf[:n], m_buf[:n]
+        gamma3 = gamma.reshape(n, nA, nS)
+        tb = ts[k0 : k1 + 1]
+        scale_down = np.exp(-lam * (tb - tb[0]))[:, None]
+        # gamma's cost term carries the unknown's exp(-L s) factor, in gamma's (k, a, x) layout.
+        f_scaled = (cost_layer(p, tb).transpose(0, 2, 1) * scale_down[:, :, None]).reshape(n, nA * nS)
+        g_term = math.exp(-lam * (tb[-1] - tb[0])) * v_end
+        vt, vt_new = vt_buf[:n], new_buf[:n]
+        vt[...] = g_term
+        vt_new[-1] = g_term  # the terminal layer is never overwritten
+        for sweeps in range(1, max_iter + 1):
+            np.matmul(vt, rates_slack, out=gamma)
+            gamma += f_scaled
+            # Max over actions a slice at a time: np.max over the middle axis costs several times more.
+            m[...] = gamma3[:, 0]
+            for a in range(1, nA):
+                np.maximum(m, gamma3[:, a], out=m)
+            # Integral of the maximum over [t_k, t_k1] from the end; m is free to scale, as the update overwrites it.
+            head = vt_new[:-1]
+            np.multiply(m[1:], w1, out=head)
+            m[:-1] *= w0
+            head += m[:-1]
+            np.cumsum(head[::-1], axis=0, out=head[::-1])
+            head += g_term
+            np.subtract(vt_new, vt, out=m)
+            np.abs(m, out=m)  # m now holds the update
+            vt, vt_new = vt_new, vt
+            if m.max() <= tol * max(vt.max(), -vt.min()):  # relative: vt can be as small as exp(-L tau) v(t_k1)
+                break
+        else:
+            raise NonconvergenceError(float((m / scale_down).max()), sweeps)
+        iterations, residual = max(iterations, sweeps), max(residual, float((m / scale_down).max()))
+        # One more sweep: gamma = exp(-L (s - t_k0)) (generator + running cost + L v), so its argmax
+        # over actions is the feedback. Node k1 belongs to the block after this one, except at T.
+        own = n if k1 == n_steps else n - 1
+        np.matmul(vt[:own], rates_slack, out=gamma[:own])
+        gamma[:own] += f_scaled[:own]
+        argmax[k0 : k0 + own] = gamma3[:own].argmax(axis=1)
+        np.divide(vt[:own], scale_down[:own], out=v[k0 : k0 + own])
+        v_end = v[k0]
+    if not np.all(np.isfinite(v)):  # costs or rates so large that v overflows
         raise NonconvergenceError(residual, iterations)
-
-    # One more sweep of the converged iterate: gamma = exp(-L s) (generator
-    # + running cost + L v), so its argmax over actions is the feedback.
-    np.matmul(vt, rates_slack, out=gamma)
-    gamma += f_scaled
-    del f_scaled, m, vt_new
-    argmax = gamma3.argmax(axis=1)
-    v = vt
-    v /= scale_down
-    if not np.all(np.isfinite(v)):
-        # exp(-L t) underflows once L t passes about 745: no finite solution to return.
-        raise NonconvergenceError(residual, iterations)
-    return HJBSolution(ValueGrid(v, T), argmax, iterations, residual)
+    return HJBSolution(ValueGrid(v, T), argmax, iterations, residual, len(edges) - 1)
 
 
 def extract_feedback(sol: HJBSolution) -> FeedbackPolicy:

@@ -64,14 +64,9 @@ class ValueGrid:
     def to_csv(self, fileobj, states):
         """Rows (k, t, state, value) of a per-state grid with repr floats,
         byte for byte what csv.writer writes."""
-        ts = [repr(t) for t in self.times.tolist()]
         fields = [csv_field(s) for s in states]
-        rows = (
-            f"{k},{t},{sx},{v!r}\r\n"
-            for k, (t, layer) in enumerate(zip(ts, self.values))
-            for sx, v in zip(fields, layer.tolist())
-        )
-        write_csv_rows(fileobj, "k,t,state,value\r\n", rows)
+        tails = ([f"{sx},{v!r}\r\n" for sx, v in zip(fields, layer)] for layer in self.values.tolist())
+        write_grid_csv(fileobj, "k,t,state,value\r\n", self.times, tails, len(fields))
 
 
 def csv_field(label) -> str:
@@ -81,13 +76,22 @@ def csv_field(label) -> str:
     return buf.getvalue()[: -len(",\r\n")]
 
 
-def write_csv_rows(fileobj, header, rows):
-    """Write the header line, then the finished row lines a chunk at a time,
+def write_csv_rows(fileobj, header, rows, chunk=_CSV_CHUNK_ROWS):
+    """Write the header line, then the finished row lines `chunk` at a time,
     so that neither the whole text nor one write call per row is needed."""
     fileobj.write(header)
     rows = iter(rows)
-    while text := "".join(itertools.islice(rows, _CSV_CHUNK_ROWS)):
+    while text := "".join(itertools.islice(rows, chunk)):
         fileobj.write(text)
+
+
+def write_grid_csv(fileobj, header, times, tails, width):
+    """Write the header line, then each time layer k of `width` rows as one
+    string: its rows share the prefix "k,t,", joined with the layer's
+    finished row tails; about _CSV_CHUNK_ROWS rows go out per write."""
+    prefixes = (f"{k},{t!r}," for k, t in enumerate(times.tolist()))
+    layers = (pre + pre.join(layer) for pre, layer in zip(prefixes, tails))
+    write_csv_rows(fileobj, header, layers, max(1, _CSV_CHUNK_ROWS // width))
 
 
 def _substeps(n_steps, T, bound, what, layers=1) -> int:

@@ -84,8 +84,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_steps < 2:
             raise ValueError("n_steps must be at least 2")
-        if not self.picard_tol > 0:  # NaN too
-            raise ValueError("picard_tol must be positive")
+        if not 0 < self.picard_tol < 1:  # NaN and inf too; at 1 or more every sweep passes
+            raise ValueError("picard_tol must be positive and below 1")
         if self.mc_paths < 1:
             raise ValueError("mc_paths must be at least 1")
         levels = tuple(int(n) for n in self.penalization_levels)

@@ -132,6 +132,11 @@ class TestSolve:
         ["simulate", "--n-steps", "0"],
         ["solve", "--tol", "-1"],
         ["solve", "--tol", "nan"],
+        ["solve", "--tol", "inf"],
+        ["solve", "--tol", "1e300"],
+        ["solve", "--tol", "1"],
+        ["simulate", "--tol", "inf", "--action", "2"],
+        ["diagnose", "--tol", "1e300"],
         ["simulate", "--count", "-5", "--action", "2"],
         ["solve", "--seed", "-1"],
         ["simulate", "--seed", "-1", "--action", "2"],

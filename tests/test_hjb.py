@@ -5,6 +5,7 @@ import pytest
 
 import einsum_picard
 import jumpcontrol as jc
+from jumpcontrol import hjb
 from jumpcontrol.hjb import NonconvergenceError
 from jumpcontrol.model import cost_layer
 from jumpcontrol.oracle import oracle_value
@@ -247,3 +248,149 @@ class TestExtractFeedback:
         alpha = jc.extract_feedback(sol)
         assert alpha.table.shape == (101, 2)
         assert alpha.horizon == m2.horizon
+
+
+def stiff_problem(L):
+    """Two states and two actions with rates up to L: rate bound L."""
+    return jc.Problem(
+        ("0", "1"), ("0", "1"),
+        np.array([[[0.0, L], [0.0, L / 2]], [[L / 3, 0.0], [L, 0.0]]]),
+        np.array([1.0, 1.0]), np.array([[0.1, 0.3], [0.0, 0.2]]), np.array([0.0, 1.0]), 1.0,
+    )
+
+
+def whole_horizon_picard(p, n_steps, tol=1e-10, max_iter=1000):
+    """The solver's sweep over one block [0, T], written out on its own:
+    the matrix product, the max over actions one slice at a time and the
+    cumulative cell integrals in the same order, so that a grid inside one
+    block must match it bit for bit. Returns (v, argmax, iterations, residual)."""
+    T, nS, nA, nK = p.horizon, p.n_states, p.n_actions, n_steps + 1
+    lam = jc.rate_bound(p)
+    dt = T / n_steps
+    ts = np.linspace(0.0, T, nK)
+    scale_down = np.exp(-lam * ts)[:, None]
+    rates_slack = p.rates.transpose(2, 1, 0).copy()
+    diag = np.arange(nS)
+    rates_slack[diag, :, diag] += lam - p.row_sums
+    rates_slack = rates_slack.reshape(nS, nA * nS)
+    f_scaled = np.empty((nK, nA, nS))
+    np.multiply(cost_layer(p, ts).transpose(0, 2, 1), scale_down[:, :, None], out=f_scaled)
+    f_scaled = f_scaled.reshape(nK, nA * nS)
+    g_term = math.exp(-lam * T) * p.terminal_cost
+    x = lam * dt
+    if x < 1e-4:
+        w0, w1 = dt * (0.5 - x / 6 + x * x / 24), dt * (0.5 + x / 6 + x * x / 24)
+    else:
+        w0, w1 = (x + math.expm1(-x)) / (lam * x), (math.expm1(x) - x) / (lam * x)
+    gamma = np.empty((nK, nA * nS))
+    gamma3 = gamma.reshape(nK, nA, nS)
+    m = np.empty((nK, nS))
+    vt = np.repeat(g_term[None, :], nK, axis=0)
+    vt_new = vt.copy()
+    for iterations in range(1, max_iter + 1):
+        np.matmul(vt, rates_slack, out=gamma)
+        gamma += f_scaled
+        m[...] = gamma3[:, 0]
+        for a in range(1, nA):
+            np.maximum(m, gamma3[:, a], out=m)
+        head = vt_new[:-1]
+        np.multiply(m[1:], w1, out=head)
+        m[:-1] *= w0
+        head += m[:-1]
+        np.cumsum(head[::-1], axis=0, out=head[::-1])
+        head += g_term
+        np.subtract(vt_new, vt, out=m)
+        np.abs(m, out=m)
+        vt, vt_new = vt_new, vt
+        if m.max() <= tol * max(vt.max(), -vt.min()):
+            break
+    residual = float((m / scale_down).max())
+    np.matmul(vt, rates_slack, out=gamma)
+    gamma += f_scaled
+    vt /= scale_down
+    return vt, gamma3.argmax(axis=1), iterations, residual
+
+
+class TestTimeBlocks:
+    SHAPES = {"random16x2": (16, 16, 2, 10.0, 9), "random64x4": (64, 64, 4, 6.0, 5)}
+
+    def problem(self, request, name):
+        if name in self.SHAPES:
+            return random_problem(*self.SHAPES[name])
+        if name == "stiff":
+            return stiff_problem(200.0)
+        return request.getfixturevalue(name)
+
+    @pytest.mark.parametrize("name", ["m2", "threestate", "random16x2", "random64x4", "stiff"])
+    def test_blocks_match_one_block(self, request, monkeypatch, name):
+        # Only the stopping test differs between the blocked solve and one
+        # block over [0, T]. Measured gap at tol 1e-10, N = 2000: at most
+        # 1.8e-10 (1 + |v|) on the stiff model (L = 200, 8 blocks) and
+        # 2.0e-11 (1 + |v|) on the others; the bound leaves a factor 5.
+        p = self.problem(request, name)
+        blocked = jc.solve_hjb_picard(p, n_steps=2000)
+        monkeypatch.setattr(hjb, "_MIN_BLOCK_CELLS", 2000)
+        whole = jc.solve_hjb_picard(p, n_steps=2000)
+        assert blocked.blocks > 1 and whole.blocks == 1
+        v, v_ref = blocked.values.values, whole.values.values
+        assert np.all(np.abs(v - v_ref) <= 1e-9 * (1.0 + np.abs(v_ref)))
+        assert np.array_equal(blocked.argmax, whole.argmax)
+
+    @pytest.mark.parametrize("name", ["m2", "threestate", "random16x2", "stiff"])
+    @pytest.mark.parametrize("n_steps", [50, 128, 256])
+    def test_one_block_is_the_whole_horizon_loop(self, request, name, n_steps):
+        p = self.problem(request, name)
+        sol = jc.solve_hjb_picard(p, n_steps=n_steps)
+        v, argmax, iterations, residual = whole_horizon_picard(p, n_steps)
+        assert sol.blocks == 1
+        assert np.array_equal(sol.values.values, v)
+        assert np.array_equal(sol.argmax, argmax)
+        assert (sol.iterations, sol.residual) == (iterations, residual)
+
+    @pytest.mark.parametrize(
+        "name, n_steps, blocks",
+        [("m2", 2000, 2), ("threestate", 2000, 5), ("threestate", 500, 2), ("random64x4", 2000, 6),
+         ("stiff", 2000, 8), ("stiff", 256, 1), ("stiff", 257, 2), ("zero_rate", 2000, 1)],
+    )
+    def test_block_count_and_sweep_bound(self, request, name, n_steps, blocks):
+        # L tau about 1 with at least 256 cells a block: L = 2 gives 2 blocks
+        # of 1000 cells, L = 4.15 five of 400, L = 6 six of 333-334; the
+        # floor binds for L = 200 (8 blocks of 250) and for L = 4.15 at
+        # N = 500; L = 0 (no jumps) or N <= 256 is one block
+        p = self.problem(request, name)
+        sol = jc.solve_hjb_picard(p, n_steps=n_steps)
+        assert sol.blocks == blocks
+        # iterations is the most sweeps of any block: enough as max_iter, one short is not
+        again = jc.solve_hjb_picard(p, n_steps=n_steps, max_iter=sol.iterations)
+        assert again.iterations == sol.iterations <= 1000
+        assert np.array_equal(again.values.values, sol.values.values)
+        if sol.iterations > 1:
+            with pytest.raises(NonconvergenceError) as exc:
+                jc.solve_hjb_picard(p, n_steps=n_steps, max_iter=sol.iterations - 1)
+            assert exc.value.iterations == sol.iterations - 1
+
+    def test_nonconvergence_in_a_later_block_reports_its_count(self):
+        # f and g vanish on [0.5, 1], so the blocks there converge in one
+        # sweep each; the first block with f > 0 fails at max_iter and must
+        # report max_iter, not a count summed over the blocks
+        p = jc.Problem(
+            ("0", "1"), ("0", "1"),
+            np.array([[[0.0, 10.0], [0.0, 5.0]], [[3.0, 0.0], [10.0, 0.0]]]),
+            np.array([1.0, 1.0]),
+            np.array([[[1.0, 0.5], [0.2, 0.8]], [[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]),
+            np.zeros(2), 1.0,
+        )
+        sol = jc.solve_hjb_picard(p, n_steps=2000)
+        assert sol.blocks == 8 and sol.iterations > 3
+        assert np.all(sol.values.values[1000:] == 0.0)
+        for max_iter in (1, 3):
+            with pytest.raises(NonconvergenceError) as exc:
+                jc.solve_hjb_picard(p, n_steps=2000, max_iter=max_iter)
+            assert exc.value.iterations == max_iter
+            assert exc.value.residual > 0.0
+
+    @pytest.mark.parametrize("tol", [1.0, 1e300, math.inf, math.nan])
+    def test_tol_not_below_one_raises(self, threestate, tol):
+        # a relative update below 1 holds after any sweep: such a tol checks nothing
+        with pytest.raises(ValueError):
+            jc.solve_hjb_picard(threestate, n_steps=100, tol=tol)

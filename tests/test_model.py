@@ -145,6 +145,10 @@ class TestSolverConfig:
         [
             {"n_steps": 1},
             {"picard_tol": 0.0},
+            {"picard_tol": 1.0},
+            {"picard_tol": 1e300},
+            {"picard_tol": float("inf")},
+            {"picard_tol": float("nan")},
             {"penalization_levels": (4, 2)},
             {"penalization_levels": (0, 1)},
             {"mc_paths": 0},
