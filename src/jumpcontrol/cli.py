@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 model parse error, 3 validation failure (of the
 model or of an argument: a state index, penalization levels, a march past
-penalized.MAX_RK4_STEPS), 4 solver nonconvergence, 5 diagnostic suite failure.
+linear.MAX_RK4_STEPS), 4 solver nonconvergence, 5 diagnostic suite failure.
 """
 from __future__ import annotations
 
@@ -125,7 +125,7 @@ def cmd_diagnose(args):
     primal = _solve_primal(p, args)
     try:
         report = penalized.convergence_report(p, levels, n_steps=args.n_steps, primal=primal)
-    except ValueError as exc:  # a march past penalized.MAX_RK4_STEPS
+    except ValueError as exc:  # a march past linear.MAX_RK4_STEPS
         _invalid(exc)
     _out_dir(args)
     _atomic_write(os.path.join(args.out_dir, "penalized.csv"), report.to_csv)
@@ -205,12 +205,13 @@ def cmd_simulate(args):
 def _build_parser():
     ap = argparse.ArgumentParser(prog="jumpcontrol")
     sub = ap.add_subparsers(dest="command", required=True)
+    defaults = model.SolverConfig()
 
     def common(sp):
         sp.add_argument("--model", required=True)
         sp.add_argument("--out-dir", default="out")
-        sp.add_argument("--n-steps", type=int, default=2000, dest="n_steps")
-        sp.add_argument("--tol", type=float, default=1e-10)
+        sp.add_argument("--n-steps", type=int, default=defaults.n_steps, dest="n_steps")
+        sp.add_argument("--tol", type=float, default=defaults.picard_tol)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--config", default=None)
 
@@ -220,11 +221,11 @@ def _build_parser():
 
     sp = sub.add_parser("diagnose", help="run penalized/dual/BSDE diagnostic suites")
     common(sp)
-    sp.add_argument("--paths", type=int, default=20_000)
+    sp.add_argument("--paths", type=int, default=defaults.mc_paths)
     sp.add_argument(
         "--levels",
         type=lambda s: tuple(int(v) for v in s.split(",")),
-        default=(1, 2, 4, 8, 16, 32, 64, 128, 256),
+        default=defaults.penalization_levels,
     )
     sp.set_defaults(func=cmd_diagnose)
 

@@ -89,11 +89,13 @@ def solve_hjb_picard(
     is at most tol times the sup norm of the new iterate. `iterations` is the
     most sweeps of any block, `residual` the largest last update of any
     block, scaled back to v. Raises ValueError for a tol not below 1, which
-    any sweep passes; NonconvergenceError when a block passes max_iter, and
-    when the solution cannot be finite.
+    any sweep passes, or a max_iter below 1; NonconvergenceError when a
+    block passes max_iter, and when the solution cannot be finite.
     """
     if not tol < 1.0:  # NaN and inf too: a relative update below 1 holds after any sweep
         raise ValueError(f"tol must be finite and below 1, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     T = p.horizon
     nS, nA, nK = p.n_states, p.n_actions, n_steps + 1
     lam = rate_bound(p)
@@ -169,6 +171,7 @@ def solve_hjb_picard(
         argmax[k0 : k0 + own] = gamma3[:own].argmax(axis=1)
         np.divide(vt[:own], scale_down[:own], out=v[k0 : k0 + own])
         v_end = v[k0]
+    v[-1] = p.terminal_cost  # not its round trip through the rescaling
     if not np.all(np.isfinite(v)):  # costs or rates so large that v overflows
         raise NonconvergenceError(residual, iterations)
     return HJBSolution(ValueGrid(v, T), argmax, iterations, residual, len(edges) - 1)

@@ -1,16 +1,16 @@
 """Backward Kolmogorov solvers: policy evaluation and the pair semigroup.
 
 Both equations are linear and smooth in time, so they are marched backward
-with classical 4-stage Runge-Kutta. Every RK4 march, the penalized one too,
-sub-steps to keep the sub-step times its rate bound below 0.5 and refuses
-more than MAX_RK4_STEPS sub-steps in all (_substeps). One marcher
-(_rk4_march) walks the sub-steps and tabulates the running cost, a function
-of an array of stage times, once per block of them; the step is an
-argument, and takes one or more sub-steps per call. Both Kolmogorov
+with classical 4-stage Runge-Kutta. Every RK4 march, the penalized one
+too, sub-steps to keep the sub-step times its rate bound below 0.5 and
+refuses more than MAX_RK4_STEPS sub-steps in all (_substeps). One marcher
+(_rk4_march) walks the sub-steps and tabulates the running cost, a
+function of an array of stage times, once per block of them; the step is
+an argument, and takes one or more sub-steps per call. Both Kolmogorov
 solvers are one linear march (_linear_march) of the classical stage rule
 (_rk4_substep) with one generator per uniform layer, every layer edge a
-sub-step boundary; the penalized march takes the same stage rule
-wherever the sign of its penalty's argument changes inside a sub-step.
+sub-step boundary; the penalized march builds its step maps by it, and
+takes it where its penalty's argument changes sign.
 """
 from __future__ import annotations
 
@@ -110,33 +110,32 @@ def _substeps(n_steps, T, bound, what, layers=1) -> int:
 
 
 def _rk4_substep(deriv, shape):
-    """The classical RK4 sub-step of dv/ds = deriv(s, v) - c(s), backward by
-    h, as a step of _rk4_march: step(v, h, rows, costs, i) takes sub-step i
-    alone, in place, with the stage times rows[i] = (s, s - h/2, s - h) and
-    the running cost costs[i] at them (a sequence of three, each
-    broadcasting against v), and returns None.
-
-    deriv(s, v, out) writes into out, a stage buffer of the given shape
+    """The classical RK4 sub-step of dv/ds = deriv(v) - c(s), backward by h,
+    as a step of _rk4_march: step(v, h, rows, costs, i) takes sub-step i
+    alone, in place, with the running cost costs[i] at its stage times s,
+    s - h/2 and s - h (three arrays broadcasting against v; rows is not
+    read), and returns None. deriv(v, out) is called on each stage input in
+    turn, v first; it writes into out, a stage buffer of the given shape
     allocated once, and must not write v.
     """
     k1, k2, k3, k4, w = (np.empty(shape) for _ in range(5))
 
-    def step(v, h, rows, costs, i):
+    def step(v, h, _rows, costs, i):
         nonlocal k1, k2, k3, k4, w  # rebound to themselves by the in-place operators
-        (s, s_mid, s_end), c = rows[i], costs[i]
-        deriv(s, v, k1)
+        c = costs[i]
+        deriv(v, k1)
         k1 -= c[0]
         np.multiply(k1, -0.5 * h, out=w)
         w += v
-        deriv(s_mid, w, k2)
+        deriv(w, k2)
         k2 -= c[1]
         np.multiply(k2, -0.5 * h, out=w)
         w += v
-        deriv(s_mid, w, k3)
+        deriv(w, k3)
         k3 -= c[1]
         np.multiply(k3, -h, out=w)
         w += v
-        deriv(s_end, w, k4)
+        deriv(w, k4)
         k4 -= c[2]
         # v -= h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
         k2 *= 2.0
@@ -197,7 +196,7 @@ def _linear_march(g, gens, layer, n_steps, T, bound, what, cost=None) -> ValueGr
     n_sub = _substeps(n_steps, T, bound, what, len(layer))
     neg_gens, layer = -np.asarray(gens), np.asarray(layer).tolist()
     current = [None]  # -G of the sub-step being taken, set by step
-    rk4 = _rk4_substep(lambda s, v, out: np.dot(current[0], v.reshape(-1), out=out.reshape(-1)), g.shape)
+    rk4 = _rk4_substep(lambda v, out: np.dot(current[0], v.reshape(-1), out=out.reshape(-1)), g.shape)
 
     def step(v, h, rows, costs, i):
         current[0] = neg_gens[layer[_layer(rows[i][1], T, len(layer))]]

@@ -78,7 +78,7 @@ class SolverConfig:
 
     n_steps: int = 2000
     picard_tol: float = 1e-10
-    mc_paths: int = 100_000
+    mc_paths: int = 20_000
     penalization_levels: tuple = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
     def __post_init__(self):

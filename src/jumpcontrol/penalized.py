@@ -21,25 +21,22 @@ All requested levels are marched together as one (levels, n_states *
 n_actions) state on the flat pair index x * n_actions + a, so the family
 costs about as much as a single level. While the sign pattern of psi(x, a,
 b) = v(x, b) - v(x, a) holds still, the penalty is linear, and each RK4
-sub-step is one affine map per level (_AffineSubsteps). With f constant in
-time, one batched product with the stacked powers of that map takes a block
-of sub-steps (_BLOCK_MAX_STEPS, _BLOCK_MAX_ENTRIES): it gives the values
-after each and psi at their four stage inputs, and the sub-steps are taken
-up to the first where a psi has left the pattern. That sub-step is the
-nonlinear one (linear._rk4_substep), whose stages are a product with L_X^a,
-one matrix on the pair index built once per problem, the positive parts of
-psi and one batched product with the per-level weights n lambda0; the maps
-of the levels whose pattern moved are then rebuilt. On the fixtures the
-pattern moves a handful of times in 2000 sub-steps. With f depending on
-time a block is one sub-step; past _MAP_MAX_ENTRIES entries per map, every
-sub-step is the nonlinear one. f is tabulated at the stage times by one
-cost_layer call per block of steps. The penalty's Lipschitz constant grows
-like (n + 1) * lambda0(A), so every level takes the common sub-step count
-set by the largest level n_max, which keeps
-dt_eff * (Lambda_pair + (n_max + 1) * lambda0(A)) below 0.5; a march of
-more than MAX_RK4_STEPS steps in all is refused before it starts
-(linear._substeps). Steps use classical RK4: the monotonicity and
-domination checks compare solutions to within 1e-9, which a first-order
+sub-step is one affine map per level: the classical stage rule
+(linear._rk4_substep) run once on a basis (_AffineSubsteps). With f
+constant in time, one batched product with the stacked powers of that map
+takes a block of sub-steps (_BLOCK_MAX_STEPS, _BLOCK_MAX_ENTRIES), up to
+the first where a psi has left the pattern. That sub-step is the nonlinear
+one, the same stage rule with stages of a product with L_X^a, one matrix on
+the pair index built once per problem, the positive parts of psi and one
+batched product with the per-level weights n lambda0; the maps of the
+levels whose pattern moved are then rebuilt. With f depending on time a
+block is one sub-step; past _MAP_MAX_ENTRIES entries per map, every
+sub-step is the nonlinear one. The penalty's Lipschitz constant grows like
+(n + 1) * lambda0(A), so every level takes the common sub-step count set by
+the largest level n_max, which keeps dt_eff * (Lambda_pair + (n_max + 1) *
+lambda0(A)) below 0.5; a march of more than linear.MAX_RK4_STEPS steps in
+all is refused before it starts. Steps use classical RK4: the monotonicity
+and domination checks compare solutions to within 1e-9, which a first-order
 scheme cannot reach at practical grid sizes.
 """
 from __future__ import annotations
@@ -50,8 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-# MAX_RK4_STEPS: the README names it here
-from .linear import MAX_RK4_STEPS, ValueGrid, _rk4_march, _rk4_substep, _substeps
+from .linear import ValueGrid, _rk4_march, _rk4_substep, _substeps
 from .model import Problem, cost_layer, pair_rate_bound
 from .hjb import HJBSolution, solve_hjb_picard
 from .simulate import _prefix, _trapezoid
@@ -155,24 +151,26 @@ def _map_shape(p: Problem):
     return (4 * m if p.running_cost.ndim == 3 else m + 1), m * (1 + 4 * (nA - 1))
 
 
-def _matmul(a, b):
+def _matmul(a, b, out=None):
     """a @ b over stacks of small matrices, the last axis of a against the
     rows of b, without BLAS: the first BLAS matrix-matrix product of a
     process pages in about 0.3 MB, which a single-level march would
     otherwise add to its peak memory."""
-    return np.einsum("l...j,ljk->l...k", a, b)
+    return np.einsum("l...j,ljk->l...k", a, b, out=out)
 
 
 class _AffineSubsteps:
     """The RK4 sub-steps of the penalized family as affine maps per level.
 
     While the sign pattern sigma = (psi > 0) of a level is fixed, its
-    penalty n sum_b sigma psi_b lambda0[b] is linear, and so is its whole
-    RK4 step: v' - v = v P(h Q) + c C(h Q), with Q the generator plus the
-    frozen penalty, P and C polynomials of degree 4, and c the running cost
-    at the three stage times. The same product gives psi (2 sigma - 1) at
-    the four stage inputs w1 = v, ..., w4, and the step equals the nonlinear
-    RK4 step when all of them are >= 0, up to rounding.
+    penalty n sum_b sigma psi_b lambda0[b] is linear, and so are its RK4
+    step, v' - v = v P + c C with c the running cost at the three stage
+    times, and psi (2 sigma - 1) at the four stage inputs w1 = v, ..., w4;
+    the step is the nonlinear one when all of these are >= 0, up to
+    rounding. build takes the stage rule (linear._rk4_substep) once on the
+    basis of the map's inputs, the rows of v and then of c, with the penalty
+    frozen: it marches the increment from 0 to (P; C), each stage input is
+    basis + increment, and its deriv records the checks there.
 
     With f constant in time, c C is one row t, and one product with the
     block map of the map's powers takes B sub-steps: after j of them,
@@ -191,7 +189,7 @@ class _AffineSubsteps:
         self.lo, self.hi = x * nA + a, x * nA + b  # pair j = (x, a, b != a): psi_j = v[hi] - v[lo]
         self.weights = np.multiply.outer(np.asarray(levels, dtype=float), p.lambda0)[:, b]  # n lambda0[b]
         self.diff = np.eye(m)[:, self.hi] - np.eye(m)[:, self.lo]  # w @ diff is psi at w
-        self.gen_t = p.x_generator.T
+        self.neg_gen_t = -p.x_generator.T
         self.f_row = None if p.running_cost.ndim == 3 else p.running_cost.reshape(1, m)
         # A product leaves psi a few ulps of |v| <= |g| + T |f| off, so a psi
         # that is 0 throughout (actions that agree at a state) reads as either
@@ -200,6 +198,11 @@ class _AffineSubsteps:
         scale = np.abs(p.terminal_cost).max() + p.horizon * np.abs(p.running_cost).max()
         self.floor = -16 * np.finfo(float).eps * scale
         rows, cols = _map_shape(p)
+        # The map's inputs as stage-rule rows: v, then (at v = 0) c at each stage time in turn, or f at all three
+        self.basis = np.eye(rows, m)
+        self.stage_costs = [
+            np.eye(rows, m, -j * m) if self.f_row is None else np.eye(rows, 1, -m) * self.f_row for j in (1, 2, 3)
+        ]
         # a block of one where f depends on time: its stage costs change from sub-step to sub-step
         self.block = 1 if self.f_row is None else max(1, min(_BLOCK_MAX_STEPS, _BLOCK_MAX_ENTRIES // (rows * cols)))
         self.blocks = np.empty((len(levels), rows, self.block, cols))  # blocks[level, :, j]: sub-step j + 1
@@ -218,29 +221,25 @@ class _AffineSubsteps:
 
     def build(self, idx, sigma, h):
         """The maps of the levels idx at their patterns sigma."""
-        m, n = self.gen_t.shape[0], len(idx)
-        w = h * self.weights[idx] * sigma
-        H = np.repeat(h * self.gen_t[None], n, axis=0)  # h Q, transposed for row vectors
-        H[:, self.hi, self.lo] += w
-        H[:, np.arange(m), np.arange(m)] -= w.reshape(n, m, -1).sum(axis=2)
-        H2 = _matmul(H, H)
-        H3 = _matmul(H2, H)
-        eye, zero = np.broadcast_to(np.eye(m), H.shape), np.zeros(H.shape)
-        # (increment, w1, w2, w3, w4) as functions of v, then of c at s, s - h/2 and s - h
-        v_rows, *c_rows = (np.stack(block, axis=2) for block in (
-            (H + H2 / 2 + H3 / 6 + _matmul(H3, H) / 24, eye, eye + H / 2, eye + H / 2 + H2 / 4, eye + H + H2 / 2 + H3 / 4),
-            (h / 6 * (eye + H + H2 / 2 + H3 / 4), zero, h / 2 * eye, h / 4 * H, h / 4 * H2),
-            (h / 6 * (4 * eye + 2 * H + H2 / 2), zero, zero, h / 2 * eye, h * (eye + H / 2)),
-            (h / 6 * eye, zero, zero, zero, zero),
-        ))
-        if self.f_row is not None:
-            c_rows = [_matmul(self.f_row[None], sum(c_rows).reshape(n, m, -1)).reshape(n, 1, 5, m)]
-        rows = np.concatenate([v_rows, *c_rows], axis=1)
+        m, n = self.basis.shape[1], len(idx)
+        pen = self.weights[idx] * sigma
+        neg_q = np.repeat(self.neg_gen_t[None], n, axis=0)  # -Q with the penalty frozen, for row vectors
+        neg_q[:, self.hi, self.lo] -= pen
+        neg_q[:, np.arange(m), np.arange(m)] += pen.reshape(n, m, -1).sum(axis=2)
         signed_diff = self.diff * np.where(self.weights[idx] > 0.0, 2.0 * sigma - 1.0, 0.0)[:, None, :]
-        checks = _matmul(rows[:, :, 1:].reshape(n, -1, m), signed_diff).reshape(n, rows.shape[1], -1)
+        checks = []
+
+        def deriv(x, out):  # x is the increment so far: the stage input is basis + x
+            w = self.basis + x
+            checks.append(_matmul(w, signed_diff))
+            _matmul(w, neg_q, out)
+
+        inc = np.zeros((n, *self.basis.shape))
+        _rk4_substep(deriv, inc.shape)(inc, h, None, [self.stage_costs], 0)
+        checks = np.concatenate(checks, axis=2)  # (w1, w2, w3, w4) as functions of v, then of c
         # Sub-step j + 1 of a block: inc[:, :, j] = (D_{j+1}; e_{j+1}), and
         # its checks at v_j, checks + inc[:, :, j - 1] C with C = checks[:, :m].
-        inc = rows[:, :, None, 0]
+        inc = inc[:, :, None]
         while inc.shape[2] < self.block:  # inc[J + j] = inc[j] + inc[J] + inc[j] D_J, D_J = inc[J][:m]
             last = inc[:, :, -1]
             inc = np.concatenate((inc, inc + last[:, :, None] + _matmul(inc, last[:, :m])), axis=2)
@@ -292,7 +291,7 @@ def _substep(p: Problem, levels):
     pen = np.empty((n_lev, m, 1))
     pen_flat = pen[..., 0]
 
-    def deriv(s, v, out):
+    def deriv(v, out):
         np.dot(v, neg_gen_t, out=out)
         v3 = v.reshape(n_lev, nS, nA)
         np.subtract(v3[:, :, None, :], v3[:, :, :, None], out=psi)  # psi[l, x, a, b] = v[l, x, b] - v[l, x, a]

@@ -335,14 +335,12 @@ def simulate_controlled_paths(
     jumps = np.zeros(count, dtype=np.int64)
     rows, cums = p.row_sums, tab["cum"]
     cap = _cap(lam, T - t)
-    n_layers = max(alpha.n_layers, 1)
-    scale = n_layers / alpha.horizon
     events = [(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))]  # (path, time, mark) per round
     while live.size:
         s += rng.exponential(size=live.size) * (1.0 / lam)
         keep = s < T
         live, s, cur = live[keep], s[keep], cur[keep]
-        a = alpha.table[np.minimum((s * scale + 1e-12).astype(np.int64), n_layers - 1), cur]
+        a = alpha.table[alpha.layer_index(s), cur]
         r = rows[cur, a]
         hit = np.flatnonzero(r > 0.0)
         hit = hit[rng.random(size=hit.size) * lam < r[hit]]

@@ -154,6 +154,15 @@ class TestPicard:
     def test_terminal_layer_exact(self, threestate):
         sol = jc.solve_hjb_picard(threestate, n_steps=200)
         assert np.array_equal(sol.values.values[-1], threestate.terminal_cost)
+        # g of this model does not survive exp(-L tau) g / exp(-L tau): 1.1e-16 off if not written in
+        p = random_problem(*TestTimeBlocks.SHAPES["random64x4"])
+        sol = jc.solve_hjb_picard(p, n_steps=2000)
+        assert np.array_equal(sol.values.values[-1], p.terminal_cost)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_raises(self, m2, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            jc.solve_hjb_picard(m2, n_steps=50, max_iter=max_iter)
 
     def test_sup_norm_bound(self, threestate):
         sol = jc.solve_hjb_picard(threestate, n_steps=2000)
@@ -308,6 +317,7 @@ def whole_horizon_picard(p, n_steps, tol=1e-10, max_iter=1000):
     np.matmul(vt, rates_slack, out=gamma)
     gamma += f_scaled
     vt /= scale_down
+    vt[-1] = p.terminal_cost
     return vt, gamma3.argmax(axis=1), iterations, residual
 
 

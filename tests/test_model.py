@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import jumpcontrol as jc
+from jumpcontrol import cli
 from jumpcontrol.model import cost_layer, grid_cell
 
 
@@ -139,6 +140,16 @@ class TestSolverConfig:
     def test_defaults_valid(self):
         cfg = jc.SolverConfig()
         assert cfg.penalization_levels == (1, 2, 4, 8, 16, 32, 64, 128, 256)
+
+    def test_cli_defaults_are_the_config_defaults(self):
+        cfg = jc.SolverConfig()
+        _, commands = cli._build_parser()
+        for command, parser in commands.items():
+            args = parser.parse_args(["--model", "m.json"])
+            assert (args.n_steps, args.tol) == (cfg.n_steps, cfg.picard_tol) == (2000, 1e-10), command
+        args = commands["diagnose"].parse_args(["--model", "m.json"])
+        assert (args.paths, args.levels) == (cfg.mc_paths, cfg.penalization_levels)
+        assert args.paths == 20_000
 
     @pytest.mark.parametrize(
         "kwargs",

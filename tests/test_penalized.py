@@ -118,7 +118,8 @@ class TestMatchesEinsumReference:
         x_gen = einsum_penalized.pair_x_generator(p)
         for i, sol in enumerate(sols):
             assert sol.n_substeps == n_sub
-            assert np.abs(sol.values.values - ref[:, i]).max() <= 1e-13
+            # values at most 3.6e-15 off (the rate up to 1.3e-14); a map built through I + P is further off
+            assert np.abs(sol.values.values - ref[:, i]).max() <= 1e-14
             assert np.abs(sol.compensator_rate.values - x_gen(ref[:, i])).max() <= 1e-13
         return n_sub
 

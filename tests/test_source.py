@@ -1,14 +1,15 @@
-"""Static checks on the package source: no dead private names, no unused imports."""
+"""Static checks on the package source: no dead private names, no unused
+imports, no unread parameters."""
 import ast
 import pathlib
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "jumpcontrol"
-# __init__ only re-exports; penalized re-exports MAX_RK4_STEPS, which the
-# README names there.
+# __init__ only re-exports. build_sample keeps its public p, which callers
+# pass positionally; a parameter named _x is unread by intent.
 EXEMPT_MODULES = {"__init__"}
-EXEMPT_IMPORTS = {("penalized", "MAX_RK4_STEPS")}
+EXEMPT_PARAMETERS = {("bsde", "build_sample", "p")}
 
 TREES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 
@@ -61,5 +62,26 @@ def test_private_names_are_used(module):
 def test_imports_are_used(module):
     tree = TREES[module]
     used = loaded_names(tree)
-    unused = [n for n in imported_names(tree) if n not in used and (module, n) not in EXEMPT_IMPORTS]
+    unused = [n for n in imported_names(tree) if n not in used]
     assert unused == []
+
+
+def parameters(func):
+    a = func.args
+    return [arg.arg for arg in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if arg is not None]
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_parameters_are_read(module):
+    # in the function's body, nested functions included; not in its defaults or decorators
+    unread = []
+    for func in ast.walk(TREES[module]):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            body = [func.body] if isinstance(func, ast.Lambda) else func.body
+            read = set().union(*(loaded_names(node) for node in body))
+            name = getattr(func, "name", "<lambda>")
+            unread += [
+                (name, arg) for arg in parameters(func)
+                if arg not in read and not arg.startswith("_") and (module, name, arg) not in EXEMPT_PARAMETERS
+            ]
+    assert unread == []
