@@ -14,10 +14,12 @@ between. K, the X-compensator and the running cost are rates (cum, cell)
 of simulate's one segment integrator: PenalizedSolution builds the first
 two once per v^n, so a segment costs a difference of cum plus its two end
 cells, each read from its grid cell's two node layers, and a path costs
-O(jumps), not O(grid). All integrals are exact for the interpolant (the
-positive part is integrated cell by cell with its kink located
-analytically), so the pathwise residual isolates the solver's ODE error
-rather than quadrature noise.
+O(jumps), not O(grid). A path keeps its location on each grid
+(simulate._located): Y, Z, K at every level and the compensator read the
+one on the grid of v^n, the running cost the one on the grid of f. All
+integrals are exact for the interpolant (the positive part is integrated
+cell by cell with its kink located analytically), so the pathwise
+residual isolates the solver's ODE error rather than quadrature noise.
 """
 from __future__ import annotations
 
@@ -26,11 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Problem
+from .model import Problem, _interp_cells
 from .penalized import PenalizedSolution
-from .simulate import (
-    Path, PathBatch, _mean_se, _per_path, _segment_integrals, _segments, _sim_tables, simulate_pair_sample,
-)
+from .simulate import Path, PathBatch, _integrate, _located, _mean_se, _per_path, _sim_tables, simulate_pair_sample
 
 
 @dataclass(frozen=True)
@@ -60,24 +60,22 @@ def build_sample(p: Problem, vn: PenalizedSolution, path: Path) -> BSDESample:
 
     p is the problem vn solves; the tables and rates are read from vn.
     """
-    T = vn.values.horizon
-    lo, hi, seg_x, seg_a, _ = _segments(PathBatch.from_paths([path], T))
-    bp = np.append(lo, T)
-    layers = vn.values.layer_at(bp)  # v^n at the breakpoints: (m+1, nS, nA)
-    m = seg_x.size
+    grid = vn.values
+    (lo, _, seg_x, seg_a), located = _located(path, grid.horizon, grid.n_steps)
+    m, n = seg_x.size, path.n_jumps
+    x_T, a_T = (path.x_marks[-1], path.a_marks[-1]) if n else (path.x0, path.a0)
 
-    # Y at breakpoints, cadlag (state after the breakpoint; at T the final state).
-    state_x = np.append(seg_x, path.state_at(T))
-    state_a = np.append(seg_a, path.action_at(T))
-    y_values = layers[np.arange(m + 1), state_x, state_a]
-    k_values = np.concatenate(([0.0], np.cumsum(_segment_integrals(T, vn.k_table, lo, hi, seg_x, seg_a))))
+    # v^n at both ends of every segment in its state, then at T in the final
+    # state: Y at the breakpoints (cadlag) and, at the hi ends, left limits.
+    k, w, x, a = located[:4]
+    k, w = np.concatenate((k, k[-1:])), np.concatenate((w, w[-1:]))
+    v = _interp_cells(grid.values, k, w, np.concatenate((x, [x_T])), np.concatenate((a, [a_T])))
+    y_values = np.concatenate((v[:m], v[-1:]))
+    k_values = np.concatenate(([0.0], np.cumsum(_integrate(vn.k_table, located))))
 
-    # Z at the realized jump marks; a jump at T reads the layer at T. Jump j
-    # leaves segment j's state, and a jump at T opens no segment of its own.
-    n = path.n_jumps
-    jpos = np.searchsorted(bp, path.times)
-    jump_z = layers[jpos, path.x_marks, path.a_marks] - layers[jpos, seg_x[:n], seg_a[:n]]
-    return BSDESample(path, vn.level, bp, seg_x, seg_a, y_values, k_values, jump_z, vn)
+    # Z at the marks: jump j ends segment j at breakpoint j + 1, where Y reads the mark.
+    jump_z = y_values[1 : n + 1] - v[m : m + n]
+    return BSDESample(path, vn.level, np.append(lo, grid.horizon), seg_x, seg_a, y_values, k_values, jump_z, vn)
 
 
 def bsde_residual(p: Problem, sample: BSDESample) -> float:
@@ -92,11 +90,11 @@ def bsde_residual(p: Problem, sample: BSDESample) -> float:
     bounded by the integrator's ODE residual (the quadrature here is exact
     for the interpolant).
     """
-    path, bp = sample.path, sample.breakpoints
-    segments = (bp[:-1], bp[1:], sample.seg_x, sample.seg_a)
-    int_c1 = float(_segment_integrals(p.horizon, sample.solution.compensator_table, *segments).sum())
-    int_f = float(_segment_integrals(p.horizon, _sim_tables(p)["cost"], *segments).sum())
-    g_term = float(p.terminal_cost[path.state_at(path.horizon)])
+    path, T, vn = sample.path, p.horizon, sample.solution
+    cost = _sim_tables(p)["cost"]
+    int_c1 = float(_integrate(vn.compensator_table, _located(path, T, vn.values.n_steps)[1]).sum())
+    int_f = float(_integrate(cost, _located(path, T, cost[0].shape[0] - 1)[1]).sum())
+    g_term = float(p.terminal_cost[path.x_marks[-1] if path.n_jumps else path.x0])
     rhs = g_term + int_f + float(sample.k_values[-1]) - float(sample.jump_z.sum()) + int_c1
     return float(sample.y_values[0]) - rhs
 
@@ -162,11 +160,7 @@ def minimal_y_report(
 ) -> MinimalYReport:
     """Tabulate Y_t^{n,t,x,a} = v^n(t, x, a) across levels and start actions."""
     levels = sorted(solutions)
-    rows = []
-    for n in levels:
-        grid = solutions[n].values
-        for a in range(p.n_actions):
-            rows.append(MinimalYRow(n, a, grid.value_at(t, x, a)))
+    rows = [MinimalYRow(n, a, solutions[n].values.value_at(t, x, a)) for n in levels for a in range(p.n_actions)]
     top = levels[-1]
     limit = {a: solutions[top].values.value_at(t, x, a) for a in range(p.n_actions)}
     max_gap = max(primal_value - y for y in limit.values())

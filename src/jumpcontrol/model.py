@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 
-def _readonly(a):
-    a = np.asarray(a, dtype=float)
+def _readonly(a, dtype=float):
+    a = np.asarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -89,6 +89,8 @@ class SolverConfig:
         if self.mc_paths < 1:
             raise ValueError("mc_paths must be at least 1")
         levels = tuple(int(n) for n in self.penalization_levels)
+        if len(levels) < 2:  # the monotonicity and decay checks compare successive levels
+            raise ValueError(f"at least two penalization levels are needed; got {len(levels)}")
         if any(n <= 0 for n in levels):
             raise ValueError("penalization levels must be positive integers")
         if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -197,7 +199,11 @@ def _interp(table, t, T: float, *index) -> np.ndarray:
     the result. Raises ValueError for a time outside [0, T].
     """
     check_times(t, T)
-    k, w = grid_cell(t, T, table.shape[0] - 1)
+    return _interp_cells(table, *grid_cell(t, T, table.shape[0] - 1), *index)
+
+
+def _interp_cells(table, k, w, *index) -> np.ndarray:
+    """_interp at times already located on the table's grid: cell k, weight w."""
     w = w[(...,) + (None,) * (table.ndim - 1 - len(index))]
     return (1.0 - w) * table[(k, *index)] + w * table[(k + 1, *index)]
 

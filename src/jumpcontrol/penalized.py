@@ -76,7 +76,7 @@ class PenalizedSolution:
     first use.
 
     k_table and compensator_table are the rates (cum, cell) of the
-    integrands of K and of the X-compensator (simulate._segment_integrals):
+    integrands of K and of the X-compensator (simulate._integrate):
     for every constant pair state (x, a), cum holds their exact integrals
     from 0 to each grid node along the piecewise-linear interpolant of v^n,
     and cell integrates them inside one grid cell from its two node layers.
@@ -103,14 +103,12 @@ class PenalizedSolution:
         psi = v[..., None, :] - v[..., :, None]  # psi[k, x, a, b]
 
         def cell(k, s0, s1, x, a):
-            v0, v1, at_a = v[k, x], v[k + 1, x], (np.arange(len(a)), a)
-
-            def psi_at(s):
-                w = (s / dt - k)[:, None]
-                layer = (1.0 - w) * v0 + w * v1  # v^n(s, x, .)
-                return layer - layer[at_a][:, None]
-
-            return penalty_integral(psi_at(s0), psi_at(s1), (s1 - s0)[:, None], lam0, n)
+            # v^n(s, x, .) at s0, then s1, stacked on the segment axis: a new leading axis is slower
+            m, v0, v1 = len(a), v[k, x], v[k + 1, x]
+            w = (np.concatenate((s0, s1)) / dt - np.concatenate((k, k)))[:, None]
+            layer = (1.0 - w) * np.concatenate((v0, v0)) + w * np.concatenate((v1, v1))
+            psi = layer - layer[np.arange(2 * m), np.concatenate((a, a))][:, None]
+            return penalty_integral(psi[:m], psi[m:], (s1 - s0)[:, None], lam0, n)
 
         return _prefix(penalty_integral(psi[:-1], psi[1:], dt, lam0, n)), cell
 

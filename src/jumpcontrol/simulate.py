@@ -24,11 +24,13 @@ Every time integral along pair paths (the running cost here, the Girsanov
 drift in randomized, K and the compensator in bsde) is a rate (cum, cell)
 on uniform time nodes t_k: cum[k, x, a] integrates it from 0 to t_k, and
 cell(k, s0, s1, x, a) integrates it exactly over [s0, s1] inside cell k
-from the node values k and k + 1 alone. _segment_integrals locates both
-ends of each flattened constant-state segment of a batch (_segments) once
-and integrates it as its two end cells plus one difference of cum;
-_per_path sums the segments per path in bounded chunks. _trapezoid is the
-rate of every integrand that is linear on its cells.
+from the node values k and k + 1 alone. _locate finds the cells of both
+ends of each constant-state segment (_segments) on a grid once; _integrate
+integrates any rate on that grid over them, as two end cells plus one
+difference of cum, and model._interp_cells reads the same location for
+values at the ends. _per_path does both per bounded chunk of a batch, and
+a Path keeps its segments and their location on each grid (_located).
+_trapezoid is the rate of every integrand that is linear on its cells.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Problem, check_times, grid_cell, rate_bound
+from .model import Problem, _readonly, check_times, grid_cell, rate_bound
 
 NU_MIN = 1e-6
 
@@ -70,7 +72,8 @@ class Path:
     times are the strictly increasing jump epochs; x_marks[i] is the state
     entered at times[i]. For pair paths a_marks carries the I-component
     (a_marks is None for X-only paths). Trajectories are cadlag: X_s equals
-    the last mark at or before s.
+    the last mark at or before s. The arrays are read-only, as a pair path
+    keeps its segments and their location on each grid (_located).
     """
 
     t0: float
@@ -82,13 +85,14 @@ class Path:
     horizon: float
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.size and not ((t[1:] > t[:-1]).all() and t[0] > self.t0 and t[-1] <= self.horizon):
+        t = _readonly(self.times)
+        rises = np.count_nonzero(t[1:] > t[:-1])  # half the time of .all() on a sampled path's few jumps
+        if t.size and not (rises == t.size - 1 and t[0] > self.t0 and t[-1] <= self.horizon):
             raise ValueError("jump times must be strictly increasing in (t0, T]")
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "x_marks", np.asarray(self.x_marks, dtype=np.int64))
+        object.__setattr__(self, "x_marks", _readonly(self.x_marks, np.int64))
         if self.a_marks is not None:
-            object.__setattr__(self, "a_marks", np.asarray(self.a_marks, dtype=np.int64))
+            object.__setattr__(self, "a_marks", _readonly(self.a_marks, np.int64))
 
     @property
     def n_jumps(self):
@@ -395,7 +399,7 @@ def simulate_pair_path(p: Problem, t: float, x: int, a: int, seed, rng=None) -> 
         am.append(ca)
         if len(times) > cap:
             raise ExplosionError(f"pair path exceeded {cap} jumps on [{t}, {T}]")
-    return Path(t, int(x), int(a), np.array(times), np.array(xm), np.array(am), T)
+    return Path(t, int(x), int(a), times, xm, am, T)
 
 
 def _tilt_tables(p: Problem, nu: IntensityControl):
@@ -547,30 +551,48 @@ def _trapezoid(nodes, dt):
     return _prefix(0.5 * dt * (nodes[:-1] + nodes[1:])), cell
 
 
-def _segment_integrals(T, rate, lo, hi, x, a):
-    """Integral over each segment [lo, hi] in pair state (x, a) of a rate
-    (cum, cell) on the uniform nodes t_k = k T / n, n = len(cum) - 1.
-
-    cum[k, x, a] is the integral from 0 to t_k, and cell(k, s0, s1, x, a)
-    integrates exactly over [s0, s1] inside cell k. A segment costs its
-    two end cells plus one difference of cum.
-    """
-    cum, cell = rate
-    n, m = cum.shape[0] - 1, lo.size
-    k, _ = grid_cell(np.concatenate((lo, hi)), T, n)
+def _locate(T, n, lo, hi, x, a):
+    """Locate the m segments [lo, hi] in pair state (x, a) on n cells over
+    [0, T], as (k, w, x, a, split, s0, s1, n). The arrays but split stack the
+    lo ends, then the hi ends: each end's grid_cell (k, w), state and end cell
+    [s0, s1], [lo, t_{k_lo + 1}] and [t_{k_hi}, hi], or [lo, hi] and [hi, hi]
+    where split (m flags) is false."""
+    m = lo.size
+    k, w = grid_cell(np.concatenate((lo, hi)), T, n)
     k_lo, k_hi = k[:m], k[m:]
     split = k_hi > k_lo
     dt = T / n
-    # End cells [lo, t_{k_lo + 1}] and [t_{k_hi}, hi]; unsplit, [lo, hi] and [hi, hi].
-    ends = cell(
-        k,
-        np.concatenate((lo, np.where(split, k_hi * dt, hi))),
-        np.concatenate((np.where(split, (k_lo + 1) * dt, hi), hi)),
-        np.concatenate((x, x)),
-        np.concatenate((a, a)),
-    )
-    inner = np.where(split, cum[k_hi, x, a] - cum[k_lo + 1, x, a], 0.0)
+    s0 = np.concatenate((lo, np.where(split, k_hi * dt, hi)))
+    s1 = np.concatenate((np.where(split, (k_lo + 1) * dt, hi), hi))
+    return k, w, np.concatenate((x, x)), np.concatenate((a, a)), split, s0, s1, n
+
+
+def _integrate(rate, located) -> np.ndarray:
+    """Integral over each located segment of a rate (cum, cell) on its grid."""
+    (cum, cell), (k, _, x, a, split, s0, s1, n) = rate, located
+    if cum.shape[0] - 1 != n:
+        raise ValueError(f"a rate on {cum.shape[0] - 1} cells, segments located on {n}")
+    m = split.size
+    ends = cell(k, s0, s1, x, a)
+    x, a = x[:m], a[:m]
+    inner = np.where(split, cum[k[m:], x, a] - cum[k[:m] + 1, x, a], 0.0)
     return ends[:m] + inner + ends[m:]
+
+
+def _segment_integrals(T, rate, lo, hi, x, a):
+    """Integral over each segment [lo, hi] in pair state (x, a) of a rate."""
+    return _integrate(rate, _locate(T, rate[0].shape[0] - 1, lo, hi, x, a))
+
+
+def _located(path: Path, T: float, n: int):
+    """A pair path's segments (lo, hi, x, a) up to T and their location on
+    n cells over [0, T], built on first use and kept on the path."""
+    cache = path.__dict__.setdefault("_located", {})
+    if T not in cache:
+        cache[T] = tuple(_readonly(v, v.dtype) for v in _segments(PathBatch.from_paths([path], T))[:4])
+    if (T, n) not in cache:
+        cache[T, n] = _locate(T, n, *cache[T])
+    return cache[T], cache[T, n]
 
 
 _CHUNK = 1024  # segments per vectorised pass; bounds the temporaries for any batch size

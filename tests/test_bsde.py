@@ -104,6 +104,53 @@ class TestDenseEquivalence:
             assert terminal_k(vn, paths).tolist() == expect
 
 
+class TestPathCache:
+    """A Path keeps its segments and their location on each grid it meets;
+    its arrays are read-only, so the cache cannot go stale."""
+
+    BSDE_FIELDS = ("breakpoints", "seg_x", "seg_a", "y_values", "k_values", "jump_z")
+
+    @staticmethod
+    def fresh(path):
+        return jc.Path(path.t0, path.x0, path.a0, path.times.copy(), path.x_marks.copy(),
+                       path.a_marks.copy(), path.horizon)
+
+    def test_reused_path_matches_a_fresh_copy(self, threestate):
+        p = threestate
+        f = np.random.default_rng(93).uniform(0.0, 1.0, (6, p.n_states, p.n_actions))
+        timef = jc.Problem(p.states, p.actions, p.rates, p.lambda0, f, p.terminal_cost, p.horizon)
+        runs = [(q, vn) for q in (p, timef) for n_steps in (100, 2000)
+                for vn in _march_levels(q, (1, 16), n_steps)]
+        T = p.horizon
+        paths = [jc.simulate_pair_path(p, 0.0, i % 3, i % 2, None, rng=jc.child_rng(94, i)) for i in range(6)]
+        paths += [jc.Path(0.1, 1, 1, [0.4 * T, T], [0, 1], [0, 0], T), jc.Path(0.0, 2, 0, [], [], [], T)]
+        for path in paths:
+            for q, vn in runs + runs[::-1]:  # each grid and cost grid in turn, then back
+                got, want = build_sample(q, vn, path), build_sample(q, vn, self.fresh(path))
+                for name in self.BSDE_FIELDS:
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+                assert np.float64(bsde_residual(q, got)).tobytes() == np.float64(bsde_residual(q, want)).tobytes()
+
+    def test_arrays_are_read_only(self, m2):
+        path = jc.Path(0.0, 0, 1, [0.2, 0.5], [1, 1], [1, 0], m2.horizon)
+        s = build_sample(m2, jc.solve_penalized(m2, 2, n_steps=100), path)  # its states are the cached segments'
+        for array in (path.times, path.x_marks, path.a_marks, s.seg_x, s.seg_a):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
+
+    def test_batch_view_builds_and_integrates(self, m2):
+        vn = jc.solve_penalized(m2, 8, n_steps=200)
+        batch = jc.simulate_pair_sample(m2, None, 0.0, 0, 1, 40, 95)
+        views = [batch.path(i) for i in range(len(batch))]
+        samples = [build_sample(m2, vn, q) for q in views]
+        assert terminal_k(vn, batch).tolist() == [s.k_values[-1] for s in samples]
+        for q, s in zip(views, samples):
+            want = build_sample(m2, vn, self.fresh(q))
+            assert s.y_values.tobytes() == want.y_values.tobytes()
+            assert bsde_residual(m2, s) == bsde_residual(m2, want)
+        assert batch.times.flags.writeable and batch.x_marks.flags.writeable  # only the views are read-only
+
+
 class TestBuildSample:
     def test_terminal_identification(self, m2):
         # Y_T = g(X_T) exactly, since the terminal layer of v^n is g

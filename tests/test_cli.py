@@ -262,6 +262,19 @@ class TestDiagnose:
         assert code == cli.EXIT_VALIDATION
         assert capsys.readouterr().err.count("\n") == 1
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_single_level_exit_3(self, tmp_path, capsys, source):
+        # the monotonicity and decay checks compare successive levels, so one
+        # level would pass them without comparing anything
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"levels": [64]}))
+        levels = ["--levels", "64"] if source == "flag" else ["--config", str(cfg)]
+        code = run_cli(["diagnose", "--model", M2, "--out-dir", str(tmp_path / "o"), *levels])
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "two penalization levels" in err
+        assert not os.path.exists(tmp_path / "o")
+
     def test_huge_level_exit_3_before_marching(self, tmp_path, capsys):
         # level 1e8 at N = 50 needs about 4e6 sub-steps per grid step, which
         # would march for hours; the march is refused before it starts

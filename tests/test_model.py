@@ -163,6 +163,8 @@ class TestSolverConfig:
             {"penalization_levels": (4, 2)},
             {"penalization_levels": (0, 1)},
             {"mc_paths": 0},
+            {"penalization_levels": ()},
+            {"penalization_levels": (64,)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
