@@ -1,16 +1,9 @@
 """Backward Kolmogorov solvers: policy evaluation and the pair semigroup.
 
-Both equations are linear and smooth in time, so they are marched backward
-with classical 4-stage Runge-Kutta. Every RK4 march, the penalized one
-too, sub-steps to keep the sub-step times its rate bound below 0.5 and
-refuses more than MAX_RK4_STEPS sub-steps in all (_substeps). One marcher
-(_rk4_march) walks the sub-steps and tabulates the running cost, a
-function of an array of stage times, once per block of them; the step is
-an argument, and takes one or more sub-steps per call. Both Kolmogorov
-solvers are one linear march (_linear_march) of the classical stage rule
-(_rk4_substep) with one generator per uniform layer, every layer edge a
-sub-step boundary; the penalized march builds its step maps by it, and
-takes it where its penalty's argument changes sign.
+Both are one linear march (_linear_march) of classical RK4. Every RK4
+march, the penalized one too, sub-steps by _substeps and is walked by
+_rk4_march; where its generator holds still, a sub-step is one product with
+a step map (_step_maps) within the one size rule (_map_inputs).
 """
 from __future__ import annotations
 
@@ -22,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Problem, _interp, cost_layer, pair_rate_bound, rate_bound
-from .simulate import FeedbackPolicy, _check_horizon, _layer
+from .model import Problem, _interp, cost_layer, pair_rate_bound, rate_bound, tilted_pair_generator
+from .simulate import FeedbackPolicy, _check_policy, _layer
 
 _STABILITY = 0.5
 # Largest n_steps * n_sub of one march. Far above the 2000 steps of a
@@ -111,31 +104,29 @@ def _substeps(n_steps, T, bound, what, layers=1) -> int:
 
 def _rk4_substep(deriv, shape):
     """The classical RK4 sub-step of dv/ds = deriv(v) - c(s), backward by h,
-    as a step of _rk4_march: step(v, h, rows, costs, i) takes sub-step i
-    alone, in place, with the running cost costs[i] at its stage times s,
-    s - h/2 and s - h (three arrays broadcasting against v; rows is not
-    read), and returns None. deriv(v, out) is called on each stage input in
-    turn, v first; it writes into out, a stage buffer of the given shape
-    allocated once, and must not write v.
-    """
+    as a step of _rk4_march that takes sub-step i alone, in place, with the
+    running cost costs[i] at its stage times (three arrays broadcasting
+    against v), and returns None. deriv(v, out, gen), with the step's gen,
+    writes the derivative at each stage input v in turn into out, a buffer
+    of the given shape allocated once, and must not write v."""
     k1, k2, k3, k4, w = (np.empty(shape) for _ in range(5))
 
-    def step(v, h, _rows, costs, i):
+    def step(v, h, _rows, costs, i, gen=None):
         nonlocal k1, k2, k3, k4, w  # rebound to themselves by the in-place operators
         c = costs[i]
-        deriv(v, k1)
+        deriv(v, k1, gen)
         k1 -= c[0]
         np.multiply(k1, -0.5 * h, out=w)
         w += v
-        deriv(w, k2)
+        deriv(w, k2, gen)
         k2 -= c[1]
         np.multiply(k2, -0.5 * h, out=w)
         w += v
-        deriv(w, k3)
+        deriv(w, k3, gen)
         k3 -= c[1]
         np.multiply(k3, -h, out=w)
         w += v
-        deriv(w, k4)
+        deriv(w, k4, gen)
         k4 -= c[2]
         # v -= h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
         k2 *= 2.0
@@ -150,17 +141,13 @@ def _rk4_substep(deriv, shape):
 
 
 def _rk4_march(v_terminal, n_steps, T, n_sub, step, cost=None):
-    """March v backward from T to 0 on the uniform grid, n_sub equal
-    sub-steps of length h per grid step.
-
-    The sub-steps are walked a block at a time: rows[i] = (s, s - h/2, s - h)
-    are the stage times of the block's i-th sub-step and costs[i] the
-    running cost there, zero if cost is None. cost maps an array of stage
-    times to the running cost (the times' shape leads; the rest broadcasts
-    against v), once per block of at most _COST_BLOCK entries of v's size.
-    step(v, h, rows, costs, i) takes one or more sub-steps from the i-th
-    on, none past the block's end, in place on v. It returns None after
-    one, or the values after each, stacked; the march keeps the grid nodes.
+    """March v backward from T to 0 on the uniform grid, n_sub sub-steps of
+    length h per grid step, a block at a time: rows[i] = (s, s - h/2, s - h)
+    are the stage times of the block's i-th sub-step and costs[i] the running
+    cost there, zero if cost is None, else cost(stage times) (their shape
+    first, the rest broadcasting against v) once per block. step(v, h, rows,
+    costs, i) takes one or more sub-steps from the i-th on, none past the
+    block's end, in place, and returns None after one or the values after each.
     """
     dt = T / n_steps
     h = dt / n_sub
@@ -188,19 +175,69 @@ def _rk4_march(v_terminal, n_steps, T, n_sub, step, cost=None):
     return out
 
 
+# Largest step map, in entries, of any march. Past it, the products and the
+# rebuilds after sign changes of the penalized march cost more than the
+# stages they replace (random 8 x 4 and 16 x 2 pair spaces, f timed).
+_MAP_MAX_ENTRIES = 1 << 13
+
+
+def _matmul(a, b, out=None):
+    """a @ b over stacks of small matrices without BLAS, whose first
+    matrix-matrix product pages in about 0.3 MB of peak memory."""
+    return np.einsum("l...j,ljk->l...k", a, b, out=out)
+
+
+def _map_inputs(m, f_row, cols):
+    """The shape (rows, cols) of a step map on m values, and its inputs: the
+    rows of v, then of c at the three stage times, 3 m rows if f_row is None,
+    else f_row's (none or one). Past the size rule, None for both."""
+    rows = m + (3 * m if f_row is None else len(f_row))
+    if rows * cols > _MAP_MAX_ENTRIES:
+        return (rows, cols), None, None
+    costs = [np.eye(rows, m, -j * m) if f_row is None else np.eye(rows, len(f_row), -m) @ f_row for j in (1, 2, 3)]
+    return (rows, cols), np.eye(rows, m), costs
+
+
+def _step_maps(gens, basis, stage_costs, h):
+    """Per G of gens, v' - v = v P + c C of one RK4 sub-step of dv/ds + G v +
+    c = 0, backward by h, on the inputs of _map_inputs; and the stage inputs."""
+    stages = []
+
+    def deriv(x, out, neg_q):  # x is the increment so far, neg_q = -G for row vectors
+        stages.append(basis + x)
+        _matmul(stages[-1], neg_q, out)
+
+    inc = np.zeros((len(gens), *basis.shape))
+    _rk4_substep(deriv, inc.shape)(inc, h, None, [stage_costs], 0, np.negative(gens.swapaxes(1, 2), order="C"))
+    return inc, stages
+
+
 def _linear_march(g, gens, layer, n_steps, T, bound, what, cost=None) -> ValueGrid:
     """March dv/ds + G v + c = 0 backward from v(T) = g, G = gens[layer[j]] on
-    the j-th of len(layer) uniform layers, acting on g's flat index; cost is
-    as in _rk4_march. Every layer edge is a sub-step boundary (_substeps), so
-    each sub-step reads the one generator of the layer holding its midpoint."""
+    the j-th of len(layer) uniform layers, each edge a sub-step boundary,
+    acting on g's flat index; cost is as in _rk4_march. Within the size rule,
+    the generators of the most layers, as many as the grid's size holds, take
+    their sub-steps by step maps built at first use; the others by stages."""
     n_sub = _substeps(n_steps, T, bound, what, len(layer))
-    neg_gens, layer = -np.asarray(gens), np.asarray(layer).tolist()
-    current = [None]  # -G of the sub-step being taken, set by step
-    rk4 = _rk4_substep(lambda v, out: np.dot(current[0], v.reshape(-1), out=out.reshape(-1)), g.shape)
+    m, gens, layer = g.size, np.asarray(gens), np.asarray(layer)
+    (n_inputs, _), basis, stage_costs = _map_inputs(m, np.empty((0, m)) if cost is None else None, m)
+    n_maps = 0 if basis is None else (n_steps + 1) // n_inputs
+    maps = dict.fromkeys(np.argsort(-np.bincount(layer), kind="stable")[:n_maps].tolist())
+    x, layer, neg_gens = np.empty(n_inputs), layer.tolist(), -gens  # a map's inputs: v, then c
+    c = x[m:].reshape(-1, *g.shape)
+    stage_rule = _rk4_substep(lambda v, out, q: np.dot(q, v.reshape(-1), out=out.reshape(-1)), g.shape)
 
     def step(v, h, rows, costs, i):
-        current[0] = neg_gens[layer[_layer(rows[i][1], T, len(layer))]]
-        rk4(v, h, rows, costs, i)
+        j = layer[_layer(rows[i][1], T, len(layer))]
+        if j not in maps:
+            return stage_rule(v, h, rows, costs, i, neg_gens[j])
+        if maps[j] is None:
+            maps[j] = _step_maps(gens[j : j + 1], basis, stage_costs, h)[0][0]
+        flat = v.reshape(-1)
+        x[:m] = flat
+        if cost is not None:
+            c[...] = costs[i]
+        flat += x @ maps[j]
 
     return ValueGrid(_rk4_march(g, n_steps, T, n_sub, step, cost), T)
 
@@ -214,16 +251,14 @@ def solve_kolmogorov(
 ) -> ValueGrid:
     """Solve the backward equation dv/ds + L_s v + f = 0, v(T) = g.
 
-    L_s is the generator of X under the feedback law alpha, taken from
-    Problem.x_generator once per distinct action row. With L policy layers on
-    N steps the sub-step count is a multiple of L / gcd(N, L), so that each
-    sub-step, and each row of the stage times handed to f_running, lies in
-    one layer. f_running maps such an array to the running cost there, of
-    shape times.shape + (n_states,), or is None for zero running cost. The
-    value of the policy from (t, x) is the grid entry at (t, x). Raises
-    ValueError for a policy of another horizon or a march past MAX_RK4_STEPS.
+    L_s is the generator of X under the feedback law alpha. Each sub-step, and
+    each row of stage times handed to f_running, lies in one policy layer;
+    f_running maps them to the running cost, of shape times.shape +
+    (n_states,), or is None for zero. Raises ValueError for a policy of
+    another horizon or whose table does not give every state one of p's
+    actions, or for a march past MAX_RK4_STEPS.
     """
-    _check_horizon(alpha, p)
+    _check_policy(alpha, p)
     g = p.terminal_cost if g_vec is None else np.asarray(g_vec, dtype=float)
     n_layers, nS, nA = max(alpha.n_layers, 1), p.n_states, p.n_actions
     rows, layer = np.unique(alpha.table[:n_layers], axis=0, return_inverse=True)
@@ -244,17 +279,13 @@ def evaluate_policy(p: Problem, alpha: FeedbackPolicy, n_steps: int = 2000) -> V
 def solve_kolmogorov_pair(
     p: Problem, g_pair=None, f_pair=None, n_steps: int = 2000
 ) -> ValueGrid:
-    """Backward equation for the pair generator on E x A.
-
-    L phi(x, a) = sum_y (phi(y, a) - phi(x, a)) lambda(x, a, y)
-                + sum_b (phi(x, b) - phi(x, a)) lambda0[b].
-    g_pair may be a per-state vector (broadcast over actions) or an
-    (n_states, n_actions) array; f_pair is None or, as f_running of
-    solve_kolmogorov, maps stage times to layers of shape (n_states, n_actions).
+    """Backward equation for the pair generator on E x A (tilted at w = 1).
+    g_pair is a per-state vector (broadcast over actions) or (n_states,
+    n_actions); f_pair is None or as f_running, of layers (n_states, n_actions).
     """
     if g_pair is None:
         g_pair = p.terminal_cost
     nS, nA = p.n_states, p.n_actions
     g = np.broadcast_to(np.reshape(g_pair, (nS, -1)), (nS, nA))
-    gen = p.x_generator + np.kron(np.eye(nS), p.lambda0 - p.lambda0.sum() * np.eye(nA))
+    gen = tilted_pair_generator(p, np.ones((nS, nA, nA)))
     return _linear_march(g, [gen], [0], n_steps, p.horizon, pair_rate_bound(p), "solve_kolmogorov_pair", f_pair)

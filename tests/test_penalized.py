@@ -6,9 +6,9 @@ import pytest
 import einsum_penalized
 import jumpcontrol as jc
 from einsum_penalized import penalty_layer, penalty_term
-from jumpcontrol import penalized
+from jumpcontrol import linear, penalized
 from jumpcontrol.linear import _rk4_march
-from jumpcontrol.model import cost_layer
+from jumpcontrol.model import cost_layer, tilted_pair_generator
 from jumpcontrol.penalized import _march_levels, _substep
 from test_hjb import random_problem
 
@@ -153,7 +153,7 @@ class TestAffineSubsteps:
 
     @pytest.mark.parametrize("shape", [(8, 4, 8.0, 5), (16, 2, 10.0, 9)])
     def test_churn_heavy_shapes_with_the_maps_forced(self, shape, monkeypatch):
-        monkeypatch.setattr(penalized, "_MAP_MAX_ENTRIES", 1 << 30)
+        monkeypatch.setattr(linear, "_MAP_MAX_ENTRIES", 1 << 30)
         p = random_problem(5, *shape)
         n_sub = TestMatchesEinsumReference().assert_agrees(p, (1, 8, 64), 500)
         sol = _march_levels(p, (1, 8, 64), 500)[0]
@@ -163,8 +163,8 @@ class TestAffineSubsteps:
     @pytest.mark.parametrize("shape", [(8, 4, 8.0, 5), (16, 2, 10.0, 9)])
     def test_above_the_size_rule_every_substep_is_nonlinear(self, shape):
         p = random_problem(5, *shape)
-        rows, cols = penalized._map_shape(p)
-        assert rows * cols > penalized._MAP_MAX_ENTRIES
+        rows, cols = penalized._level_map(p)[0]
+        assert rows * cols > linear._MAP_MAX_ENTRIES
         n_sub = TestMatchesEinsumReference().assert_agrees(p, (1, 8, 64), 500)
         sol = _march_levels(p, (1, 8, 64), 500)[0]
         assert (sol.nonlinear_steps, sol.maps_built) == (500 * n_sub, 0)
@@ -216,6 +216,22 @@ class TestAffineSubsteps:
             expect = np.concatenate([w_next - v] + [(s[:, step.hi] - s[:, step.lo]) * sign for s in stages], axis=1)
             assert np.abs(got[:, j] - expect).max() <= 1e-13
             w = w_next
+
+    def test_tilted_generator_is_the_frozen_penalty(self):
+        # at w = n sigma, the derivative that test_map_is_the_linear_step_and_its_stage_checks writes out
+        p = random_problem(7, 4, 3, 5.0, 6)
+        nS, nA, m = p.n_states, p.n_actions, p.n_states * p.n_actions
+        rng = np.random.default_rng(2)
+        step = _substep(p, [0, 8])
+        sigma = rng.random(step.weights.shape) < 0.5
+        w = np.zeros((2, nS, nA, nA))
+        w.reshape(2, -1)[:, step.lo * nA + step.hi % nA] = np.array([[0.0], [8.0]]) * sigma
+        gens = tilted_pair_generator(p, w)
+        v = rng.normal(size=(2, m))
+        pen = np.zeros_like(v)
+        np.add.at(pen, (slice(None), step.lo), step.weights * sigma * (v[:, step.hi] - v[:, step.lo]))
+        expect = v @ p.x_generator.T + pen
+        assert np.abs(np.einsum("lij,lj->li", gens, v) - expect).max() <= 1e-13 * np.abs(expect).max()
 
     @pytest.mark.parametrize("name", ["threestate", "random"])
     def test_sign_change_inside_a_substep_falls_back(self, name, request):
@@ -301,7 +317,7 @@ class TestBlockSubsteps:
             step = _substep(p, (1, 8))
             assert step.block == block
             assert step.block == 1 or step.maps[0].size <= penalized._BLOCK_MAX_ENTRIES
-        assert 0.9 * penalized._MAP_MAX_ENTRIES < np.prod(penalized._map_shape(p)) <= penalized._MAP_MAX_ENTRIES
+        assert 0.9 * linear._MAP_MAX_ENTRIES < np.prod(penalized._level_map(p)[0]) <= linear._MAP_MAX_ENTRIES
         # f depending on time: the stage costs change from sub-step to sub-step
         assert _substep(random_problem(7, 4, 3, 5.0, 6), (1, 8)).block == 1
 
