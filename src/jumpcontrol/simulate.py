@@ -5,20 +5,20 @@ Two batch samplers. The feedback-controlled chain X thins proposals at the
 uniform rate bound (Lewis & Shedler 1979). The pair (X, I) under an
 intensity tilt nu, whose I-intensity is nu(t, x, a, b) * lambda0[b], draws
 competing exponentials: its total rate is constant on each layer of nu, so
-each jump spends one Exp(1) of cumulative hazard across the layer edges.
-Both advance every live path of a batch by one event per round, on the one
-stream they are given, and return a PathBatch; every path is a pure
-function of (problem, inputs, seed). A pair sample of n paths from
-master_seed (simulate_pair_sample, behind every pair-path estimator) cuts
-them into chunks of 4096 paths: chunk c is one batch on the child stream
+each jump spends one Exp(1) of cumulative hazard; only a jump that crosses
+a layer edge searches, by bisection of a hazard table. Both advance every
+live path of a batch by one event per round, on the one stream they are
+given, and return a PathBatch; every path is a pure function of (problem,
+inputs, seed). A pair sample of n paths from master_seed
+(simulate_pair_sample, behind every pair-path estimator) cuts them into
+chunks of 4096 paths: chunk c is one batch on the child stream
 SeedSequence(entropy=master_seed, spawn_key=(c,)), so its statistics do not
 depend on how the work is scheduled.
 
-Tilted paths come only from the batch sampler. The reference pair, with
-the autonomous lambda0-driven action component, is the tilt nu = 1. One
-scalar loop, simulate_pair_path, draws one reference path per stream,
-several times faster than a batch of one; a batch of one at nu = 1 makes
-its draws.
+Tilted paths come only from the batch sampler. The reference pair is the
+one-layer tilt nu = 1, which never searches. One scalar loop,
+simulate_pair_path, draws one reference path per stream, several times
+faster than a batch of one; a batch of one at nu = 1 makes its draws.
 
 Every time integral along pair paths (the running cost here, the Girsanov
 drift in randomized, K and the compensator in bsde) is a rate (cum, cell)
@@ -93,6 +93,8 @@ class Path:
         object.__setattr__(self, "x_marks", _readonly(self.x_marks, np.int64))
         if self.a_marks is not None:
             object.__setattr__(self, "a_marks", _readonly(self.a_marks, np.int64))
+        if self.x_marks.shape != t.shape or (self.a_marks is not None and self.a_marks.shape != t.shape):
+            raise ValueError("every jump time needs one mark of each component")
 
     @property
     def n_jumps(self):
@@ -107,6 +109,11 @@ class Path:
             raise ValueError("X-only path has no action component")
         i = int(np.searchsorted(self.times, s, side="right")) - 1
         return self.a0 if i < 0 else int(self.a_marks[i])
+
+
+def _cat(arrays, dtype):
+    """Concatenate the arrays, or an empty array of dtype if there are none."""
+    return np.concatenate([np.empty(0, dtype), *arrays])
 
 
 @dataclass(frozen=True)
@@ -134,17 +141,13 @@ class PathBatch:
         if flat:
             return paths
         pair = all(q.a_marks is not None for q in paths)
-
-        def flat(arrays, dtype):
-            return np.concatenate([np.empty(0, dtype), *arrays])
-
         return cls(
             np.array([q.t0 for q in paths], dtype=float),
             np.array([q.x0 for q in paths], dtype=np.int64),
             np.array([q.a0 for q in paths], dtype=np.int64) if pair else None,
-            flat((q.times for q in paths), float),
-            flat((q.x_marks for q in paths), np.int64),
-            flat((q.a_marks for q in paths), np.int64) if pair else None,
+            _cat((q.times for q in paths), float),
+            _cat((q.x_marks for q in paths), np.int64),
+            _cat((q.a_marks for q in paths), np.int64) if pair else None,
             np.cumsum([0] + [q.n_jumps for q in paths]),
             horizon,
         )
@@ -152,15 +155,11 @@ class PathBatch:
     @classmethod
     def concat(cls, batches, horizon: float) -> PathBatch:
         """The pair paths of every batch, in order."""
-
-        def cat(name, dtype):
-            return np.concatenate([np.empty(0, dtype), *(getattr(b, name) for b in batches)])
-
-        jumps = np.concatenate([np.empty(0, np.int64), *(np.diff(b.offsets) for b in batches)])
+        columns = {"t0": float, "x0": np.int64, "a0": np.int64, "times": float, "x_marks": np.int64, "a_marks": np.int64}
+        jumps = _cat((np.diff(b.offsets) for b in batches), np.int64)
         return cls(
-            cat("t0", float), cat("x0", np.int64), cat("a0", np.int64), cat("times", float),
-            cat("x_marks", np.int64), cat("a_marks", np.int64), np.concatenate(([0], np.cumsum(jumps))),
-            horizon,
+            *(_cat((getattr(b, name) for b in batches), dtype) for name, dtype in columns.items()),
+            np.concatenate(([0], np.cumsum(jumps))), horizon,
         )
 
     def __len__(self):
@@ -252,9 +251,9 @@ class IntensityControl:
             raise ValueError("control field must be 4-D (layer, state, action, mark)")
         if not np.all(np.isfinite(f)):
             raise ValueError("control field must be finite")
-        if f.min() < NU_MIN or f.max() > self.n_max:
+        if not math.isfinite(self.n_max) or f.min() < NU_MIN or f.max() > self.n_max:
             raise ValueError(
-                f"control field must lie in [{NU_MIN}, n_max={self.n_max}]; "
+                f"control field must lie in [{NU_MIN}, n_max={self.n_max}] with a finite n_max; "
                 f"got range [{f.min()}, {f.max()}]"
             )
         object.__setattr__(self, "field", f)
@@ -410,20 +409,24 @@ def simulate_pair_path(p: Problem, t: float, x: int, a: int, seed, rng=None) -> 
 
 
 def _tilt_tables(p: Problem, nu: IntensityControl):
-    """Per-control lookup tables, cached on the control for one lambda0.
+    """Per-control lookup tables, cached on the control for one problem.
 
     irate[j, x, a] is the I-rate sum_b nu_j(x, a, b) lambda0[b] on layer j,
-    icum[j, x, a] its cumulative over b, and edges[j] the right edge of
-    layer j (inf for the last layer). Returns (irate, icum, edges).
-    """
+    icum[j, x, a] its cumulative over b, edges[j] the right edge of layer j
+    (inf for the last), and hazard[x, a, j] the cumsum of width times total
+    rate lambda(x, a, E) + irate up to the left edge of layer j, padded with
+    inf to a power of two layers. Returns (irate, icum, edges, hazard)."""
     cached = nu.__dict__.get("_tilt_tables")
-    if cached is None or cached[0] is not p.lambda0:
+    if cached is None or cached[0] is not p.lambda0 or cached[1] is not p.rates:
         rates = nu.field * p.lambda0
-        n = nu.n_layers
-        edges = np.append(np.arange(1, n) * nu.horizon / n, math.inf)
-        cached = (p.lambda0, rates.sum(axis=-1), rates.cumsum(axis=-1), edges)
+        edges = np.append(np.arange(1, nu.n_layers) * nu.horizon / nu.n_layers, math.inf)
+        irate = rates.sum(axis=-1)
+        cells = np.diff(edges[:-1], prepend=0.0)[:, None, None] * (p.row_sums + irate[:-1])
+        hazard = np.full((*irate.shape[1:], 1 << (nu.n_layers - 1).bit_length()), math.inf)
+        hazard[..., : nu.n_layers] = np.moveaxis(_prefix(cells), 0, -1)
+        cached = (p.lambda0, p.rates, irate, rates.cumsum(axis=-1), edges, hazard)
         object.__setattr__(nu, "_tilt_tables", cached)
-    return cached[1:]
+    return cached[2:]
 
 
 def simulate_pair_paths(
@@ -434,18 +437,21 @@ def simulate_pair_paths(
 
     Competing exponentials, one jump of every live path per round: on each
     layer j of nu the total rate lambda(X, I, E) + sum_b nu_j(X, I, b)
-    lambda0[b] is constant, so each jump spends one Exp(1) draw of
-    cumulative hazard, carried across layer edges. Paths whose total rate
-    is zero retire; paths that reach T stop; the rest draw their channel
-    uniforms, then their mark uniforms, in path order, so every path that
-    survives a round jumps in it. At nu = 1 a batch of one makes the draws
-    of simulate_pair_path. No proposal is rejected.
+    lambda0[b] is constant, so each jump spends one Exp(1) draw e of
+    cumulative hazard. A draw that outlasts its layer adds its rest to the
+    hazard at the next left edge (_tilt_tables) and lands in the layer that
+    one bisection of that table finds: a one-layer tilt never searches.
+    Paths whose total rate is zero retire; paths that reach T stop; the rest
+    draw their channel uniforms, then their mark uniforms, in path order, so
+    every path that survives a round jumps in it. At nu = 1 a batch of one
+    makes the draws of simulate_pair_path. No proposal is rejected.
     """
     _check_horizon(nu, p)
     T = p.horizon
     tab = _sim_tables(p)
     rows, cums = p.row_sums, tab["cum"]
-    irate, icum, edges = _tilt_tables(p, nu)
+    irate, icum, edges, hazard = _tilt_tables(p, nu)
+    flat, width = hazard.ravel(), hazard.shape[-1]
     cap = _cap(tab["lam"] + nu.n_max * tab["lam0_tot"], T - t)
     live = np.arange(count)
     s = np.full(count, float(t))
@@ -462,16 +468,18 @@ def simulate_pair_paths(
         # Fancy indexing copies, so no later round writes to an array in events.
         live, s, j, cx, ca, rx, ri, r = (v[keep] for v in (live, s, j, cx, ca, rx, ri, r))
         e = rng.exponential(size=live.size)
-        over = np.flatnonzero(e >= (edges[j] - s) * r)
-        while over.size:
-            k = j[over]
-            e[over] -= (edges[k] - s[over]) * r[over]
-            s[over] = edges[k]
-            j[over] = k = k + 1
-            ri[over] = irate[k, cx[over], ca[over]]
-            r[over] = rx[over] + ri[over]
-            over = over[e[over] >= (edges[k] - s[over]) * r[over]]
+        left = (edges[j] - s) * r  # the hazard left in each path's layer
+        over = np.flatnonzero(e >= left)
         s += e / r
+        if over.size:
+            k = (cx[over] * p.n_actions + ca[over]) * width  # layer 0 of each path's row of the flat table
+            target = flat[k + j[over] + 1] + (e[over] - left[over])
+            for step in (width >> i for i in range(1, width.bit_length())):
+                k += step * (flat[k + step] <= target)  # ends at the last layer whose hazard is <= target
+            land = k % width
+            j[over], ri[over] = land, irate[land, cx[over], ca[over]]
+            r[over] = rx[over] + ri[over]
+            s[over] = edges[land - 1] + (target - flat[k]) / r[over]
         keep = s < T
         live, s, j, cx, ca, rx, ri, r = (v[keep] for v in (live, s, j, cx, ca, rx, ri, r))
         on_x = rng.random(size=live.size) * r < rx
@@ -592,11 +600,18 @@ def _segment_integrals(T, rate, lo, hi, x, a):
 
 
 def _located(path: Path, T: float, n: int):
-    """A pair path's segments (lo, hi, x, a) up to T and their location on
-    n cells over [0, T], built on first use and kept on the path."""
+    """A pair path's segments (lo, hi, x, a) up to T, the _segments of it
+    alone taken from its own arrays, and their location on n cells over
+    [0, T], built on first use and kept on the path."""
     cache = path.__dict__.setdefault("_located", {})
     if T not in cache:
-        cache[T] = tuple(_readonly(v, v.dtype) for v in _segments(PathBatch.from_paths([path], T))[:4])
+        if path.a_marks is None or abs(path.horizon - T) > 1e-12:
+            raise ValueError(f"pair path functionals need pair paths on a horizon of {T}")
+        check_times(path.t0, T)
+        m = int(np.searchsorted(path.times, T))  # the jumps before T
+        lo, x, a = (np.concatenate(([v0], v[:m])) for v0, v in (
+            (path.t0, path.times), (path.x0, path.x_marks), (path.a0, path.a_marks)))
+        cache[T] = tuple(_readonly(v, v.dtype) for v in (lo, np.concatenate((lo[1:], [T])), x, a))
     if (T, n) not in cache:
         cache[T, n] = _locate(T, n, *cache[T])
     return cache[T], cache[T, n]

@@ -5,8 +5,9 @@ Each function walks one path jump by jump in plain Python:
   the rate bound Lambda_E (Lewis & Shedler 1979);
 - pair_path samples the reference pair (X, I) by competing exponentials at
   the total rate lambda(X, I, E) + lambda0(A);
-- tilted_path samples the nu-tilted pair by competing exponentials, layer
-  by layer of nu;
+- tilted_path samples the nu-tilted pair by competing exponentials: a jump
+  whose Exp(1) draw outlasts its layer of nu walks the cumulative hazard
+  at the layers' left edges to the layer it lands in;
 - tilted_path_thinning samples the nu-tilted pair by thinning I-proposals
   at the bound n_max lambda0(A) (Lewis & Shedler 1979);
 - running_cost_along_path integrates f over the pieces cut by the jumps and
@@ -15,8 +16,10 @@ Each function walks one path jump by jump in plain Python:
   and the control's layer edges.
 jumpcontrol.simulate thins all controlled paths of a batch at once, samples
 the tilted pair in batches with one layered competing-exponentials sampler
-(the reference pair also with one scalar loop), and computes the integrals
-for a whole batch from cumulative tables; the tests compare the two.
+that finds a crossing jump's landing layer by bisection of the same hazard
+table (the reference pair also with one scalar loop), and computes the
+integrals for a whole batch from cumulative tables; the tests compare the
+two.
 """
 from __future__ import annotations
 
@@ -99,15 +102,26 @@ def pair_path(p, t, x, a, rng) -> Path:
 def tilted_path(p, nu, t, x, a, rng) -> Path:
     """The nu-tilted pair on [t, T]: on layer j of nu the total rate
     lambda(X, I, E) + sum_b nu_j(X, I, b) lambda0[b] is constant, so each
-    jump spends one Exp(1) of cumulative hazard, carried across the layer
-    edges. An X-jump is drawn as in pair_path; an I-jump keeps X and draws
-    the new action from nu_j(X, I, .) lambda0."""
+    jump spends one Exp(1) of cumulative hazard; a draw that outlasts its
+    layer lands where the hazard from 0, summed over the layers' left edges,
+    reaches the hazard at the edge plus the rest of the draw. An X-jump is
+    drawn as in pair_path; an I-jump keeps X and draws the new action from
+    nu_j(X, I, .) lambda0."""
     T = p.horizon
     rows, cums = p.row_sums.tolist(), p.rates.cumsum(axis=2).tolist()
     rates = nu.field * p.lambda0
     irate, icum = rates.sum(axis=-1).tolist(), rates.cumsum(axis=-1).tolist()
     n = nu.n_layers
     edges = (np.arange(1, n) * nu.horizon / n).tolist() + [math.inf]
+    # hazard[j][x][a]: the total rate's hazard from 0 to the left edge of
+    # layer j, summed layer by layer in the order of np.cumsum.
+    hazard = [[[0.0] * p.n_actions for _ in range(p.n_states)]]
+    for i in range(n - 1):
+        width = edges[i] - (edges[i - 1] if i else 0.0)
+        hazard.append([
+            [h + width * (row + ir) for h, row, ir in zip(hs, rs, irs)]
+            for hs, rs, irs in zip(hazard[i], rows, irate[i])
+        ])
     cap = _cap(rate_bound(p) + nu.n_max * float(p.lambda0.sum()), T - t)
     j = nu.layer_index(t)
     s, cx, ca = t, int(x), int(a)
@@ -119,14 +133,19 @@ def tilted_path(p, nu, t, x, a, rng) -> Path:
         if r <= 0.0:
             break
         e = rng.exponential()
-        # Carry what is left of e past each layer edge it outlasts.
-        while e >= (edges[j] - s) * r:
-            e -= (edges[j] - s) * r
-            s = edges[j]
+        left = (edges[j] - s) * r
+        if e >= left:
+            # The rest of e lands in the last layer whose left-edge hazard
+            # is at most the target; walk the layers to it.
+            target = hazard[j + 1][cx][ca] + (e - left)
             j += 1
+            while j + 1 < n and hazard[j + 1][cx][ca] <= target:
+                j += 1
             ri = irate[j][cx][ca]
             r = rx + ri
-        s += e / r
+            s = edges[j - 1] + (target - hazard[j][cx][ca]) / r
+        else:
+            s += e / r
         if s >= T:
             break
         if rng.random() * r < rx:

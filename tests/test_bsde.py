@@ -15,6 +15,7 @@ from jumpcontrol.bsde import (
     terminal_k,
 )
 from jumpcontrol.penalized import _march_levels, _positive_part_integral
+from jumpcontrol.simulate import _located, _segments
 
 
 class TestPositivePartIntegral:
@@ -149,6 +150,40 @@ class TestPathCache:
             assert s.y_values.tobytes() == want.y_values.tobytes()
             assert bsde_residual(m2, s) == bsde_residual(m2, want)
         assert batch.times.flags.writeable and batch.x_marks.flags.writeable  # only the views are read-only
+
+
+class TestLocated:
+    """A path's cached segments, taken from its own arrays, are those of the
+    batch of that one path, and the same paths are refused."""
+
+    @pytest.mark.parametrize("name", ["m2", "threestate", "aflat", "zero_rate"])
+    def test_segments_equal_the_batch_segments(self, equiv_cases, threestate, name):
+        _, paths = equiv_cases(name, 100)
+        T = paths[0].horizon
+        paths = paths + [jc.Path(T, 1, 0, [], [], [], T)]  # starts at T
+        if name == "threestate":
+            paths += [jc.simulate_pair_path(threestate, 0.0, i % 3, i % 2, None, rng=jc.child_rng(94, i))
+                      for i in range(6)]
+            paths += [jc.Path(0.1, 1, 1, [0.4 * T, T], [0, 1], [0, 0], T), jc.Path(0.0, 2, 0, [], [], [], T)]
+        for path in paths:
+            got, _ = _located(TestPathCache.fresh(path), T, 100)
+            want = _segments(jc.PathBatch.from_paths([path], T))[:4]
+            for g, w in zip(got, want, strict=True):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_refusals(self, m2):
+        T = m2.horizon
+        refused = {
+            "need pair paths on a horizon of": jc.Path(0.0, 0, None, [0.5], [1], None, T),
+            r"on a horizon of 1\.0": jc.Path(0.0, 0, 0, [0.5], [1], [0], T + 1e-9),
+            r"outside \[0,": jc.Path(-0.5, 0, 0, [0.5], [1], [0], T),
+        }
+        for message, path in refused.items():
+            with pytest.raises(ValueError, match=message):
+                _located(path, T, 100)
+            assert T not in path.__dict__.get("_located", {})
+        with pytest.raises(ValueError, match=r"outside \[0,"):
+            _located(jc.Path(T + 0.5, 0, 0, [], [], [], T), T, 100)
 
 
 class TestBuildSample:

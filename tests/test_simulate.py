@@ -31,6 +31,14 @@ class TestPathChecks:
         assert path([0.5, T]).n_jumps == 2
         assert path([]).n_jumps == 0
 
+    def test_marks_match_jump_times(self):
+        # one mark of each component per jump time; a pair path with too few
+        # X-marks and too many I-marks would misalign a PathBatch
+        for xm, am in (([1], [0, 1, 1]), ([1, 0], [0]), ([1], None)):
+            with pytest.raises(ValueError, match="one mark of each component"):
+                jc.Path(0.0, 0, None if am is None else 0, [0.5, 0.7], xm, am, 1.0)
+        assert jc.Path(0.0, 0, None, [0.5, 0.7], [1, 0], None, 1.0).n_jumps == 2
+
 
 class TestLayerIndex:
     @pytest.mark.parametrize("T", [1.0, 0.7, 2.5])
@@ -292,13 +300,15 @@ class TestPairMatchesLoop:
 
 class TestPairBatchMatchesLoop:
     """A batch of one makes the draws of the one-path pair loop, for the
-    reference pair, and of the layered loop reference for a 5-layer tilt."""
+    reference pair, and of the layered loop reference for a 5- and a
+    64-layer tilt."""
 
     RANDOM = {"random 5x12": (75, 5, 12)}
 
     @pytest.mark.parametrize("name", ["m2", "threestate", "aflat", "zero_rate", *RANDOM])
-    @pytest.mark.parametrize("tilt", ["unit", "5 layers"])
-    @pytest.mark.parametrize("start", [0.0, 0.33])  # 0.33 T lies inside layer 1 of 5
+    @pytest.mark.parametrize("tilt", ["unit", "5 layers", "64 layers"])
+    # 0.33 T lies inside layer 1 of 5; 0.4 T lies on edge 2 of 5
+    @pytest.mark.parametrize("start", [0.0, 0.33, 0.4])
     def test_draw_for_draw(self, request, name, tilt, start):
         p = random_model(*self.RANDOM[name]) if name in self.RANDOM else request.getfixturevalue(name)
         nS, nA, T = p.n_states, p.n_actions, p.horizon
@@ -307,7 +317,8 @@ class TestPairBatchMatchesLoop:
             nu = jc.constant_control(p, 1.0)
             loop = lambda x, a, rng: jc.simulate_pair_path(p, t0, x, a, None, rng=rng)
         else:
-            field = np.random.default_rng(87).choice([NU_MIN, 0.25, 1.0, 3.0, 6.0], size=(5, nS, nA, nA))
+            n = int(tilt.split()[0])
+            field = np.random.default_rng(87).choice([NU_MIN, 0.25, 1.0, 3.0, 6.0], size=(n, nS, nA, nA))
             nu = jc.IntensityControl(field, T, 6.0)
             loop = lambda x, a, rng: path_loops.tilted_path(p, nu, t0, x, a, rng)
         for i in range(100):
@@ -319,8 +330,8 @@ class TestPairBatchMatchesLoop:
 
 
 class TestTiltedLaw:
-    """(X_T, I_T) under a 5-layer nu against the exact layered chain: the
-    product over layers of expm of the pair generator on E x A."""
+    """(X_T, I_T) under a 5- and a 64-layer nu against the exact layered
+    chain: the product over layers of expm of the pair generator on E x A."""
 
     @staticmethod
     def exact_law(p, nu, t0, x, a):
@@ -352,10 +363,17 @@ class TestTiltedLaw:
     @pytest.mark.parametrize("sampler", list(SAMPLERS))
     @pytest.mark.parametrize("start", [0.0, 0.33])  # 0.33 T lies inside layer 1
     def test_terminal_law_matches_layered_chain(self, threestate, sampler, start):
-        p = threestate
+        self.check_law(threestate, sampler, start, 5)
+
+    @pytest.mark.parametrize("sampler", list(SAMPLERS))
+    @pytest.mark.parametrize("start", [0.0, 0.33])
+    def test_terminal_law_64_layers(self, threestate, sampler, start):
+        self.check_law(threestate, sampler, start, 64)
+
+    def check_law(self, p, sampler, start, n_layers):
         nS, nA, T = p.n_states, p.n_actions, p.horizon
         rng = np.random.default_rng(72)
-        field = rng.choice([NU_MIN, 0.25, 1.0, 3.0, 6.0], size=(5, nS, nA, nA))
+        field = rng.choice([NU_MIN, 0.25, 1.0, 3.0, 6.0], size=(n_layers, nS, nA, nA))
         nu = jc.IntensityControl(field, T, 6.0)
         t0, n = start * T, 20_000
         draw = self.SAMPLERS[sampler]
@@ -420,6 +438,9 @@ class TestControlTypes:
             jc.IntensityControl(np.zeros((1, 2, 2, 2)), 1.0, 1.0)
         with pytest.raises(ValueError):
             jc.IntensityControl(np.full((1, 2, 2, 2), 2.0), 1.0, 1.0)
+        for n_max in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="with a finite n_max"):
+                jc.IntensityControl(np.full((1, 2, 2, 2), 1.0), 1.0, n_max)
         ok = jc.IntensityControl(np.full((1, 2, 2, 2), NU_MIN), 1.0, 1.0)
         assert ok.field[ok.layer_index(0.3), 0, 0, 1] == NU_MIN
 
