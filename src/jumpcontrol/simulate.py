@@ -9,11 +9,14 @@ each jump spends one Exp(1) of cumulative hazard; only a jump that crosses
 a layer edge searches, by bisection of a hazard table. Both advance every
 live path of a batch by one event per round, on the one stream they are
 given, and return a PathBatch; every path is a pure function of (problem,
-inputs, seed). A pair sample of n paths from master_seed
-(simulate_pair_sample, behind every pair-path estimator) cuts them into
-chunks of 4096 paths: chunk c is one batch on the child stream
-SeedSequence(entropy=master_seed, spawn_key=(c,)), so its statistics do not
-depend on how the work is scheduled.
+inputs, seed). Child stream i of master_seed, child_rng(master_seed, i), is
+default_rng(SeedSequence(entropy=master_seed, spawn_key=(i,))) draw for draw
+and spawns as it does; for integer seed and index >= 0 its PCG64 state is
+numpy's SeedSequence hash, run for blocks of 256 consecutive indices at once
+(_state_block), and any other seed takes numpy's path. A pair sample of n
+paths from master_seed (simulate_pair_sample, behind every pair-path
+estimator) cuts them into chunks of 4096 paths: chunk c is one batch on
+child stream c, so its statistics do not depend on how the work is scheduled.
 
 Tilted paths come only from the batch sampler. The reference pair is the
 one-layer tilt nu = 1, which never searches. One scalar loop,
@@ -35,6 +38,7 @@ _trapezoid is the rate of every integrand that is linear on its cells.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,15 +58,70 @@ class ExplosionError(RuntimeError):
 
 
 def child_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent child stream `index` of master_seed: path `index` of a
-    pair batch, or the stream of a whole controlled batch. A None seed
-    raises ValueError: it would draw from OS entropy, so no run could be
-    repeated."""
+    """Independent child stream `index` of master_seed (see the module
+    docstring): path `index` of a pair batch, or the stream of a whole
+    controlled batch. A None seed raises ValueError: it would draw from OS
+    entropy, so no run could be repeated."""
     if master_seed is None:
         raise ValueError("a master seed is required; None would seed from OS entropy")
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
-    )
+    if isinstance(master_seed, (int, np.integer)) and isinstance(index, (int, np.integer)) and master_seed >= 0 <= index:
+        seed, index = int(master_seed), int(index)
+        state = _state_block(seed, index // _BLOCK)[index % _BLOCK]
+        return np.random.Generator(np.random.PCG64(_ChildSeed(seed, index, state)))
+    return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)))
+
+
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+_BLOCK = 256  # consecutive child indices whose PCG64 states are hashed together
+
+
+def _hashmix(x, h, mult, skip, n):
+    """numpy's SeedSequence hashmix (numpy/random/bit_generator.pyx) of x with
+    steps skip to skip + n - 1 of the hash constant h, h * mult, ...: n uint32 columns."""
+    c = np.array([h * pow(mult, i, 1 << 32) & _MASK for i in range(skip, skip + n + 1)], np.uint32)
+    v = (x ^ c[:-1]) * c[1:]
+    return v ^ v >> 16
+
+
+@functools.lru_cache(maxsize=16)
+def _state_block(master_seed: int, block: int) -> np.ndarray:
+    """SeedSequence(entropy=master_seed, spawn_key=(i,)).generate_state(4,
+    np.uint64) in row i mod 256, for the 256 indices i of block: numpy's hash
+    of the master seed's pool with the words of i, low word first, mixed in."""
+    np.random.bit_generator.ISpawnableSeedSequence.register(_ChildSeed)  # on first use: numpy.random stays lazy
+    start = block * _BLOCK
+    words = [start >> 32 * k & _MASK for k in range(max(1, -(-start.bit_length() // 32)))]
+    words[0] += np.arange(_BLOCK, dtype=np.uint32)[:, None]  # only the low word varies within a block
+    skip = 16 + 4 * max(-(-master_seed.bit_length() // 32) - 4, 0)  # the pool's steps: 4 per seed word past the fourth
+    mixer = np.tile(np.random.SeedSequence(master_seed).pool, (_BLOCK, 1))
+    for n, w in enumerate(words):
+        m = mixer * _MIX_L - _hashmix(w, _INIT_A, _MULT_A, skip + 4 * n, 4) * _MIX_R
+        mixer = m ^ m >> 16
+    state = _hashmix(np.tile(mixer, 2), _INIT_B, _MULT_B, 0, 8)
+    return _readonly(state.astype("<u4").view("<u8"), np.uint64)
+
+
+class _ChildSeed:
+    """SeedSequence(entropy=master_seed, spawn_key=(index,)) that serves
+    PCG64's request from its precomputed state; other requests, spawn and
+    pickling go to that SeedSequence, made on first need."""
+
+    def __init__(self, master_seed, index, state):
+        self.master_seed, self.index, self.state = master_seed, index, state
+
+    @functools.cached_property
+    def seed_seq(self):
+        return np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.index,))
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state if n_words == 4 and dtype is np.uint64 else self.seed_seq.generate_state(n_words, dtype)
+
+    def spawn(self, n_children):
+        return self.seed_seq.spawn(n_children)
+
+    def __reduce__(self):
+        return self.seed_seq.__reduce__()
 
 
 @dataclass(frozen=True)
@@ -249,6 +308,8 @@ class IntensityControl:
         f = np.asarray(self.field, dtype=float)
         if f.ndim != 4:
             raise ValueError("control field must be 4-D (layer, state, action, mark)")
+        if 0 in f.shape:
+            raise ValueError(f"control field has an empty {('layer', 'state', 'action', 'mark')[f.shape.index(0)]} axis")
         if not np.all(np.isfinite(f)):
             raise ValueError("control field must be finite")
         if not math.isfinite(self.n_max) or f.min() < NU_MIN or f.max() > self.n_max:
@@ -312,6 +373,11 @@ def _cap(mean_rate, span):
 def _check_horizon(control, p: Problem):
     if abs(control.horizon - p.horizon) > 1e-12:
         raise ValueError("control and path horizons differ")
+
+
+def _check_start(p: Problem, t, x, a):
+    if not (0.0 <= t <= p.horizon and 0 <= x < p.n_states and 0 <= a < p.n_actions):
+        raise ValueError(f"start (t={t}, x={x}, a={a}) outside [0, {p.horizon}] x {p.n_states} states x {p.n_actions} actions")
 
 
 def _check_policy(alpha: FeedbackPolicy, p: Problem):
@@ -379,6 +445,7 @@ def simulate_pair_path(p: Problem, t: float, x: int, a: int, seed, rng=None) -> 
     I-jump keeps X and draws the new action from lambda0: the first index
     whose cumulative weight exceeds u times the total.
     """
+    _check_start(p, t, x, a)
     rng = child_rng(seed, 0) if rng is None else rng
     T = p.horizon
     tab = _sim_tables(p)
@@ -447,6 +514,7 @@ def simulate_pair_paths(
     makes the draws of simulate_pair_path. No proposal is rejected.
     """
     _check_horizon(nu, p)
+    _check_start(p, t, x, a)
     T = p.horizon
     tab = _sim_tables(p)
     rows, cums = p.row_sums, tab["cum"]

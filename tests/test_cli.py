@@ -414,3 +414,17 @@ def test_runtime_imports_only_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # child_rng imports numpy.random on its first call, so a process that
+    # draws no path does not pay for it in start-up time or memory
+    code = (
+        "import sys, numpy; before = 'numpy.random' in sys.modules; "
+        "import jumpcontrol, jumpcontrol.cli; print(before, 'numpy.random' in sys.modules)"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before

@@ -119,6 +119,104 @@ class TestSeedRequired:
             jc.simulate_pair_sample(m2, None, 0.0, 0, 1, 10, None)
 
 
+def seed_sequence_rng(seed, index):
+    """The stream identity child_rng keeps."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+class TestChildStreams:
+    """child_rng(s, i) draws and spawns as default_rng(SeedSequence(entropy=s,
+    spawn_key=(i,))): over multiword seeds, indices past 2**32 and the edges
+    of the 256-index blocks."""
+
+    SEEDS = (0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 11)
+    INDICES = (0, 1, 255, 256, 4095, 4096, 2**32 - 1, 2**32, 2**32 + 5, 2**40)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_draws_match_seed_sequence(self, seed):
+        for index in self.INDICES:
+            want = seed_sequence_rng(seed, index)
+            assert np.array_equal(jc.child_rng(seed, index).random(8), want.random(8)), index
+            assert jc.child_rng(seed, index).bit_generator.state == seed_sequence_rng(seed, index).bit_generator.state
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_numpy_integers_match(self, seed):
+        # a seed past 2**64 has no numpy integer type
+        seeds = [seed] + [kind(seed) for kind in (np.int64, np.uint64) if seed < np.iinfo(kind).max]
+        for s in seeds:
+            for index in self.INDICES:
+                for i in (np.int64(index), np.uint64(index)):
+                    got = jc.child_rng(s, i).random(4)
+                    assert np.array_equal(got, seed_sequence_rng(seed, index).random(4)), (s, i)
+
+    @pytest.mark.parametrize("seed", (0, 7, 2**64 + 3))
+    def test_spawn_matches(self, seed):
+        for index in (0, 300, 2**32 + 5):
+            got, want = jc.child_rng(seed, index), seed_sequence_rng(seed, index)
+            for _ in range(2):  # a second spawn gives the next children, as a SeedSequence does
+                assert [g.random(3).tolist() for g in got.spawn(2)] == [g.random(3).tolist() for g in want.spawn(2)]
+            assert np.array_equal(got.random(3), want.random(3))
+
+    def test_other_state_requests_match(self):
+        seq = jc.child_rng(7, 300).bit_generator.seed_seq
+        want = np.random.SeedSequence(entropy=7, spawn_key=(300,))
+        for n_words, dtype in ((4, np.uint64), (4, np.uint32), (3, np.uint64), (8, np.uint32), (4, "u8")):
+            assert np.array_equal(seq.generate_state(n_words, dtype), want.generate_state(n_words, dtype))
+            assert seq.generate_state(n_words, dtype).dtype == want.generate_state(n_words, dtype).dtype
+
+    def test_pickled_stream_continues(self):
+        import pickle
+
+        rng = jc.child_rng(7, 300)
+        rng.random(5)
+        copy = pickle.loads(pickle.dumps(rng))
+        assert np.array_equal(copy.random(4), rng.random(4))
+
+    def test_sequence_seed_is_kept(self):
+        for seed in ([1, 2], (3, 2**40), np.array([5, 6], dtype=np.uint32)):
+            assert np.array_equal(jc.child_rng(seed, 9).random(4), seed_sequence_rng(seed, 9).random(4))
+
+    def test_refusals_keep_their_types(self):
+        with pytest.raises(ValueError):
+            jc.child_rng(None, 0)
+        for seed, index in ((-1, 0), (0, -1), (np.int64(-3), 0), (0, np.int64(-2))):
+            with pytest.raises(ValueError):
+                jc.child_rng(seed, index)
+        for seed, index in ((1.5, 0), (0, 1.5)):
+            with pytest.raises(TypeError):
+                jc.child_rng(seed, index)
+
+
+class TestPairStart:
+    """Both pair samplers refuse a start outside [0, T] x E x A."""
+
+    @staticmethod
+    def samplers(p):
+        nu = jc.IntensityControl(np.full((3, p.n_states, p.n_actions, p.n_actions), 2.0), p.horizon, 2.0)
+        return (
+            lambda t, x, a: jc.simulate_pair_path(p, t, x, a, None, rng=jc.child_rng(3, 0)),
+            lambda t, x, a: jc.simulate_pair_paths(p, nu, t, x, a, 3, jc.child_rng(3, 0)),
+            lambda t, x, a: jc.simulate_pair_sample(p, None, t, x, a, 3, 3),
+        )
+
+    @pytest.mark.parametrize("t", (-0.5, -1e-9, 1.0 + 1e-9, 2.0, math.nan))
+    def test_time_outside_horizon(self, m2, t):
+        for sample in self.samplers(m2):
+            with pytest.raises(ValueError, match="outside"):
+                sample(t, 0, 0)
+
+    @pytest.mark.parametrize("x, a", ((2, 0), (5, 0), (-1, 0), (0, 2), (0, -1), (np.int64(2), 0)))
+    def test_state_or_action_out_of_range(self, m2, x, a):
+        for sample in self.samplers(m2):
+            with pytest.raises(ValueError, match="outside"):
+                sample(0.0, x, a)
+
+    def test_edges_accepted(self, m2):
+        for sample in self.samplers(m2):
+            for t, x, a in ((0.0, 0, 0), (m2.horizon, 1, 1), (np.float64(0.5), np.int64(1), np.int64(0))):
+                assert np.all(sample(t, x, a).t0 == t)
+
+
 class TestPairPath:
     def test_pure_i_component_is_poisson(self, zero_rate):
         # lambda = 0: only I-jumps, count ~ Poisson(lambda0(A) * T) with mass 2
@@ -443,6 +541,12 @@ class TestControlTypes:
                 jc.IntensityControl(np.full((1, 2, 2, 2), 1.0), 1.0, n_max)
         ok = jc.IntensityControl(np.full((1, 2, 2, 2), NU_MIN), 1.0, 1.0)
         assert ok.field[ok.layer_index(0.3), 0, 0, 1] == NU_MIN
+
+    def test_empty_layer_axis_named(self):
+        with pytest.raises(ValueError, match="empty layer axis"):
+            jc.IntensityControl(np.zeros((0, 2, 2, 2)), 1.0, 1.0)
+        with pytest.raises(ValueError, match="empty mark axis"):
+            jc.IntensityControl(np.zeros((1, 2, 2, 0)), 1.0, 1.0)
 
     def test_explosion_guard(self):
         # the jump cap scales with the rate bound, so force it with an rng
