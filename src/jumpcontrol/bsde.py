@@ -20,6 +20,7 @@ one on the grid of v^n, the running cost the one on the grid of f. All
 integrals are exact for the interpolant (the positive part is integrated
 cell by cell with its kink located analytically), so the pathwise
 residual isolates the solver's ODE error rather than quadrature noise.
+constraint_violation is one call of simulate._estimate, as in randomized.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .model import Problem, _interp_cells
 from .penalized import PenalizedSolution
-from .simulate import Path, PathBatch, _integrate, _located, _mean_se, _per_path, _sim_tables, simulate_pair_sample
+from .simulate import Path, PathBatch, _estimate, _integrate, _located, _per_path, _sim_tables
 
 
 @dataclass(frozen=True)
@@ -119,15 +120,9 @@ def constraint_violation(
 
     Equals E[K_T] / n; Lemma-level bounds keep n times this quantity
     bounded uniformly in n, so the estimate decays like 1/n. Pass `paths`
-    (n_paths paths simulated under the reference pair law from (t, x, a),
-    as a list or a PathBatch) to reuse one batch across several levels;
-    without them the paths are simulate_pair_sample's from master_seed.
+    to reuse one batch across levels, as simulate._estimate takes them.
     """
-    if paths is None:
-        paths = simulate_pair_sample(p, None, t, x, a, n_paths, master_seed)
-    elif len(paths) != n_paths:
-        raise ValueError(f"expected {n_paths} paths, got {len(paths)}")
-    return _mean_se(terminal_k(vn, paths) / max(vn.level, 1))
+    return _estimate(p, None, t, x, a, n_paths, master_seed, paths, lambda b: terminal_k(vn, b) / max(vn.level, 1))
 
 
 @dataclass

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .linear import ValueGrid, _map_inputs, _matmul, _rk4_march, _rk4_substep, _step_maps, _substeps
-from .model import Problem, cost_layer, pair_rate_bound, tilted_pair_generator
+from .model import Problem, _interp_cells, cost_layer, pair_rate_bound, tilted_pair_generator
 from .hjb import HJBSolution, solve_hjb_picard
 from .simulate import _prefix, _trapezoid
 
@@ -89,10 +89,8 @@ class PenalizedSolution:
         psi = v[..., None, :] - v[..., :, None]  # psi[k, x, a, b]
 
         def cell(k, s0, s1, x, a):
-            # v^n(s, x, .) at s0, then s1, stacked on the segment axis: a new leading axis is slower
-            m, v0, v1 = len(a), v[k, x], v[k + 1, x]
-            w = (np.concatenate((s0, s1)) / dt - np.concatenate((k, k)))[:, None]
-            layer = (1.0 - w) * np.concatenate((v0, v0)) + w * np.concatenate((v1, v1))
+            m, kk = len(a), np.concatenate((k, k))
+            layer = _interp_cells(v, kk, np.concatenate((s0, s1)) / dt - kk, np.concatenate((x, x)))  # at s0, then s1
             psi = layer - layer[np.arange(2 * m), np.concatenate((a, a))][:, None]
             return penalty_integral(psi[:m], psi[m:], (s1 - s0)[:, None], lam0, n)
 

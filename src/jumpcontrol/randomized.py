@@ -11,11 +11,11 @@ where (d1, d2) splits the compensator mass at the realized mark between
 the I-channel and the X-channel. log L_T is computed for a batch of paths:
 the drift through the segment integrator of simulate, the marks over the
 flat array of jumps. The dual gain J(t, x, a, nu) is estimated two
-independent ways, both over one flat PathBatch evaluated 256 paths at a
-time: importance sampling under the reference dynamics (weight L_T) and
-direct simulation under the tilted dynamics. One exact batch sampler
-draws both laws (simulate.simulate_pair_sample): the reference pair is
-its nu = 1 case.
+independent ways: importance sampling under the reference dynamics
+(weight L_T) and direct simulation under the tilted dynamics. One exact
+batch sampler draws both laws (simulate.simulate_pair_sample): the
+reference pair is its nu = 1 case. Both, and the mean weight, are one
+call each of simulate._estimate: parts of 256 paths, n_paths >= 1.
 """
 from __future__ import annotations
 
@@ -27,8 +27,8 @@ import numpy as np
 from .model import Problem
 from .penalized import PenalizedSolution
 from .simulate import (
-    NU_MIN, IntensityControl, PathBatch, _check_horizon, _mean_se, _per_path, _prefix, _running_costs,
-    constant_control, simulate_pair_sample,
+    NU_MIN, IntensityControl, PathBatch, _check_horizon, _estimate, _per_path, _prefix, _running_costs,
+    constant_control,
 )
 
 # Allowance for the grid schemes' error in both bands of dual_value_check.
@@ -82,19 +82,6 @@ def _log_weights(p: Problem, nu: IntensityControl, paths) -> np.ndarray:
     return log_w + np.bincount(batch.owner, weights=marks, minlength=len(batch))
 
 
-_BATCH = 256  # paths per pass of the estimators; bounds their memory for any path count
-
-
-def _estimate(p: Problem, n_paths, paths, sample) -> tuple[float, float]:
-    """Mean and standard error of sample(part) over the n_paths paths of a
-    list or a PathBatch, flattened once and taken _BATCH paths at a time."""
-    if len(paths) != n_paths:
-        raise ValueError(f"expected {n_paths} paths, got {len(paths)}")
-    batch = PathBatch.from_paths(paths, p.horizon)
-    samples = [sample(batch.part(i, i + _BATCH)) for i in range(0, n_paths, _BATCH)]
-    return _mean_se(np.concatenate([np.empty(0), *samples]))
-
-
 def _payoffs(p: Problem, batch: PathBatch) -> np.ndarray:
     """g(X_T) plus the running cost along each path of a batch."""
     return p.terminal_cost[batch.states_at(p.horizon)] + _running_costs(p, batch)
@@ -112,15 +99,12 @@ def dual_gain_importance(
 ) -> tuple[float, float]:
     """J(t, x, a, nu) by importance sampling under the reference dynamics.
 
-    Pass `paths` (n_paths paths simulated under the reference pair law from
-    (t, x, a), as a list or a PathBatch) to reuse one batch across several
-    controls; without them the paths are simulate_pair_sample's from
-    master_seed. A list is flattened at every call, so a caller that reuses
-    a list should pass PathBatch.from_paths(list) once instead.
+    Pass `paths` to reuse one batch of reference pair paths across several
+    controls, as simulate._estimate takes them.
     """
-    if paths is None:
-        paths = simulate_pair_sample(p, None, t, x, a, n_paths, master_seed)
-    return _estimate(p, n_paths, paths, lambda batch: np.exp(_log_weights(p, nu, batch)) * _payoffs(p, batch))
+    return _estimate(
+        p, None, t, x, a, n_paths, master_seed, paths, lambda b: np.exp(_log_weights(p, nu, b)) * _payoffs(p, b)
+    )
 
 
 def dual_gain_direct(
@@ -133,8 +117,7 @@ def dual_gain_direct(
     master_seed: int = 0,
 ) -> tuple[float, float]:
     """J(t, x, a, nu) by direct simulation under the tilted dynamics."""
-    paths = simulate_pair_sample(p, nu, t, x, a, n_paths, master_seed)
-    return _estimate(p, n_paths, paths, lambda batch: _payoffs(p, batch))
+    return _estimate(p, nu, t, x, a, n_paths, master_seed, None, lambda b: _payoffs(p, b))
 
 
 def girsanov_mean_weight(
@@ -148,11 +131,8 @@ def girsanov_mean_weight(
     paths=None,
 ) -> tuple[float, float]:
     """MC mean of L_T, exactly 1 by the martingale property; `paths` as for
-    dual_gain_importance: pass a reused list as PathBatch.from_paths(list)
-    once, since a list is flattened at every call."""
-    if paths is None:
-        paths = simulate_pair_sample(p, None, t, x, a, n_paths, master_seed)
-    return _estimate(p, n_paths, paths, lambda batch: np.exp(_log_weights(p, nu, batch)))
+    dual_gain_importance."""
+    return _estimate(p, None, t, x, a, n_paths, master_seed, paths, lambda b: np.exp(_log_weights(p, nu, b)))
 
 
 def greedy_control_from_vn(

@@ -9,7 +9,8 @@ each jump spends one Exp(1) of cumulative hazard; only a jump that crosses
 a layer edge searches, by bisection of a hazard table. Both advance every
 live path of a batch by one event per round, on the one stream they are
 given, and return a PathBatch; every path is a pure function of (problem,
-inputs, seed). Child stream i of master_seed, child_rng(master_seed, i), is
+inputs, seed). Every sampler refuses a start outside [0, T] x E (x A for
+the pair). Child stream i of master_seed, child_rng(master_seed, i), is
 default_rng(SeedSequence(entropy=master_seed, spawn_key=(i,))) draw for draw
 and spawns as it does; for integer seed and index >= 0 its PCG64 state is
 numpy's SeedSequence hash, run for blocks of 256 consecutive indices at once
@@ -31,9 +32,11 @@ from the node values k and k + 1 alone. _locate finds the cells of both
 ends of each constant-state segment (_segments) on a grid once; _integrate
 integrates any rate on that grid over them, as two end cells plus one
 difference of cum, and model._interp_cells reads the same location for
-values at the ends. _per_path does both per bounded chunk of a batch, and
+values at the ends. _per_path does both per pass of 1024 segments, and
 a Path keeps its segments and their location on each grid (_located).
 _trapezoid is the rate of every integrand that is linear on its cells.
+Every pair-path Monte Carlo estimate (randomized, bsde) is one call of
+_estimate, which refuses n_paths < 1 and samples parts of 256 paths.
 """
 from __future__ import annotations
 
@@ -375,8 +378,8 @@ def _check_horizon(control, p: Problem):
         raise ValueError("control and path horizons differ")
 
 
-def _check_start(p: Problem, t, x, a):
-    if not (0.0 <= t <= p.horizon and 0 <= x < p.n_states and 0 <= a < p.n_actions):
+def _check_start(p: Problem, t, x, a=None):
+    if not (0.0 <= t <= p.horizon and 0 <= x < p.n_states and (a is None or 0 <= a < p.n_actions)):
         raise ValueError(f"start (t={t}, x={x}, a={a}) outside [0, {p.horizon}] x {p.n_states} states x {p.n_actions} actions")
 
 
@@ -384,7 +387,7 @@ def _check_policy(alpha: FeedbackPolicy, p: Problem):
     _check_horizon(alpha, p)
     table = alpha.table  # reduced by min and max: an elementwise test paged in 0.1-0.2 MB more
     if table.shape[1] != p.n_states or table.min(initial=0) < 0 or table.max(initial=0) >= p.n_actions:
-        raise ValueError(f"policy table must give each of {p.n_states} states an action in 0..{p.n_actions - 1}")
+        raise ValueError(f"policy table has other than {p.n_states} states or an action outside 0..{p.n_actions - 1}")
 
 
 def simulate_controlled_paths(
@@ -402,6 +405,7 @@ def simulate_controlled_paths(
     batch of one makes the draws of the one-path loop.
     """
     _check_policy(alpha, p)
+    _check_start(p, t, x)
     T = p.horizon
     tab = _sim_tables(p)
     lam = tab["lam"]
@@ -584,13 +588,6 @@ def simulate_pair_sample(
     return PathBatch.concat(chunks, p.horizon)
 
 
-def _mean_se(samples: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error; the error of one sample is NaN."""
-    n = samples.size
-    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
-    return float(samples.mean()), se
-
-
 def _prefix(cells):
     """Cumulative sums of per-cell integrals, from 0 at the first node."""
     out = np.zeros((cells.shape[0] + 1, *cells.shape[1:]))
@@ -662,11 +659,6 @@ def _integrate(rate, located) -> np.ndarray:
     return ends[:m] + inner + ends[m:]
 
 
-def _segment_integrals(T, rate, lo, hi, x, a):
-    """Integral over each segment [lo, hi] in pair state (x, a) of a rate."""
-    return _integrate(rate, _locate(T, rate[0].shape[0] - 1, lo, hi, x, a))
-
-
 def _located(path: Path, T: float, n: int):
     """A pair path's segments (lo, hi, x, a) up to T, the _segments of it
     alone taken from its own arrays, and their location on n cells over
@@ -685,17 +677,41 @@ def _located(path: Path, T: float, n: int):
     return cache[T], cache[T, n]
 
 
-_CHUNK = 1024  # segments per vectorised pass; bounds the temporaries for any batch size
+# Two bounds on different temporaries, the integrator's per segment end and an
+# estimator's per path. One segment bound for both fails: 1024 made the importance
+# estimate twice as slow on a stiff model, 8192 raised diagnose's peak memory 2 MB.
+_CHUNK = 1024  # segments per vectorised pass of _per_path
+_BATCH = 256  # paths per part of _estimate
 
 
 def _per_path(batch: PathBatch, rate) -> np.ndarray:
     """Per path, the integral of the rate (cum, cell) over its segments."""
     lo, hi, x, a, owner = _segments(batch)
     incr = [
-        _segment_integrals(batch.horizon, rate, *(v[i : i + _CHUNK] for v in (lo, hi, x, a)))
+        _integrate(rate, _locate(batch.horizon, rate[0].shape[0] - 1, *(v[i : i + _CHUNK] for v in (lo, hi, x, a))))
         for i in range(0, lo.size, _CHUNK)
     ]
     return np.bincount(owner, weights=np.concatenate([np.empty(0), *incr]), minlength=len(batch))
+
+
+def _mean_se(samples: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error; the error of one sample is NaN."""
+    n = samples.size
+    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
+    return float(samples.mean()), se
+
+
+def _estimate(p: Problem, nu, t, x, a, n_paths, master_seed, paths, sample) -> tuple[float, float]:
+    """Mean and SE of sample(part) over parts of _BATCH of n_paths >= 1 pair
+    paths from (t, x, a): the given list or PathBatch of n_paths, or else
+    simulate_pair_sample's under nu (None: the reference pair). They are
+    flattened once: pass a reused list as PathBatch.from_paths(list)."""
+    if paths is None:
+        paths = simulate_pair_sample(p, nu, t, x, a, n_paths, master_seed)  # none for n_paths < 1
+    if n_paths < 1 or len(paths) != n_paths:
+        raise ValueError(f"n_paths must be at least 1 and the count of paths: n_paths = {n_paths}, {len(paths)} paths")
+    batch = PathBatch.from_paths(paths, p.horizon)
+    return _mean_se(np.concatenate([sample(batch.part(i, i + _BATCH)) for i in range(0, n_paths, _BATCH)]))
 
 
 def _running_costs(p: Problem, paths) -> np.ndarray:

@@ -61,3 +61,5 @@ def test_traced_importance_operation_records_its_spans(tmp_path):
     assert len(spans["simulate.simulate_pair_path"]) == 2 * 20  # per start action
     assert all(isinstance(jumps, int) for jumps in spans["simulate.simulate_pair_path"])
     assert "randomized.dual_gain_importance" in spans
+    assert len(spans["randomized.dual_gain_importance"]) == 2 * 3  # per start action: nu = 1, nu = 2, greedy
+    assert len(spans["randomized.girsanov_mean_weight"]) == 2 * 2  # per start action: nu = 2, greedy

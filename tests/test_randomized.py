@@ -16,6 +16,7 @@ from jumpcontrol.randomized import (
     girsanov_mean_weight,
     greedy_control_from_vn,
 )
+from jumpcontrol.bsde import constraint_violation
 from jumpcontrol.model import cost_layer
 from jumpcontrol.simulate import NU_MIN, Path, _running_costs
 
@@ -204,14 +205,42 @@ class TestBatchMatchesLoops:
 
 
 class TestPathCount:
-    @pytest.mark.parametrize("estimator", [dual_gain_importance, girsanov_mean_weight])
+    """The one rule of the four pair-path estimates (simulate._estimate):
+    n_paths of at least 1, given paths of exactly n_paths, and drawn paths
+    that are simulate_pair_sample's."""
+
+    @staticmethod
+    def target(p, estimator):
+        """The tilt an estimator takes, or the v^n of constraint_violation."""
+        return jc.solve_penalized(p, 2, n_steps=50) if estimator is constraint_violation else jc.constant_control(p, 2.0)
+
+    @pytest.mark.parametrize("estimator", [dual_gain_importance, girsanov_mean_weight, constraint_violation])
     @pytest.mark.parametrize("given", [50, 250])
     def test_wrong_batch_size_raises(self, m2, estimator, given):
         # fewer paths than n_paths used to average uninitialised entries,
         # more used to raise IndexError
         paths = [jc.simulate_pair_path(m2, 0.0, 0, 0, None, rng=jc.child_rng(86, i)) for i in range(given)]
         with pytest.raises(ValueError):
-            estimator(m2, jc.constant_control(m2, 2.0), 0.0, 0, 0, 200, paths=paths)
+            estimator(m2, self.target(m2, estimator), 0.0, 0, 0, 200, paths=paths)
+
+    @pytest.mark.parametrize(
+        "estimator", [dual_gain_importance, girsanov_mean_weight, dual_gain_direct, constraint_violation]
+    )
+    @pytest.mark.parametrize("n_paths", [0, -3])
+    def test_count_below_one_raises(self, m2, estimator, n_paths):
+        # 0 used to return NaN with numpy's "Mean of empty slice" warning
+        with pytest.raises(ValueError, match="at least 1"):
+            estimator(m2, self.target(m2, estimator), 0.0, 0, 0, n_paths)
+        if estimator is not dual_gain_direct:
+            with pytest.raises(ValueError, match="at least 1"):
+                estimator(m2, self.target(m2, estimator), 0.0, 0, 0, n_paths, paths=[])
+
+    @pytest.mark.parametrize("estimator", [dual_gain_importance, girsanov_mean_weight])
+    def test_drawn_paths_are_the_reference_pair_sample(self, m2, estimator):
+        nu = jc.constant_control(m2, 2.0)
+        drawn = estimator(m2, nu, 0.0, 0, 1, 300, 17)
+        given = estimator(m2, nu, 0.0, 0, 1, 300, paths=jc.simulate_pair_sample(m2, None, 0.0, 0, 1, 300, 17))
+        assert repr(drawn) == repr(given)
 
 
 class TestDualGain:

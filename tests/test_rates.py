@@ -1,10 +1,10 @@
 """The rate contract of the path integrals.
 
 Every time integral along pair paths (running cost, X-compensator, K and
-the Girsanov drift) is a rate (cum, cell) that simulate._segment_integrals
-integrates over constant-state segments. An exact integral is additive in
-its end points wherever they fall: inside a cell, on a grid node, or on a
-layer edge of the control.
+the Girsanov drift) is a rate (cum, cell) that simulate._integrate
+integrates over constant-state segments located by simulate._locate. An
+exact integral is additive in its end points wherever they fall: inside a
+cell, on a grid node, or on a layer edge of the control.
 """
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ import jumpcontrol as jc
 from jumpcontrol import randomized, simulate
 from jumpcontrol.bsde import bsde_residual, build_sample, terminal_k
 from jumpcontrol.randomized import _log_weights
-from jumpcontrol.simulate import _running_costs, _segment_integrals, _sim_tables
+from jumpcontrol.simulate import _integrate, _locate, _running_costs, _sim_tables
 
 N_STEPS = 300
 N_COST = 5  # cells of the time-dependent f
@@ -67,8 +67,9 @@ def test_integrals_are_additive(case, monkeypatch):
     x = rng.integers(0, p.n_states, mid.size)
     a = rng.integers(0, p.n_actions, mid.size)
     for name, rate in rates.items():
-        whole = _segment_integrals(T, rate, lo, hi, x, a)
-        parts = _segment_integrals(T, rate, lo, mid, x, a) + _segment_integrals(T, rate, mid, hi, x, a)
+        n = rate[0].shape[0] - 1
+        whole = _integrate(rate, _locate(T, n, lo, hi, x, a))
+        parts = _integrate(rate, _locate(T, n, lo, mid, x, a)) + _integrate(rate, _locate(T, n, mid, hi, x, a))
         assert np.abs(whole).max() > 0.0, name
         assert np.abs(whole - parts).max() <= 1e-13, name
 

@@ -188,7 +188,9 @@ class TestChildStreams:
 
 
 class TestPairStart:
-    """Both pair samplers refuse a start outside [0, T] x E x A."""
+    """Every sampler refuses a start outside [0, T] x E x A: the pair
+    samplers themselves, the controlled one through its constant policy's
+    action."""
 
     @staticmethod
     def samplers(p):
@@ -197,6 +199,7 @@ class TestPairStart:
             lambda t, x, a: jc.simulate_pair_path(p, t, x, a, None, rng=jc.child_rng(3, 0)),
             lambda t, x, a: jc.simulate_pair_paths(p, nu, t, x, a, 3, jc.child_rng(3, 0)),
             lambda t, x, a: jc.simulate_pair_sample(p, None, t, x, a, 3, 3),
+            lambda t, x, a: jc.simulate_controlled_paths(p, jc.constant_policy(p, a), t, x, 3, jc.child_rng(3, 0)),
         )
 
     @pytest.mark.parametrize("t", (-0.5, -1e-9, 1.0 + 1e-9, 2.0, math.nan))
