@@ -24,12 +24,11 @@ constraint_violation is one call of simulate._estimate, as in randomized.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Problem, _interp_cells
+from .model import Problem, _interp_cells, write_csv_rows
 from .penalized import PenalizedSolution
 from .simulate import Path, PathBatch, _estimate, _integrate, _located, _per_path, _sim_tables
 
@@ -135,15 +134,11 @@ class MinimalYRow:
 @dataclass
 class MinimalYReport:
     rows: list
-    primal_value: float
-    limit_estimate: dict  # start action -> largest-level Y_t
     max_gap_to_primal: float
 
     def to_csv(self, fileobj):
-        w = csv.writer(fileobj)
-        w.writerow(["n", "start_a", "Y_t"])
-        for r in self.rows:
-            w.writerow([r.level, r.start_a, repr(r.y_t)])
+        """One row per level and start action in model's CSV dialect."""
+        write_csv_rows(fileobj, "n,start_a,Y_t\r\n", (f"{r.level},{r.start_a},{r.y_t!r}\r\n" for r in self.rows))
 
 
 def minimal_y_report(
@@ -156,7 +151,5 @@ def minimal_y_report(
     """Tabulate Y_t^{n,t,x,a} = v^n(t, x, a) across levels and start actions."""
     levels = sorted(solutions)
     rows = [MinimalYRow(n, a, solutions[n].values.value_at(t, x, a)) for n in levels for a in range(p.n_actions)]
-    top = levels[-1]
-    limit = {a: solutions[top].values.value_at(t, x, a) for a in range(p.n_actions)}
-    max_gap = max(primal_value - y for y in limit.values())
-    return MinimalYReport(rows, primal_value, limit, max_gap)
+    top = solutions[levels[-1]].values
+    return MinimalYReport(rows, max(primal_value - top.value_at(t, x, a) for a in range(p.n_actions)))

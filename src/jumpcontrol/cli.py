@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 
-from . import bsde, hjb, linear, model, penalized, randomized, simulate
+from . import bsde, hjb, model, penalized, randomized, simulate
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -102,11 +102,11 @@ def cmd_solve(args):
     )
 
     def emit_policy(fh):
-        labels = [linear.csv_field(a) for a in p.actions]
-        table = [f"{linear.csv_field(s)},{label}\r\n" for s in p.states for label in labels]
+        labels = [model.csv_field(a) for a in p.actions]
+        table = [f"{model.csv_field(s)},{label}\r\n" for s in p.states for label in labels]
         index = (sol.argmax + p.n_actions * np.arange(p.n_states)).tolist()
         tails = ([table[i] for i in layer] for layer in index)
-        linear.write_grid_csv(fh, "k,t,state,action_label\r\n", sol.values.times, tails, p.n_states)
+        model.write_grid_csv(fh, "k,t,state,action_label\r\n", sol.values.times, tails, p.n_states)
 
     _atomic_write(os.path.join(args.out_dir, "policy.csv"), emit_policy)
     summary = {

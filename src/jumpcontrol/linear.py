@@ -7,22 +7,20 @@ a step map (_step_maps) within the one size rule (_map_inputs).
 """
 from __future__ import annotations
 
-import csv
-import io
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Problem, _interp, cost_layer, pair_rate_bound, rate_bound, tilted_pair_generator
+from .model import (
+    Problem, _interp, cost_layer, csv_field, pair_rate_bound, rate_bound, tilted_pair_generator, write_grid_csv,
+)
 from .simulate import FeedbackPolicy, _check_policy, _layer
 
 _STABILITY = 0.5
 # Largest n_steps * n_sub of one march. Far above the 2000 steps of a
 # default march, and a march this long already takes tens of seconds.
 MAX_RK4_STEPS = 1_000_000
-_CSV_CHUNK_ROWS = 4096
 _COST_BLOCK = 1 << 16  # bounds the cost table of one block of RK4 sub-steps
 
 
@@ -55,43 +53,21 @@ class ValueGrid:
         return float(layer[x] if a is None else layer[x, a])
 
     def to_csv(self, fileobj, states):
-        """Rows (k, t, state, value) of a per-state grid with repr floats,
-        byte for byte what csv.writer writes."""
+        """Rows (k, t, state, value) of a per-state grid in model's CSV
+        dialect: byte for byte what csv.writer writes, with repr floats."""
         fields = [csv_field(s) for s in states]
         tails = ([f"{sx},{v!r}\r\n" for sx, v in zip(fields, layer)] for layer in self.values.tolist())
         write_grid_csv(fileobj, "k,t,state,value\r\n", self.times, tails, len(fields))
-
-
-def csv_field(label) -> str:
-    """label as csv.writer writes it inside a row: quoted only where needed."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow((label, ""))
-    return buf.getvalue()[: -len(",\r\n")]
-
-
-def write_csv_rows(fileobj, header, rows, chunk=_CSV_CHUNK_ROWS):
-    """Write the header line, then the finished row lines `chunk` at a time,
-    so that neither the whole text nor one write call per row is needed."""
-    fileobj.write(header)
-    rows = iter(rows)
-    while text := "".join(itertools.islice(rows, chunk)):
-        fileobj.write(text)
-
-
-def write_grid_csv(fileobj, header, times, tails, width):
-    """Write the header line, then each time layer k of `width` rows as one
-    string: its rows share the prefix "k,t,", joined with the layer's
-    finished row tails; about _CSV_CHUNK_ROWS rows go out per write."""
-    prefixes = (f"{k},{t!r}," for k, t in enumerate(times.tolist()))
-    layers = (pre + pre.join(layer) for pre, layer in zip(prefixes, tails))
-    write_csv_rows(fileobj, header, layers, max(1, _CSV_CHUNK_ROWS // width))
 
 
 def _substeps(n_steps, T, bound, what, layers=1) -> int:
     """Sub-steps per grid step that keep h * bound below _STABILITY, rounded
     up to a multiple of layers // gcd(n_steps, layers) so that every edge of
     `layers` uniform layers over [0, T] is a sub-step boundary; a march past
-    MAX_RK4_STEPS sub-steps in all raises ValueError naming `what`."""
+    MAX_RK4_STEPS sub-steps in all raises ValueError naming `what`, as does an
+    n_steps below 1."""
+    if n_steps < 1:
+        raise ValueError(f"{what}: n_steps must be at least 1, got {n_steps!r}")
     align = layers // math.gcd(n_steps, layers)
     n_sub = -(-max(1, math.ceil(T / n_steps * bound / _STABILITY)) // align) * align
     if n_steps * n_sub > MAX_RK4_STEPS:

@@ -3,10 +3,15 @@
 A problem is a controlled rate kernel lambda[x][a][y] on a finite state space,
 a strictly positive base intensity lambda0 on the action space, running and
 terminal costs, and a horizon. All integrals over states/actions are finite
-sums, so every solver in this package can be checked exactly.
+sums, so every solver in this package can be checked exactly. The package's
+file formats live here too: the JSON model schema, and the one CSV dialect
+of its tables, csv.writer's with repr floats, written in chunks.
 """
 from __future__ import annotations
 
+import csv
+import io
+import itertools
 import json
 import math
 from collections import Counter
@@ -282,3 +287,31 @@ def problem_to_dict(p: Problem) -> dict:
 def load_problem(path) -> Problem:
     with open(path) as fh:
         return problem_from_dict(json.load(fh))
+
+
+_CSV_CHUNK_ROWS = 4096
+
+
+def csv_field(label) -> str:
+    """label as csv.writer writes it inside a row: quoted only where needed."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((label, ""))
+    return buf.getvalue()[: -len(",\r\n")]
+
+
+def write_csv_rows(fileobj, header, rows, chunk=_CSV_CHUNK_ROWS):
+    """Write the header line, then the finished row lines `chunk` at a time,
+    so that neither the whole text nor one write call per row is needed."""
+    fileobj.write(header)
+    rows = iter(rows)
+    while text := "".join(itertools.islice(rows, chunk)):
+        fileobj.write(text)
+
+
+def write_grid_csv(fileobj, header, times, tails, width):
+    """Write the header line, then each time layer k of `width` rows as one
+    string: its rows share the prefix "k,t,", joined with the layer's
+    finished row tails; about _CSV_CHUNK_ROWS rows go out per write."""
+    prefixes = (f"{k},{t!r}," for k, t in enumerate(times.tolist()))
+    layers = (pre + pre.join(layer) for pre, layer in zip(prefixes, tails))
+    write_csv_rows(fileobj, header, layers, max(1, _CSV_CHUNK_ROWS // width))

@@ -7,6 +7,8 @@ monotone). Meant to run on a grid 10x-25x finer than the solver under test.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from .linear import ValueGrid
 from .model import Problem, cost_at
 
@@ -59,8 +61,6 @@ def oracle_value(p: Problem, n_steps: int) -> ValueGrid:
                 if best is None or total > best:
                     best = total
             cur[x] = nxt[x] + dt * best
-    import numpy as np
-
     return ValueGrid(np.array(values), T)
 
 

@@ -29,14 +29,13 @@ a first-order scheme cannot reach at practical grid sizes.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .linear import ValueGrid, _map_inputs, _matmul, _rk4_march, _rk4_substep, _step_maps, _substeps
-from .model import Problem, _interp_cells, cost_layer, pair_rate_bound, tilted_pair_generator
+from .model import Problem, _interp_cells, cost_layer, pair_rate_bound, tilted_pair_generator, write_csv_rows
 from .hjb import HJBSolution, solve_hjb_picard
 from .simulate import _prefix, _trapezoid
 
@@ -294,12 +293,11 @@ class ConvergenceReport:
     solutions: dict  # level -> PenalizedSolution
 
     def to_csv(self, fileobj):
-        w = csv.writer(fileobj)
-        w.writerow(["n", "sigma_n", "delta_n", "monotonicity_violations", "cap_violations"])
-        for r in self.rows:
-            w.writerow(
-                [r.level, repr(r.sigma), repr(r.delta), r.monotonicity_violations, r.cap_violations]
-            )
+        """One row per level in model's CSV dialect."""
+        rows = (
+            f"{r.level},{r.sigma!r},{r.delta!r},{r.monotonicity_violations},{r.cap_violations}\r\n" for r in self.rows
+        )
+        write_csv_rows(fileobj, "n,sigma_n,delta_n,monotonicity_violations,cap_violations\r\n", rows)
 
 
 ORDER_TOL = 1e-9  # absorbs rounding in ideal-arithmetic inequalities

@@ -19,12 +19,11 @@ call each of simulate._estimate: parts of 256 paths, n_paths >= 1.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Problem
+from .model import Problem, write_csv_rows
 from .penalized import PenalizedSolution
 from .simulate import (
     NU_MIN, IntensityControl, PathBatch, _check_horizon, _estimate, _per_path, _prefix, _running_costs,
@@ -164,16 +163,15 @@ class DualCheckRow:
 @dataclass
 class DualCheckReport:
     rows: list
-    primal_value: float
-    greedy_targets: dict  # start action -> v^n(t, x, a)
     all_below_primal: bool
     greedy_reaches_target: bool
 
     def to_csv(self, fileobj):
-        w = csv.writer(fileobj)
-        w.writerow(["control_id", "start_a", "estimator", "mean", "std_error", "n_paths"])
-        for r in self.rows:
-            w.writerow([r.control_id, r.start_a, r.estimator, repr(r.mean), repr(r.std_error), r.n_paths])
+        """One row per estimate in model's CSV dialect; no control id or estimator needs quoting."""
+        rows = (
+            f"{r.control_id},{r.start_a},{r.estimator},{r.mean!r},{r.std_error!r},{r.n_paths}\r\n" for r in self.rows
+        )
+        write_csv_rows(fileobj, "control_id,start_a,estimator,mean,std_error,n_paths\r\n", rows)
 
 
 def dual_value_check(
@@ -194,7 +192,6 @@ def dual_value_check(
     """
     candidates = [("nu=1", constant_control(p, 1.0)), ("greedy", greedy_control_from_vn(p, vn))]
     rows, all_below, greedy_ok = [], True, True
-    greedy_targets = {a: vn.values.value_at(t, x, a) for a in range(p.n_actions)}
     for cid, nu in candidates:
         for a in range(p.n_actions):
             est, se = dual_gain_direct(p, nu, t, x, a, n_paths, master_seed)
@@ -202,6 +199,6 @@ def dual_value_check(
             # Written as "passes iff inside the band", so a NaN fails.
             if not est <= primal_value + 3.0 * se + _DUAL_TOLERANCE:
                 all_below = False
-            if cid == "greedy" and not est >= greedy_targets[a] - 3.0 * se - _DUAL_TOLERANCE:
+            if cid == "greedy" and not est >= vn.values.value_at(t, x, a) - 3.0 * se - _DUAL_TOLERANCE:
                 greedy_ok = False
-    return DualCheckReport(rows, primal_value, greedy_targets, all_below, greedy_ok)
+    return DualCheckReport(rows, all_below, greedy_ok)

@@ -10,7 +10,8 @@ a layer edge searches, by bisection of a hazard table. Both advance every
 live path of a batch by one event per round, on the one stream they are
 given, and return a PathBatch; every path is a pure function of (problem,
 inputs, seed). Every sampler refuses a start outside [0, T] x E (x A for
-the pair). Child stream i of master_seed, child_rng(master_seed, i), is
+the pair), and a batch sampler a negative count. Child stream i of
+master_seed, child_rng(master_seed, i), is
 default_rng(SeedSequence(entropy=master_seed, spawn_key=(i,))) draw for draw
 and spawns as it does; for integer seed and index >= 0 its PCG64 state is
 numpy's SeedSequence hash, run for blocks of 256 consecutive indices at once
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Problem, _readonly, check_times, grid_cell, rate_bound
+from .model import _CSV_CHUNK_ROWS, Problem, _readonly, check_times, grid_cell, rate_bound, write_csv_rows
 
 NU_MIN = 1e-6
 
@@ -278,9 +279,13 @@ class FeedbackPolicy:
     horizon: float
 
     def __post_init__(self):
-        object.__setattr__(self, "table", np.asarray(self.table, dtype=np.int64))
-        if self.table.ndim != 2:
-            raise ValueError("policy table must be 2-D (time layer, state)")
+        table = np.asarray(self.table)
+        if table.ndim != 2 or not len(table):
+            raise ValueError(f"policy table must be 2-D (time layer, state) with a layer; got shape {table.shape}")
+        # The int cast would take 0.7 as 0. Integer tables skip the test, which pages in 0.2 MB of numpy's int loops.
+        if table.dtype.kind == "f" and not (np.all(np.isfinite(table)) and np.all(table % 1 == 0)):
+            raise ValueError("policy table has an entry that is not a whole number")
+        object.__setattr__(self, "table", np.asarray(table, dtype=np.int64))
 
     @property
     def n_layers(self):
@@ -378,7 +383,9 @@ def _check_horizon(control, p: Problem):
         raise ValueError("control and path horizons differ")
 
 
-def _check_start(p: Problem, t, x, a=None):
+def _check_start(p: Problem, t, x, a=None, count=0):
+    if count < 0:
+        raise ValueError(f"path count {count} is negative")
     if not (0.0 <= t <= p.horizon and 0 <= x < p.n_states and (a is None or 0 <= a < p.n_actions)):
         raise ValueError(f"start (t={t}, x={x}, a={a}) outside [0, {p.horizon}] x {p.n_states} states x {p.n_actions} actions")
 
@@ -405,7 +412,7 @@ def simulate_controlled_paths(
     batch of one makes the draws of the one-path loop.
     """
     _check_policy(alpha, p)
-    _check_start(p, t, x)
+    _check_start(p, t, x, count=count)
     T = p.horizon
     tab = _sim_tables(p)
     lam = tab["lam"]
@@ -518,7 +525,7 @@ def simulate_pair_paths(
     makes the draws of simulate_pair_path. No proposal is rejected.
     """
     _check_horizon(nu, p)
-    _check_start(p, t, x, a)
+    _check_start(p, t, x, a, count)
     T = p.horizon
     tab = _sim_tables(p)
     rows, cums = p.row_sums, tab["cum"]
@@ -580,6 +587,7 @@ def simulate_pair_sample(
     """n_paths pair paths from (t, x, a) under the tilt nu, or the reference
     pair for None. Chunk c, paths c * 4096 to (c + 1) * 4096 - 1, is one
     simulate_pair_paths batch on child_rng(master_seed, c)."""
+    _check_start(p, t, x, a, n_paths)
     nu = _sim_tables(p)["unit"] if nu is None else nu
     chunks = [
         simulate_pair_paths(p, nu, t, x, a, min(_STREAM_PATHS, n_paths - i), child_rng(master_seed, c))
@@ -706,10 +714,10 @@ def _estimate(p: Problem, nu, t, x, a, n_paths, master_seed, paths, sample) -> t
     paths from (t, x, a): the given list or PathBatch of n_paths, or else
     simulate_pair_sample's under nu (None: the reference pair). They are
     flattened once: pass a reused list as PathBatch.from_paths(list)."""
+    if n_paths < 1 or paths is not None and len(paths) != n_paths:  # before a draw, which refuses n_paths < 0 itself
+        raise ValueError(f"n_paths = {n_paths} must be at least 1 and the count of the paths given")
     if paths is None:
-        paths = simulate_pair_sample(p, nu, t, x, a, n_paths, master_seed)  # none for n_paths < 1
-    if n_paths < 1 or len(paths) != n_paths:
-        raise ValueError(f"n_paths must be at least 1 and the count of paths: n_paths = {n_paths}, {len(paths)} paths")
+        paths = simulate_pair_sample(p, nu, t, x, a, n_paths, master_seed)
     batch = PathBatch.from_paths(paths, p.horizon)
     return _mean_se(np.concatenate([sample(batch.part(i, i + _BATCH)) for i in range(0, n_paths, _BATCH)]))
 
@@ -723,8 +731,6 @@ def _running_costs(p: Problem, paths) -> np.ndarray:
 def paths_to_csv(batch: PathBatch, fileobj):
     """Dump a batch as rows (path_id, jump_index, time, X_mark, I_mark), byte
     for byte what csv.writer writes."""
-    from .linear import _CSV_CHUNK_ROWS, write_csv_rows  # linear imports this module
-
     owner = batch.owner
     index = np.arange(owner.size) - batch.offsets[owner]
     marks = np.full(owner.size, "") if batch.a_marks is None else batch.a_marks

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -295,3 +297,10 @@ class TestMinimalYReport:
             assert all(u <= v + 1e-9 for u, v in zip(seq, seq[1:]))
         assert report.max_gap_to_primal >= -1e-9
         assert report.max_gap_to_primal <= 0.1
+        ours, ref = io.StringIO(), io.StringIO()
+        report.to_csv(ours)
+        w = csv.writer(ref)
+        w.writerow(["n", "start_a", "Y_t"])
+        for r in report.rows:
+            w.writerow([r.level, r.start_a, repr(r.y_t)])
+        assert ours.getvalue() == ref.getvalue()

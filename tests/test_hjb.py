@@ -164,6 +164,25 @@ class TestPicard:
         with pytest.raises(ValueError, match="max_iter"):
             jc.solve_hjb_picard(m2, n_steps=50, max_iter=max_iter)
 
+    @pytest.mark.parametrize("n_steps", [0, -1])
+    @pytest.mark.parametrize("solver", [
+        "solve_hjb_picard", "solve_penalized", "convergence_report", "solve_kolmogorov", "evaluate_policy",
+        "solve_kolmogorov_pair",
+    ])
+    def test_n_steps_below_one_raises(self, m2, solver, n_steps):
+        # 0 used to raise ZeroDivisionError, and -1 IndexError in solve_penalized
+        alpha = jc.constant_policy(m2, 1)
+        calls = {
+            "solve_hjb_picard": lambda: jc.solve_hjb_picard(m2, n_steps=n_steps),
+            "solve_penalized": lambda: jc.solve_penalized(m2, 4, n_steps=n_steps),
+            "convergence_report": lambda: jc.convergence_report(m2, [1, 4], n_steps=n_steps),
+            "solve_kolmogorov": lambda: jc.solve_kolmogorov(m2, alpha, n_steps=n_steps),
+            "evaluate_policy": lambda: jc.evaluate_policy(m2, alpha, n_steps=n_steps),
+            "solve_kolmogorov_pair": lambda: jc.solve_kolmogorov_pair(m2, n_steps=n_steps),
+        }
+        with pytest.raises(ValueError, match="n_steps"):
+            calls[solver]()
+
     def test_sup_norm_bound(self, threestate):
         sol = jc.solve_hjb_picard(threestate, n_steps=2000)
         cap = (

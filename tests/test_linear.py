@@ -1,6 +1,7 @@
 import csv
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,18 @@ class TestLayeredPolicy:
         }
         with pytest.raises(ValueError, match="policy table"):
             calls[entry]()
+
+    @pytest.mark.parametrize("table", ["no_layer", "fraction", "nan", "inf"])
+    def test_rejects_table_without_layers_or_whole_actions(self, threestate, table):
+        # no layer used to fail later (IndexError when sampled, ZeroDivisionError when evaluated),
+        # 0.7 to act as action 0, and NaN to cast with numpy's "invalid value" warning
+        nS = threestate.n_states
+        tables = {"no_layer": np.empty((0, nS)), "fraction": np.full((4, nS), 0.7),
+                  "nan": np.full((4, nS), np.nan), "inf": np.full((4, nS), np.inf)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="policy table"):
+                jc.FeedbackPolicy(tables[table], threestate.horizon)
 
 
 def constant_f(p):

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -353,6 +354,12 @@ class TestConvergenceReport:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "n,sigma_n,delta_n,monotonicity_violations,cap_violations"
         assert len(lines) == 3
+        ref = io.StringIO()
+        w = csv.writer(ref)
+        w.writerow(["n", "sigma_n", "delta_n", "monotonicity_violations", "cap_violations"])
+        for r in report.rows:
+            w.writerow([r.level, repr(r.sigma), repr(r.delta), r.monotonicity_violations, r.cap_violations])
+        assert buf.getvalue() == ref.getvalue()
 
     @pytest.mark.parametrize("name", ["m2", "threestate"])
     def test_family_matches_single_level_solves(self, name, request):

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -303,3 +304,14 @@ class TestDualValueCheck:
         assert buf.getvalue().splitlines()[0] == (
             "control_id,start_a,estimator,mean,std_error,n_paths"
         )
+        # the whole file, also at one path, whose standard errors are NaN
+        one = dual_value_check(m2, 0.0, 0, primal.values.values[0, 0], vn, n_paths=1, master_seed=5)
+        assert all(math.isnan(r.std_error) for r in one.rows)
+        for rep in (report, one):
+            ours, ref = io.StringIO(), io.StringIO()
+            rep.to_csv(ours)
+            w = csv.writer(ref)
+            w.writerow(["control_id", "start_a", "estimator", "mean", "std_error", "n_paths"])
+            for r in rep.rows:
+                w.writerow([r.control_id, r.start_a, r.estimator, repr(r.mean), repr(r.std_error), r.n_paths])
+            assert ours.getvalue() == ref.getvalue()

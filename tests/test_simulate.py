@@ -190,7 +190,7 @@ class TestChildStreams:
 class TestPairStart:
     """Every sampler refuses a start outside [0, T] x E x A: the pair
     samplers themselves, the controlled one through its constant policy's
-    action."""
+    action. Every batch sampler refuses a negative count."""
 
     @staticmethod
     def samplers(p):
@@ -218,6 +218,19 @@ class TestPairStart:
         for sample in self.samplers(m2):
             for t, x, a in ((0.0, 0, 0), (m2.horizon, 1, 1), (np.float64(0.5), np.int64(1), np.int64(0))):
                 assert np.all(sample(t, x, a).t0 == t)
+
+    def test_negative_count(self, m2):
+        # -2 used to give an empty pair sample, and to fail inside numpy in the two batches
+        nu = jc.constant_control(m2, 2.0)
+        samplers = (
+            lambda n: jc.simulate_pair_paths(m2, nu, 0.0, 0, 0, n, jc.child_rng(3, 0)),
+            lambda n: jc.simulate_pair_sample(m2, None, 0.0, 0, 0, n, 3),
+            lambda n: jc.simulate_controlled_paths(m2, jc.constant_policy(m2, 0), 0.0, 0, n, jc.child_rng(3, 0)),
+        )
+        for sample in samplers:
+            with pytest.raises(ValueError, match="count -2"):
+                sample(-2)
+            assert len(sample(0)) == 0
 
 
 class TestPairPath:

@@ -1,5 +1,6 @@
 """Static checks on the package source: no dead private names, no unused
-imports, no unread parameters."""
+imports, no unread parameters, no import inside a function, and one module
+that knows the CSV dialect."""
 import ast
 import pathlib
 
@@ -85,3 +86,25 @@ def test_parameters_are_read(module):
                 if arg not in read and not arg.startswith("_") and (module, name, arg) not in EXEMPT_PARAMETERS
             ]
     assert unread == []
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_imports_are_at_module_level(module):
+    # a function-level import hides a cycle between modules
+    nested = []
+    for func in ast.walk(TREES[module]):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nested += [
+                (func.name, node.lineno) for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))
+            ]
+    assert nested == []
+
+
+def test_only_model_imports_csv():
+    # model writes every table in csv.writer's dialect; no other module writes one of its own
+    importers = sorted(
+        name for name, tree in TREES.items() for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and "csv" in (alias.name for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "csv"
+    )
+    assert importers == ["model"]
