@@ -17,8 +17,8 @@ cells, each read from its grid cell's two node layers, and a path costs
 O(jumps), not O(grid). A path keeps its location on each grid
 (simulate._located): Y, Z, K at every level and the compensator read the
 one on the grid of v^n, the running cost the one on the grid of f. All
-integrals are exact for the interpolant (the positive part is integrated
-cell by cell with its kink located analytically), so the pathwise
+integrals are exact for the interpolant (the positive part of a line, cell
+by cell, in closed form: penalized._positive_part_integral), so the pathwise
 residual isolates the solver's ODE error rather than quadrature noise.
 constraint_violation is one call of simulate._estimate, as in randomized.
 """

@@ -207,8 +207,8 @@ def grid_cell(t, T: float, n: int):
 def check_times(t, T: float) -> None:
     """Raise ValueError unless every time in t lies in [0, T], up to 1e-12."""
     t_lo, t_hi = (t, t) if np.ndim(t) == 0 else (np.min(t, initial=np.inf), np.max(t, initial=-np.inf))
-    if t_lo < -1e-12 or t_hi > T + 1e-12:
-        raise ValueError(f"time {t_lo if t_lo < -1e-12 else t_hi} outside [0, {T}]")
+    if not (t_lo >= -1e-12 and t_hi <= T + 1e-12):  # written so that NaN fails
+        raise ValueError(f"time {t_hi if t_lo >= -1e-12 else t_lo} outside [0, {T}]")
 
 
 def _interp(table, t, T: float, *index) -> np.ndarray:

@@ -41,14 +41,11 @@ from .simulate import _prefix, _trapezoid
 
 
 def _positive_part_integral(p0, p1, h):
-    """Exact integral of [linear]^+ over segments; all arguments broadcast."""
-    both_pos = np.minimum(p0, p1) >= 0.0
-    both_neg = np.maximum(p0, p1) <= 0.0
-    denom = np.where(p0 == p1, 1.0, p0 - p1)
-    tau = np.clip(p0 / denom, 0.0, 1.0) * h
-    crossing = np.where(p0 > 0.0, 0.5 * p0 * tau, 0.5 * p1 * (h - tau))
-    out = np.where(both_pos, 0.5 * (p0 + p1) * h, crossing)
-    return np.where(both_neg, 0.0, out)
+    """Exact integral over [0, h] of the positive part of the line from p0 to p1,
+    h (p0^+ + p1^+)^2 / (2 (|p0| + |p1|)), 0 where p0 = p1 = 0; pos / tot comes
+    first, so a line that keeps its sign gives 0.5 * pos * h. Arguments broadcast."""
+    pos, tot = np.maximum(p0, 0.0) + np.maximum(p1, 0.0), np.abs(p0) + np.abs(p1)
+    return 0.5 * pos * (np.divide(pos, tot, out=np.zeros_like(tot), where=tot > 0.0) * h)
 
 
 def penalty_integral(psi0, psi1, h, lam0, n):

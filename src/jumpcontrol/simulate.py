@@ -711,14 +711,16 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
 
 def _estimate(p: Problem, nu, t, x, a, n_paths, master_seed, paths, sample) -> tuple[float, float]:
     """Mean and SE of sample(part) over parts of _BATCH of n_paths >= 1 pair
-    paths from (t, x, a): the given list or PathBatch of n_paths, or else
-    simulate_pair_sample's under nu (None: the reference pair). They are
-    flattened once: pass a reused list as PathBatch.from_paths(list)."""
+    paths from (t, x, a): the given list or PathBatch of n_paths, refused unless
+    each starts there, or else simulate_pair_sample's under nu (None: the
+    reference pair). They are flattened once: pass a reused list as a PathBatch."""
     if n_paths < 1 or paths is not None and len(paths) != n_paths:  # before a draw, which refuses n_paths < 0 itself
         raise ValueError(f"n_paths = {n_paths} must be at least 1 and the count of the paths given")
     if paths is None:
         paths = simulate_pair_sample(p, nu, t, x, a, n_paths, master_seed)
     batch = PathBatch.from_paths(paths, p.horizon)
+    if batch.a0 is not None and (np.any(batch.t0 != t) | np.any(batch.x0 != x) | np.any(batch.a0 != a)):
+        raise ValueError(f"a given path does not start at (t, x, a) = ({t}, {x}, {a})")
     return _mean_se(np.concatenate([sample(batch.part(i, i + _BATCH)) for i in range(0, n_paths, _BATCH)]))
 
 

@@ -3,7 +3,9 @@
 Every grid node between t0 and T is a breakpoint, next to the jump times,
 so each path costs O(grid). The integrals are exact for the interpolant of
 v^n, the same as in jumpcontrol.bsde, which evaluates them from cumulative
-tables in O(jumps); the tests compare the two.
+tables in O(jumps); the tests compare the two. The positive part of a line is
+integrated here by its own case analysis, with the kink located at its root,
+not by the package's closed form.
 """
 from __future__ import annotations
 
@@ -11,8 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from jumpcontrol.penalized import _positive_part_integral
 from path_loops import running_cost_along_path
+
+
+def positive_part_integral(p0, p1, h):
+    """Exact integral of [linear]^+ over segments: zero, a trapezoid, or the
+    triangle up to or from the root tau; all arguments broadcast."""
+    both_pos = np.minimum(p0, p1) >= 0.0
+    both_neg = np.maximum(p0, p1) <= 0.0
+    denom = np.where(p0 == p1, 1.0, p0 - p1)
+    tau = np.clip(p0 / denom, 0.0, 1.0) * h
+    crossing = np.where(p0 > 0.0, 0.5 * p0 * tau, 0.5 * p1 * (h - tau))
+    out = np.where(both_pos, 0.5 * (p0 + p1) * h, crossing)
+    return np.where(both_neg, 0.0, out)
 
 
 @dataclass(frozen=True)
@@ -61,7 +74,7 @@ def build_sample(p, vn, path) -> DenseSample:
     psi0 = layers[:-1][idx, seg_x, :] - own0[:, None]
     psi1 = layers[1:][idx, seg_x, :] - own1[:, None]
     h = (bp[1:] - bp[:-1])[:, None]
-    incr = vn.level * (_positive_part_integral(psi0, psi1, h) @ p.lambda0)
+    incr = vn.level * (positive_part_integral(psi0, psi1, h) @ p.lambda0)
     k_values = np.concatenate(([0.0], np.cumsum(incr)))
 
     # Z at the realized jump marks.

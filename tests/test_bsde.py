@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +46,34 @@ class TestPositivePartIntegral:
         vals = np.maximum(p0 + (p1 - p0) * ts, 0.0)
         ref = np.trapezoid(vals, dx=h / 20_000)
         assert _positive_part_integral(p0, p1, h) == pytest.approx(ref, abs=1e-3)
+
+    @staticmethod
+    def exact(p0, p1, h):
+        """The integral in rational arithmetic, by cases at the exact root."""
+        p0, p1, h = Fraction(p0), Fraction(p1), Fraction(h)
+        if min(p0, p1) >= 0:
+            return (p0 + p1) * h / 2
+        if max(p0, p1) <= 0:
+            return Fraction(0)
+        tau = p0 / (p0 - p1) * h
+        return p0 * tau / 2 if p0 > 0 else p1 * (h - tau) / 2
+
+    def test_matches_exact_rational_integral(self):
+        # rising, falling and non-crossing segments; the crossings have their
+        # root within 1e-12 of an end, where h - tau lost up to every digit
+        rng = np.random.default_rng(2028)
+        big, other, h = rng.uniform(0.1, 5.0, 200), rng.uniform(0.1, 5.0, 200), rng.uniform(0.01, 3.0, 200)
+        small = big * rng.uniform(0.0, 1e-12, 200)  # the root lies within 1e-12 * h of an end
+        segments = [
+            (-big, small), (-small, big), (-big, other),  # rising
+            (big, -small), (small, -big), (big, -other),  # falling
+            (big, small), (big, other), (-big, -small), (-big, -other), (0.0 * big, other),  # no crossing
+        ]
+        for p0, p1 in segments:
+            got = _positive_part_integral(p0, p1, h)
+            for g, args in zip(got.tolist(), zip(p0.tolist(), p1.tolist(), h.tolist())):
+                want = self.exact(*args)
+                assert abs(Fraction(g) - want) <= Fraction(1, 10**15) * abs(want), args
 
 
 EQUIV_LEVELS = (0, 1, 16, 256)
@@ -179,6 +208,7 @@ class TestLocated:
             "need pair paths on a horizon of": jc.Path(0.0, 0, None, [0.5], [1], None, T),
             r"on a horizon of 1\.0": jc.Path(0.0, 0, 0, [0.5], [1], [0], T + 1e-9),
             r"outside \[0,": jc.Path(-0.5, 0, 0, [0.5], [1], [0], T),
+            r"time nan outside \[0,": jc.Path(math.nan, 0, 0, [], [], [], T),
         }
         for message, path in refused.items():
             with pytest.raises(ValueError, match=message):

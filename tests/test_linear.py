@@ -56,7 +56,7 @@ class TestValueGrid:
     def test_rejects_times_outside_grid(self):
         vals = np.array([[0.0], [1.0]])
         grid = jc.ValueGrid(vals, 1.0)
-        for t in (-0.1, 1.1):
+        for t in (-0.1, 1.1, math.nan):
             with pytest.raises(ValueError):
                 grid.value_at(t, 0)
             with pytest.raises(ValueError):
@@ -66,7 +66,7 @@ class TestValueGrid:
 
     def test_same_time_bound_as_cost_layer(self, threestate):
         grid = jc.ValueGrid(np.zeros((3, threestate.n_states)), threestate.horizon)
-        for t in (-0.1, threestate.horizon + 0.1):
+        for t in (-0.1, threestate.horizon + 0.1, math.nan):
             with pytest.raises(ValueError):
                 grid.layer_at(t)
             with pytest.raises(ValueError):

@@ -58,3 +58,11 @@ class TestOracleCompare:
         sol = jc.solve_hjb_picard(m2, n_steps=4000)
         report = oracle_compare(m2, sol, tol=1e-12, n_steps_oracle=100_000)
         assert not report["passed"]
+
+    def test_nan_solution_fails(self, m2):
+        # an all-NaN solution used to report a gap of 0 and pass, as d > gap skips NaN
+        sol = jc.solve_hjb_picard(m2, n_steps=100)
+        nan = jc.HJBSolution(jc.ValueGrid(np.full_like(sol.values.values, np.nan), m2.horizon), sol.argmax, 0, 0.0, 1)
+        report = oracle_compare(m2, nan, tol=1e-3, n_steps_oracle=2000)
+        assert report["passed"] is False
+        assert math.isnan(report["gap_grid"]) and math.isnan(report["gap_t0"])

@@ -207,8 +207,8 @@ class TestBatchMatchesLoops:
 
 class TestPathCount:
     """The one rule of the four pair-path estimates (simulate._estimate):
-    n_paths of at least 1, given paths of exactly n_paths, and drawn paths
-    that are simulate_pair_sample's."""
+    n_paths of at least 1, given paths of exactly n_paths that all start at
+    (t, x, a), and drawn paths that are simulate_pair_sample's."""
 
     @staticmethod
     def target(p, estimator):
@@ -235,6 +235,20 @@ class TestPathCount:
         if estimator is not dual_gain_direct:
             with pytest.raises(ValueError, match="at least 1"):
                 estimator(m2, self.target(m2, estimator), 0.0, 0, 0, n_paths, paths=[])
+
+    @pytest.mark.parametrize("estimator", [dual_gain_importance, girsanov_mean_weight, constraint_violation])
+    def test_paths_from_another_start_raise(self, m2, estimator):
+        # they used to give an estimate for the start the paths came from
+        target = self.target(m2, estimator)
+        batch = jc.simulate_pair_sample(m2, None, 0.0, 0, 0, 60, 5)
+        for start in [(0.5, 0, 0), (0.0, 1, 0), (0.0, 0, 1)]:
+            with pytest.raises(ValueError, match="does not start at"):
+                estimator(m2, target, *start, 60, paths=batch)
+        # one path of the list from elsewhere is enough
+        paths = [batch.path(i) for i in range(59)] + [jc.Path(0.0, 0, 1, [], [], [], m2.horizon)]
+        with pytest.raises(ValueError, match="does not start at"):
+            estimator(m2, target, 0.0, 0, 0, 60, paths=paths)
+        estimator(m2, target, 0.0, 0, 0, 60, paths=batch)
 
     @pytest.mark.parametrize("estimator", [dual_gain_importance, girsanov_mean_weight])
     def test_drawn_paths_are_the_reference_pair_sample(self, m2, estimator):

@@ -1,6 +1,7 @@
 """Static checks on the package source: no dead private names, no unused
 imports, no unread parameters, no import inside a function, and one module
-that knows the CSV dialect."""
+that knows the CSV dialect. Also on the tests' reference implementations:
+they take no kernel from the package."""
 import ast
 import pathlib
 
@@ -11,6 +12,16 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "jumpcontrol"
 # pass positionally; a parameter named _x is unread by intent.
 EXEMPT_MODULES = {"__init__"}
 EXEMPT_PARAMETERS = {("bsde", "build_sample", "p")}
+
+# What the reference implementations may import from the package: problem data
+# and its accessors, containers and errors, and the two rules they share by
+# design, the explosion cap and Picard's block split (see einsum_picard).
+REFERENCES = ("dense_bsde", "path_loops", "einsum_penalized", "einsum_picard")
+REFERENCE_IMPORTS = {
+    "Problem", "cost_at", "cost_layer", "rate_bound", "pair_rate_bound",
+    "Path", "ValueGrid", "HJBSolution", "ExplosionError", "NonconvergenceError",
+    "_cap", "_picard_blocks",
+}
 
 TREES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 
@@ -108,3 +119,16 @@ def test_only_model_imports_csv():
         or isinstance(node, ast.ImportFrom) and node.module == "csv"
     )
     assert importers == ["model"]
+
+
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_references_share_no_kernel(reference):
+    # a reference that imports the kernel it checks compares the kernel with itself
+    path = SRC.parent.parent / "tests" / f"{reference}.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "jumpcontrol":
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):  # a whole-package import would bring every kernel
+            imported += [alias.name for alias in node.names if alias.name.split(".")[0] == "jumpcontrol"]
+    assert [name for name in imported if name not in REFERENCE_IMPORTS] == []
